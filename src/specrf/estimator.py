@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
+from . import features, spectral
 from .features import DesignMatrix, FeatureSet
 from .spectral import SpectralFilter
 
@@ -36,7 +36,12 @@ class EstimatorError(ValueError):
 
 @dataclass(frozen=True)
 class RFModel:
-    """Fitted coefficients plus the design metadata needed to predict."""
+    """Fitted coefficients plus the design metadata needed to predict.
+
+    theta is indexed like the design's columns: one block of p coefficients
+    per distinct omega draw of the feature set (`FeatureSet.distinct`), so it
+    has length M_distinct * p, not M * p.
+    """
 
     feature_set: FeatureSet
     theta: np.ndarray
@@ -46,6 +51,7 @@ class RFModel:
     filter_kind: str
     lam: float
     train_risks: np.ndarray | None = field(default=None, compare=False)
+    summands: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def M(self) -> int:
@@ -72,6 +78,21 @@ def _reject_degenerate(design: DesignMatrix) -> None:
         raise EstimatorError("design matrix is identically zero")
 
 
+def _model(design: DesignMatrix, theta: np.ndarray, filter_kind: str, lam: float,
+           train_risks: np.ndarray | None = None) -> RFModel:
+    return RFModel(
+        feature_set=design.feature_set,
+        theta=theta,
+        kappa_scale=design.kappa_scale,
+        v_weight=design.v_weight,
+        d_v=design.d_v,
+        filter_kind=filter_kind,
+        lam=lam,
+        train_risks=train_risks,
+        summands=design.summands,
+    )
+
+
 def fit_closed(
     design: DesignMatrix,
     outputs: np.ndarray,
@@ -85,15 +106,7 @@ def fit_closed(
     v = _stacked_outputs(design, outputs)
     rhs = design.embed_adjoint(v)
     theta = spectral.apply_filter(filt, lam, design.eigensystem(), rhs)
-    return RFModel(
-        feature_set=design.feature_set,
-        theta=theta,
-        kappa_scale=design.kappa_scale,
-        v_weight=design.v_weight,
-        d_v=design.d_v,
-        filter_kind=filt.kind,
-        lam=lam,
-    )
+    return _model(design, theta, filt.kind, lam)
 
 
 def fit_gd(
@@ -140,16 +153,8 @@ def fit_gd(
         if track_risk:
             risks.append(risk(theta))
 
-    return RFModel(
-        feature_set=design.feature_set,
-        theta=theta,
-        kappa_scale=design.kappa_scale,
-        v_weight=design.v_weight,
-        d_v=design.d_v,
-        filter_kind="landweber",
-        lam=1.0 / (alpha * n_steps),
-        train_risks=np.asarray(risks) if track_risk else None,
-    )
+    return _model(design, theta, "landweber", 1.0 / (alpha * n_steps),
+                  np.asarray(risks) if track_risk else None)
 
 
 def fit_gd_path(
@@ -185,44 +190,21 @@ def fit_gd_path(
             grad = design.Z.T @ (design.Z @ theta) / design.n - rhs
         theta = theta - alpha * grad
         while next_stop < len(stops) and stops[next_stop] == step:
-            models.append(
-                RFModel(
-                    feature_set=design.feature_set,
-                    theta=theta.copy(),
-                    kappa_scale=design.kappa_scale,
-                    v_weight=design.v_weight,
-                    d_v=design.d_v,
-                    filter_kind="landweber",
-                    lam=1.0 / (alpha * step),
-                )
-            )
+            models.append(_model(design, theta.copy(), "landweber", 1.0 / (alpha * step)))
             next_stop += 1
     return models
 
 
-def _feature_rows(model: RFModel, U: np.ndarray) -> np.ndarray:
-    fs = model.feature_set
-    phi = fs.map.evaluate(U, fs.samples)  # (n, M, p, d_v)
-    scale = 1.0 / (model.kappa_scale * math.sqrt(model.M))
-    block = np.transpose(phi, (0, 3, 1, 2))
-    return scale * block.reshape(U.shape[0] * model.d_v, -1)
-
-
 def predict(model: RFModel, u) -> np.ndarray:
-    """Prediction (1/sqrt(M)) sum_{m,i} theta_mi phi_i(u, w_m), kappa-consistent."""
-    U = np.asarray(u, dtype=float)[None, ...]
-    values = _feature_rows(model, U) @ model.theta
-    return values.reshape(model.d_v)
+    """Prediction (1/sqrt(M)) sum_{m,i} theta_mi phi_i(u, w_m), kappa-consistent,
+    with the sum over M draws folded onto the distinct ones."""
+    return predict_batch(model, np.asarray(u, dtype=float)[None, ...])[0]
 
 
 def predict_batch(model: RFModel, U, chunk: int = 512) -> np.ndarray:
-    U = np.asarray(U, dtype=float)
-    out = np.empty((U.shape[0], model.d_v))
-    for start in range(0, U.shape[0], chunk):
-        stop = min(start + chunk, U.shape[0])
-        rows = _feature_rows(model, U[start:stop])
-        out[start:stop] = (rows @ model.theta).reshape(stop - start, model.d_v)
-    return out
+    """Predictions for a batch of inputs, shape (len(U), d_v)."""
+    return features.predict_values(model.feature_set, model.theta, U,
+                                   model.kappa_scale, model.summands, chunk)
 
 
 def evaluate(model: RFModel, test_inputs, test_outputs, oracle=None) -> RiskReport:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "kernel_approx",
     "kernel_exact",
     "build_design",
+    "feature_rows",
+    "predict_values",
     "discrete_map",
     "rff_map",
     "gaussian_kernel",
@@ -101,12 +104,26 @@ class FeatureSet:
 
     map: FeatureMap
     samples: Any
-    n_features: int
+    M: int
     seed: int | None
 
-    @property
-    def M(self) -> int:
-        return self.n_features
+    @cached_property
+    def distinct(self) -> tuple[Any, np.ndarray]:
+        """(distinct draws in order of first appearance, count of each).
+
+        c identical draws give c identical feature columns, which span the same
+        kernel as one column scaled by sqrt(c), so designs evaluate each
+        distinct draw once.  Draws merge on exact equality of their rows;
+        samples that are not a numeric array (rff_map's dict) pass through
+        with unit counts.
+        """
+        s = self.samples
+        if isinstance(s, np.ndarray) and s.dtype != object:
+            _, first, counts = np.unique(s, axis=0, return_index=True, return_counts=True)
+            if first.size < s.shape[0]:
+                order = np.argsort(first)
+                return s[first[order]], counts[order].astype(float)
+        return s, np.ones(self.M)
 
 
 def sample_features(fmap: FeatureMap, M: int, seed: int) -> FeatureSet:
@@ -114,24 +131,23 @@ def sample_features(fmap: FeatureMap, M: int, seed: int) -> FeatureSet:
     if M < 1:
         raise FeatureError(f"M must be >= 1, got {M}")
     rng = np.random.default_rng(seed)
-    return FeatureSet(map=fmap, samples=fmap.draw(rng, M), n_features=M, seed=seed)
+    return FeatureSet(map=fmap, samples=fmap.draw(rng, M), M=M, seed=seed)
 
 
 def feature_set_from_samples(fmap: FeatureMap, samples: Any, M: int) -> FeatureSet:
     """Wrap explicit omega samples (e.g. network weights at initialization)."""
-    return FeatureSet(map=fmap, samples=samples, n_features=M, seed=None)
+    return FeatureSet(map=fmap, samples=samples, M=M, seed=None)
 
 
-def _as_batch(fmap: FeatureMap, u: Any) -> Any:
+def _as_batch(u: Any) -> np.ndarray:
     """Wrap a single input into a batch of one for the batched evaluator."""
-    arr = np.asarray(u, dtype=float)
-    return arr[None, ...]
+    return np.asarray(u, dtype=float)[None, ...]
 
 
 def kernel_approx(fs: FeatureSet, u: Any, u2: Any) -> np.ndarray:
     """Monte Carlo kernel K_M(u, u2) as a d_v x d_v matrix of grid outer products."""
-    phi_u = fs.map.evaluate(_as_batch(fs.map, u), fs.samples)[0]    # (M, p, d_v)
-    phi_u2 = fs.map.evaluate(_as_batch(fs.map, u2), fs.samples)[0]
+    phi_u = fs.map.evaluate(_as_batch(u), fs.samples)[0]    # (M, p, d_v)
+    phi_u2 = fs.map.evaluate(_as_batch(u2), fs.samples)[0]
     if phi_u.shape != (fs.M, fs.map.p, fs.map.d_v):
         raise FeatureError(
             f"evaluator returned shape {phi_u.shape}, "
@@ -145,24 +161,63 @@ def kernel_exact(fmap: FeatureMap, u: Any, u2: Any) -> np.ndarray:
     if fmap.support is None:
         raise UnsupportedOracleError("kernel_exact requires a map with finite support")
     omegas, probs = fmap.support
-    phi_u = fmap.evaluate(_as_batch(fmap, u), omegas)[0]
-    phi_u2 = fmap.evaluate(_as_batch(fmap, u2), omegas)[0]
+    phi_u = fmap.evaluate(_as_batch(u), omegas)[0]
+    phi_u2 = fmap.evaluate(_as_batch(u2), omegas)[0]
     return np.einsum("m,mpk,mpl->kl", np.asarray(probs, float), phi_u, phi_u2)
 
 
 # ---------------------------------------------------------------------------
 # design matrices
 
+def feature_rows(fs: FeatureSet, U: np.ndarray, kappa_scale: float, v_weight: float = 1.0,
+                 summands: np.ndarray | None = None) -> np.ndarray:
+    """Feature rows for a batch of inputs, shape (len(U)*d_v, M_distinct*p).
+
+    Row j*d_v + k holds component k of phi_i(u_j, omega) for each distinct
+    draw omega (column block) and summand i, weighted by
+    sqrt(v_weight * count / M) / kappa_scale; c merged copies of a draw thus
+    contribute exactly what c unit-weight columns would to Z Z^T.  `summands`
+    (boolean, length p) zeroes the feature functions it leaves out.  Designs
+    and predictions both build their rows here, so coefficients fitted on a
+    design always meet rows in the same coordinates.
+    """
+    omegas, counts = fs.distinct
+    phi = fs.map.evaluate(U, omegas)                  # (n, M_distinct, p, d_v)
+    n, m, p, d_v = phi.shape
+    weights = math.sqrt(v_weight) / (kappa_scale * math.sqrt(fs.M)) * np.sqrt(counts)
+    keep = np.ones(p) if summands is None else np.asarray(summands, dtype=float)
+    block = np.transpose(phi, (0, 3, 1, 2)).reshape(n * d_v, m * p)
+    return block * np.outer(weights, keep).reshape(-1)
+
+
+def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float,
+                   summands: np.ndarray | None = None, chunk: int = 512) -> np.ndarray:
+    """Raw predictions (1/kappa_scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
+    over the distinct draws omega_m (counts c_m), shape (len(U), d_v)."""
+    U = np.asarray(U, dtype=float)
+    out = np.empty((U.shape[0], fs.map.d_v))
+    for start in range(0, U.shape[0], chunk):
+        stop = min(start + chunk, U.shape[0])
+        rows = feature_rows(fs, U[start:stop], kappa_scale, summands=summands)
+        out[start:stop] = (rows @ theta).reshape(stop - start, -1)
+    return out
+
+
 class DesignMatrix:
     """Finite-dimensional carrier of the empirical operators for a dataset.
 
-    Z has shape (n*d_v, M*p); row block j holds sqrt(v_weight)-scaled feature
-    vectors at input u_j, divided by kappa_scale and sqrt(M).  With that
-    scaling cov() = (1/n) Z^T Z has spectral norm at most 1.
+    Z has shape (n*d_v, M_distinct*p): one block of p columns per distinct
+    omega draw of the feature set (see `feature_rows`).  Row block j holds
+    sqrt(v_weight)-scaled feature vectors at input u_j, weighted by
+    sqrt(count/M)/kappa_scale.  Z Z^T, and so every filtered prediction,
+    equals that of the unmerged (n*d_v, M*p) design.  With that scaling
+    cov() = (1/n) Z^T Z has spectral norm at most 1.  `summands` (boolean,
+    length p) freezes the feature functions it leaves out: their columns
+    are zero.
     """
 
     def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True,
-                 chunk: int = 512):
+                 chunk: int = 512, summands: np.ndarray | None = None):
         fmap = feature_set.map
         inputs = np.asarray(inputs, dtype=float)
         n = inputs.shape[0]
@@ -175,23 +230,22 @@ class DesignMatrix:
         self.n = n
         self.d_v = fmap.d_v
         self.M = feature_set.M
+        self.M_distinct = len(feature_set.distinct[1])
         self.p = fmap.p
         self.v_weight = fmap.v_weight
         self.kappa_scale = float(fmap.kappa) if normalize else 1.0
+        self.summands = summands
         self.Z = self._assemble(inputs, chunk)
         self._cov: np.ndarray | None = None
         self._eig = None
 
     def _feature_rows(self, U: np.ndarray) -> np.ndarray:
-        """Rows of Z for a batch of inputs, shape (len(U)*d_v, M*p)."""
-        fs = self.feature_set
-        phi = fs.map.evaluate(U, fs.samples)  # (n, M, p, d_v)
-        scale = math.sqrt(self.v_weight) / (self.kappa_scale * math.sqrt(self.M))
-        block = np.transpose(phi, (0, 3, 1, 2))  # (n, d_v, M, p)
-        return scale * block.reshape(U.shape[0] * self.d_v, self.M * self.p)
+        """Rows of Z for a batch of inputs, shape (len(U)*d_v, M_distinct*p)."""
+        return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight,
+                            self.summands)
 
     def _assemble(self, inputs: np.ndarray, chunk: int) -> np.ndarray:
-        z = np.empty((self.n * self.d_v, self.M * self.p))
+        z = np.empty((self.n * self.d_v, self.M_distinct * self.p))
         for start in range(0, self.n, chunk):
             stop = min(start + chunk, self.n)
             z[start * self.d_v:stop * self.d_v] = self._feature_rows(inputs[start:stop])
@@ -226,24 +280,19 @@ class DesignMatrix:
         return math.sqrt(self.v_weight) * outputs.reshape(-1)
 
     def predict(self, theta: np.ndarray, u: Any) -> np.ndarray:
-        """Raw prediction values (1/(kappa_scale sqrt(M))) sum theta_mi phi_i(u, w_m)."""
-        rows = self._feature_rows(_as_batch(self.feature_set.map, u))
-        return (rows @ theta) / math.sqrt(self.v_weight)
+        """Raw prediction values at one input, shape (d_v,); see `predict_values`."""
+        return self.predict_batch(theta, _as_batch(u))[0]
 
     def predict_batch(self, theta: np.ndarray, U: Any, chunk: int = 512) -> np.ndarray:
         """Raw predictions for a batch of inputs, shape (len(U), d_v)."""
-        U = np.asarray(U, dtype=float)
-        out = np.empty((U.shape[0], self.d_v))
-        for start in range(0, U.shape[0], chunk):
-            stop = min(start + chunk, U.shape[0])
-            rows = self._feature_rows(U[start:stop])
-            out[start:stop] = (rows @ theta).reshape(stop - start, self.d_v)
-        return out / math.sqrt(self.v_weight)
+        return predict_values(self.feature_set, theta, U, self.kappa_scale,
+                              self.summands, chunk)
 
 
-def build_design(fs: FeatureSet, inputs: Any, normalize: bool = True) -> DesignMatrix:
+def build_design(fs: FeatureSet, inputs: Any, normalize: bool = True,
+                 summands: np.ndarray | None = None) -> DesignMatrix:
     """Assemble the design matrix for a list of inputs."""
-    return DesignMatrix(fs, inputs, normalize=normalize)
+    return DesignMatrix(fs, inputs, normalize=normalize, summands=summands)
 
 
 # ---------------------------------------------------------------------------

@@ -219,13 +219,12 @@ def compare_to_kernel_gd(
                 rf_preds = np.zeros_like(no_preds)
             else:
                 fs = tangent_feature_set(no0)
-                design = features.build_design(fs, U_tr, normalize=False)
-                if not train_a:
-                    design.Z[:, ::fs.map.p] = 0.0  # freeze the psi block
-                if not train_b:
-                    mask = np.ones(fs.map.p, dtype=bool)
-                    mask[0] = False
-                    design.Z[:, np.tile(mask, fs.M)] = 0.0
+                # summand 0 (psi) is the a-direction, summands 1.. (psi') the B-directions
+                summands = np.ones(fs.map.p, dtype=bool)
+                summands[0] = train_a
+                summands[1:] = train_b
+                design = features.build_design(fs, U_tr, normalize=False,
+                                               summands=summands)
                 model = estimator.fit_gd(design, V_tr, alpha, n_steps)
                 rf_preds = estimator.predict_batch(model, U_te)
 

@@ -183,7 +183,7 @@ class TestDesign:
         fs = sample_features(problem.feature_map, 12, seed=4)
         U = np.random.default_rng(5).uniform(size=9)
         design = build_design(fs, U)
-        theta = np.random.default_rng(6).normal(size=12)
+        theta = np.random.default_rng(6).normal(size=design.Z.shape[1])
         stacked = (design.Z @ theta).reshape(9, 1)
         preds = design.predict_batch(theta, U)
         np.testing.assert_allclose(
@@ -194,7 +194,8 @@ class TestDesign:
         fs = sample_features(sign_map(), 6, seed=8)
         U = np.random.default_rng(9).normal(size=5)
         design = build_design(fs, U)
-        acc = np.zeros((6, 6))
+        width = design.Z.shape[1]
+        acc = np.zeros((width, width))
         for u in U:
             row = design._feature_rows(np.array([u]))
             acc += row.T @ row
