@@ -619,7 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for sweep-heatmap and rates "
+                             "(default: CPU count); gen, fit, verify and "
+                             "ntk-compare run serially and ignore it")
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the paper's sample sizes and repetition counts")
     return parser

@@ -109,6 +109,43 @@ def fit_closed(
     return _model(design, theta, filt.kind, lam)
 
 
+def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: list[int],
+             track_risk: bool = False) -> tuple[list[np.ndarray], list[float]]:
+    """Gradient descent from theta = 0 up to the last of the ascending
+    iteration counts `stops`.  Returns the iterate at each stop and, with
+    `track_risk`, the empirical risk before the first step and after each."""
+    if not 0.0 < alpha <= 1.0:
+        raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
+    _reject_degenerate(design)
+    v = _stacked_outputs(design, outputs)
+    rhs = design.embed_adjoint(v)
+    theta = np.zeros_like(rhs)
+
+    # small coefficient spaces iterate on the cached covariance; large ones
+    # avoid forming it and use two Z products per step
+    dim = design.Z.shape[1]
+    use_cov = design.cov_cached or dim * dim <= design.Z.size
+    cov = design.cov() if use_cov else None
+
+    def risk(th: np.ndarray) -> float:
+        resid = design.Z @ th - v
+        return 0.5 * float(resid @ resid) / design.n
+
+    risks = [risk(theta)] if track_risk else []
+    snapshots = []
+    for step in range(1, stops[-1] + 1):
+        if cov is not None:
+            grad = cov @ theta - rhs
+        else:
+            grad = design.Z.T @ (design.Z @ theta) / design.n - rhs
+        theta = theta - alpha * grad
+        if track_risk:
+            risks.append(risk(theta))
+        while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
+            snapshots.append(theta)   # no copy: each step binds a new array
+    return snapshots, risks
+
+
 def fit_gd(
     design: DesignMatrix,
     outputs: np.ndarray,
@@ -121,38 +158,9 @@ def fit_gd(
     Requires alpha in (0, 1] (the design contract keeps ||Sigma_hat|| <= 1).
     The recorded lambda is 1/(alpha * n_steps).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     if n_steps < 1:
         raise EstimatorError(f"n_steps must be >= 1, got {n_steps}")
-    _reject_degenerate(design)
-    v = _stacked_outputs(design, outputs)
-    rhs = design.embed_adjoint(v)
-    theta = np.zeros_like(rhs)
-
-    # small coefficient spaces iterate on the cached covariance; large ones
-    # avoid forming it and use two Z products per step
-    dim = design.Z.shape[1]
-    use_cov = design._cov is not None or dim * dim <= design.Z.size
-    cov = design.cov() if use_cov else None
-
-    risks = []
-
-    def risk(th: np.ndarray) -> float:
-        resid = design.Z @ th - v
-        return 0.5 * float(resid @ resid) / design.n
-
-    if track_risk:
-        risks.append(risk(theta))
-    for _ in range(n_steps):
-        if cov is not None:
-            grad = cov @ theta - rhs
-        else:
-            grad = design.Z.T @ (design.Z @ theta) / design.n - rhs
-        theta = theta - alpha * grad
-        if track_risk:
-            risks.append(risk(theta))
-
+    (theta,), risks = _descend(design, outputs, alpha, [n_steps], track_risk)
     return _model(design, theta, "landweber", 1.0 / (alpha * n_steps),
                   np.asarray(risks) if track_risk else None)
 
@@ -171,28 +179,9 @@ def fit_gd_path(
     stops = sorted(int(t) for t in checkpoints)
     if not stops or stops[0] < 1:
         raise EstimatorError("checkpoints must be positive iteration counts")
-    if not 0.0 < alpha <= 1.0:
-        raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
-    _reject_degenerate(design)
-    v = _stacked_outputs(design, outputs)
-    rhs = design.embed_adjoint(v)
-    theta = np.zeros_like(rhs)
-    dim = design.Z.shape[1]
-    use_cov = design._cov is not None or dim * dim <= design.Z.size
-    cov = design.cov() if use_cov else None
-
-    models = []
-    next_stop = 0
-    for step in range(1, stops[-1] + 1):
-        if cov is not None:
-            grad = cov @ theta - rhs
-        else:
-            grad = design.Z.T @ (design.Z @ theta) / design.n - rhs
-        theta = theta - alpha * grad
-        while next_stop < len(stops) and stops[next_stop] == step:
-            models.append(_model(design, theta.copy(), "landweber", 1.0 / (alpha * step)))
-            next_stop += 1
-    return models
+    thetas, _ = _descend(design, outputs, alpha, stops)
+    return [_model(design, theta, "landweber", 1.0 / (alpha * step))
+            for step, theta in zip(stops, thetas)]
 
 
 def predict(model: RFModel, u) -> np.ndarray:

@@ -251,6 +251,11 @@ class DesignMatrix:
             z[start * self.d_v:stop * self.d_v] = self._feature_rows(inputs[start:stop])
         return z
 
+    @property
+    def cov_cached(self) -> bool:
+        """Whether cov() has already been formed, so reusing it costs nothing."""
+        return self._cov is not None
+
     def cov(self) -> np.ndarray:
         """Sigma_hat = (1/n) Z^T Z, cached."""
         if self._cov is None:
@@ -429,6 +434,14 @@ class OperatorArchitecture:
         parts.append(bias)
         return np.concatenate(parts, axis=2)
 
+    def preactivations(self, U: Any, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J, Z) for a batch: J = J(u)(x) of shape (n, n_X, d_tilde) and the
+        preactivations Z = <w_m, J(u)(x)> of shape (n, n_X, M) for the M weight
+        rows of W (M, d_tilde), as one 2-D matmul over all (u, x) pairs."""
+        J = self.j_features(U)
+        n, n_x, d_tilde = J.shape
+        return J, (J.reshape(-1, d_tilde) @ W.T).reshape(n, n_x, -1)
+
 
 def ntk_feature_map(
     arch: OperatorArchitecture,
@@ -463,8 +476,7 @@ def ntk_feature_map(
         return rng.normal(size=(M, d_tilde))
 
     def evaluate(U: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        J = arch.j_features(U)                    # (n, n_X, d_tilde)
-        z = np.einsum("nxd,md->nxm", J, omegas)   # (n, n_X, M)
+        J, z = arch.preactivations(U, omegas)     # (n, n_X, d_tilde), (n, n_X, M)
         psi = act.f(z)
         dpsi = act.df(z)
         n, n_x, M = z.shape

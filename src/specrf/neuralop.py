@@ -6,7 +6,8 @@ its tangent feature space.
 The operator is G_theta(u)(x) = (1/sqrt(M)) <a, sigma(B J(u)(x))> with
 J(u)(x) = (A(u)(x), u(x), c(x)) shared with `features.OperatorArchitecture`.
 Symmetric initialization pairs output weights +tau/-tau with duplicated input
-weights so that G_theta0 is identically zero.
+weights so that G_theta0 is identically zero.  Training runs one forward pass
+per gradient step: the step's risk and both gradients come from that pass.
 """
 from __future__ import annotations
 
@@ -90,40 +91,40 @@ def init_symmetric(
     return ShallowNO(arch=arch, a=a, B=B, tau=float(tau))
 
 
-def _preactivations(no: ShallowNO, U) -> tuple[np.ndarray, np.ndarray]:
-    """(J, Z1) with J (n, n_X, d_tilde) and Z1 = J B^T (n, n_X, M)."""
-    J = no.arch.j_features(U)
-    return J, np.einsum("nxd,md->nxm", J, no.B)
-
-
 def forward(no: ShallowNO, u) -> np.ndarray:
     """G_theta(u) on the grid; single input -> (n_X,), batch -> (n, n_X)."""
     arr = np.asarray(u, dtype=float)
     single = arr.ndim < 2 or (arr.ndim == 2 and arr.shape == (no.arch.n_x, no.arch.d_y))
     U = arr[None, ...] if single else arr
-    _, z1 = _preactivations(no, U)
+    _, z1 = no.arch.preactivations(U, no.B)
     out = no.arch.activation.f(z1) @ no.a / math.sqrt(no.M)
     return out[0] if single else out
 
 
-def _risk(no: ShallowNO, U: np.ndarray, V: np.ndarray) -> float:
-    resid = forward(no, U) - V
+def _half_mean_square(resid: np.ndarray) -> float:
     return 0.5 * float(np.mean(np.mean(resid ** 2, axis=1)))
 
 
-def _gradients(no: ShallowNO, U: np.ndarray, V: np.ndarray):
-    """Full-batch gradients of the empirical risk with the grid-mean inner
-    product: dE/da_m and dE/dB_mj."""
+def _risk(no: ShallowNO, U: np.ndarray, V: np.ndarray) -> float:
+    return _half_mean_square(forward(no, U) - V)
+
+
+def _risk_and_gradients(no: ShallowNO, U: np.ndarray, V: np.ndarray):
+    """Empirical risk (equal to `_risk`) and its full-batch gradients dE/da_m
+    and dE/dB_mj with the grid-mean inner product, all from one forward pass.
+    Every contraction is a 2-D matmul over the n * n_X (input, grid point)
+    pairs."""
     act = no.arch.activation
-    J, z1 = _preactivations(no, U)
+    J, z1 = no.arch.preactivations(U, no.B)
     s = act.f(z1)
-    resid = s @ no.a / math.sqrt(no.M) - V      # (n, n_X)
-    n, n_x = resid.shape
+    resid = s @ no.a / math.sqrt(no.M) - V      # (n, n_X), as in forward
+    n, n_x, d_tilde = J.shape
+    r = resid.reshape(-1)
     scale = 1.0 / (n * n_x * math.sqrt(no.M))
-    grad_a = scale * np.einsum("nx,nxm->m", resid, s)
-    ds = act.df(z1)
-    grad_b = scale * no.a[:, None] * np.einsum("nx,nxm,nxd->md", resid, ds, J)
-    return grad_a, grad_b
+    grad_a = scale * (r @ s.reshape(-1, no.M))
+    weighted = act.df(z1).reshape(-1, no.M) * r[:, None]
+    grad_b = scale * no.a[:, None] * (weighted.T @ J.reshape(-1, d_tilde))
+    return _half_mean_square(resid), grad_a, grad_b
 
 
 def train_gd(
@@ -146,19 +147,20 @@ def train_gd(
 
     a0, b0 = no.a.copy(), no.B.copy()
     cur = no
-    risks = [_risk(cur, U, V)]
+    risks = []
     drifts = [0.0]
     for _ in range(n_steps):
-        grad_a, grad_b = _gradients(cur, U, V)
+        risk, grad_a, grad_b = _risk_and_gradients(cur, U, V)
+        risks.append(risk)
         new_a = cur.a - alpha * grad_a if train_a else cur.a
         new_b = cur.B - alpha * grad_b if train_b else cur.B
         cur = replace(cur, a=new_a, B=new_b)
-        risks.append(_risk(cur, U, V))
         drifts.append(
             math.sqrt(
                 float(np.sum((cur.a - a0) ** 2)) + float(np.sum((cur.B - b0) ** 2))
             )
         )
+    risks.append(_risk(cur, U, V))
     return TrainRecord(risks=np.asarray(risks), drifts=np.asarray(drifts), model=cur)
 
 
@@ -166,8 +168,8 @@ def empirical_ntk(no: ShallowNO, u, u2) -> np.ndarray:
     """NTK at initialization-scale weights, evaluated on the grid:
     (1/M) [sum_m psi_m(u) x psi_m(u2) + sum_{m,j} psi'_{m,j}(u) x psi'_{m,j}(u2)]."""
     act = no.arch.activation
-    J1, z1 = _preactivations(no, no.arch.coerce_inputs(np.asarray(u)[None, ...]))
-    J2, z2 = _preactivations(no, no.arch.coerce_inputs(np.asarray(u2)[None, ...]))
+    J1, z1 = no.arch.preactivations(np.asarray(u)[None, ...], no.B)
+    J2, z2 = no.arch.preactivations(np.asarray(u2)[None, ...], no.B)
     psi1, psi2 = act.f(z1[0]), act.f(z2[0])          # (n_X, M)
     k = psi1 @ psi2.T
     d1, d2 = act.df(z1[0]), act.df(z2[0])

@@ -240,12 +240,14 @@ def test_acceptance_7_ntk_correctness():
         )
         U_p = prng.normal(size=(4, 8, 1))
         V_p = prng.normal(size=(4, 8))
-        ga, gb = neuralop._gradients(probe, arch.coerce_inputs(U_p), V_p)
+        r0, ga, gb = neuralop._risk_and_gradients(probe, arch.coerce_inputs(U_p), V_p)
 
         def risk(a_vec, b_mat):
             return neuralop._risk(
                 neuralop.replace(probe, a=a_vec, B=b_mat),
                 arch.coerce_inputs(U_p), V_p)
+
+        assert r0 == risk(probe.a, probe.B)
 
         for m in (0, probe.M - 1):
             ap, am = probe.a.copy(), probe.a.copy()

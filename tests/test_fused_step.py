@@ -1,0 +1,116 @@
+"""Oracle tests for the one-pass neural-operator GD step.
+
+The reference below is the two-pass formulation: einsum preactivations, a
+three-operand einsum for dE/dB, and a separate forward pass for the risk after
+every update.  The fused step sums in another order, so agreement is required
+to 1e-12 relative rather than bit for bit.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from specrf import neuralop
+from specrf.features import OperatorArchitecture, identity_act, tanh_act
+
+RTOL = 1e-12
+ACTIVATIONS = {"tanh": tanh_act, "identity": identity_act}
+TRAINED = [(True, True), (False, True), (True, False)]
+
+
+def _arch(activation, d_y=1):
+    return OperatorArchitecture(ACTIVATIONS[activation](), np.linspace(0.0, 1.0, 6), d_y=d_y)
+
+
+def _two_pass_forward(no, U):
+    J = no.arch.j_features(U)
+    z = np.einsum("nxd,md->nxm", J, no.B)
+    return no.arch.activation.f(z) @ no.a / math.sqrt(no.M)
+
+
+def _two_pass_risk(no, U, V):
+    resid = _two_pass_forward(no, U) - V
+    return 0.5 * float(np.mean(np.mean(resid ** 2, axis=1)))
+
+
+def _two_pass_gradients(no, U, V):
+    act = no.arch.activation
+    J = no.arch.j_features(U)
+    z = np.einsum("nxd,md->nxm", J, no.B)
+    s = act.f(z)
+    resid = s @ no.a / math.sqrt(no.M) - V
+    n, n_x = resid.shape
+    scale = 1.0 / (n * n_x * math.sqrt(no.M))
+    grad_a = scale * np.einsum("nx,nxm->m", resid, s)
+    grad_b = scale * no.a[:, None] * np.einsum("nx,nxm,nxd->md", resid, act.df(z), J)
+    return grad_a, grad_b
+
+
+def _two_pass_train(no, U, V, alpha, n_steps, train_a, train_b):
+    a0, b0 = no.a.copy(), no.B.copy()
+    cur = no
+    risks, drifts = [_two_pass_risk(cur, U, V)], [0.0]
+    for _ in range(n_steps):
+        grad_a, grad_b = _two_pass_gradients(cur, U, V)
+        cur = neuralop.replace(
+            cur,
+            a=cur.a - alpha * grad_a if train_a else cur.a,
+            B=cur.B - alpha * grad_b if train_b else cur.B,
+        )
+        risks.append(_two_pass_risk(cur, U, V))
+        drifts.append(math.sqrt(float(np.sum((cur.a - a0) ** 2))
+                                + float(np.sum((cur.B - b0) ** 2))))
+    return np.asarray(risks), np.asarray(drifts), cur
+
+
+def _assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=0.0)
+
+
+def _problem(activation, seed, width=12, n=5, d_y=1):
+    arch = _arch(activation, d_y)
+    rng = np.random.default_rng(seed)
+    no = neuralop.init_symmetric(arch, width, tau=1.0, seed=seed)
+    U = arch.coerce_inputs(rng.normal(size=(n, arch.n_x, d_y)))
+    V = rng.normal(size=(n, arch.n_x))
+    return no, U, V, rng
+
+
+@pytest.mark.parametrize("d_y", [1, 2])
+def test_preactivations_match_einsum(d_y):
+    arch = _arch("tanh", d_y)
+    rng = np.random.default_rng(d_y)
+    U = rng.normal(size=(7, arch.n_x, d_y))
+    W = rng.normal(size=(9, arch.d_tilde))
+    J, z = arch.preactivations(U, W)
+    np.testing.assert_array_equal(J, arch.j_features(U))
+    _assert_close(z, np.einsum("nxd,md->nxm", J, W))
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_fused_step_matches_two_pass(activation):
+    for seed in range(5):
+        no, U, V, rng = _problem(activation, seed)
+        # off the symmetric point, so no gradient entry vanishes by symmetry
+        no = neuralop.replace(no, a=no.a + 0.3 * rng.normal(size=no.M),
+                              B=no.B + 0.3 * rng.normal(size=no.B.shape))
+        risk, grad_a, grad_b = neuralop._risk_and_gradients(no, U, V)
+        ref_a, ref_b = _two_pass_gradients(no, U, V)
+        _assert_close(risk, _two_pass_risk(no, U, V))
+        _assert_close(grad_a, ref_a)
+        _assert_close(grad_b, ref_b)
+        assert risk == neuralop._risk(no, U, V)
+
+
+@pytest.mark.parametrize("train_a,train_b", TRAINED)
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_train_gd_matches_two_pass_trajectory(activation, train_a, train_b):
+    no, U, V, _ = _problem(activation, seed=11, width=16, n=6)
+    record = neuralop.train_gd(no, U, V, alpha=0.25, n_steps=12,
+                               train_a=train_a, train_b=train_b)
+    risks, drifts, model = _two_pass_train(no, U, V, 0.25, 12, train_a, train_b)
+    assert record.risks.shape == (13,)
+    _assert_close(record.risks, risks)
+    _assert_close(record.drifts, drifts)
+    _assert_close(record.model.a, model.a)
+    _assert_close(record.model.B, model.B)

@@ -96,12 +96,14 @@ class TestTraining:
             )
             U = random_functions(rng, 3, arch.n_x)
             V = rng.normal(size=(3, arch.n_x))
-            grad_a, grad_b = neuralop._gradients(
+            risk, grad_a, grad_b = neuralop._risk_and_gradients(
                 no, arch.coerce_inputs(U), V.astype(float))
 
             def risk_at(a_vec, b_mat):
                 probe = neuralop.replace(no, a=a_vec, B=b_mat)
                 return neuralop._risk(probe, arch.coerce_inputs(U), V)
+
+            assert risk == risk_at(no.a, no.B)
 
             for m in (0, no.M - 1):
                 ap, am = no.a.copy(), no.a.copy()
