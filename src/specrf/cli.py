@@ -146,8 +146,11 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
     cfg = json.loads(json.dumps(DEFAULTS[command]))  # deep copy
     if path is not None:
         try:
-            with open(path) as fh:
-                user = json.load(fh)
+            if path.lstrip().startswith("{"):   # inline JSON object
+                user = json.loads(path)
+            else:
+                with open(path) as fh:
+                    user = json.load(fh)
         except OSError as exc:
             raise IOError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -161,6 +164,7 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
                 cfg[key].update(value)
             else:
                 cfg[key] = value
+        _check_types(cfg, DEFAULTS[command])
     if paper_scale:
         cfg.update(cfg.get("paper_scale", {}))
     cfg.pop("paper_scale", None)
@@ -176,6 +180,41 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
     return cfg
 
 
+# value types of the keys whose default is None, so the default cannot show them
+_NULLABLE_EXAMPLES = {"csv": "", "feature_columns": [], "row_limit": 0,
+                      "lambda": 0.0, "input_bound": 0.0}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _same_type(value, example) -> bool:
+    """JSON type check against a default: integers are numbers, booleans are not."""
+    if isinstance(example, bool) or isinstance(value, bool):
+        return isinstance(value, bool) and isinstance(example, bool)
+    if isinstance(example, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(example))
+
+
+def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Raise ConfigError for a value whose JSON type differs from its default's."""
+    for key, default in defaults.items():
+        if key not in cfg or default is None and cfg[key] is None:
+            continue
+        value = cfg[key]
+        if default is None:
+            default = _NULLABLE_EXAMPLES[key]
+        name = prefix + key
+        if not _same_type(value, default):
+            raise ConfigError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+        if isinstance(default, dict):
+            _check_types(value, default, name + ".")
+        elif isinstance(default, list) and default:
+            if not all(_same_type(item, default[0]) for item in value):
+                raise ConfigError(f"{name} entries must each be "
+                                  f"{_TYPE_NAMES[type(default[0])]}, got {value!r}")
+
+
 def validate_config(command: str, cfg: dict) -> None:
     def positive(name):
         if cfg[name] is not None and cfg[name] <= 0:
@@ -186,7 +225,7 @@ def validate_config(command: str, cfg: dict) -> None:
             grid = cfg[grid_key]
             if not isinstance(grid, list) or not grid:
                 raise ConfigError(f"{grid_key} must be a nonempty list")
-            if any(int(g) < 1 for g in grid):
+            if any(g < 1 for g in grid):
                 raise ConfigError(f"{grid_key} entries must be >= 1")
     if "repetitions" in cfg and cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
@@ -353,12 +392,12 @@ def _heatmap_cell_inner(args: dict) -> list[dict]:
     design = features.build_design(fs, U_tr.reshape(-1, 1))
 
     t_grid = sorted(int(t) for t in cfg["T_grid"])
-    rows = []
-    for model in estimator.fit_gd_path(design, V_tr, cfg["alpha"], t_grid):
-        rep = estimator.evaluate(model, U_te.reshape(-1, 1), V_te)
-        rows.append({"M": args["M"], "T": round(1.0 / (cfg["alpha"] * model.lam)),
-                     "rep": args["rep"], "error": rep.empirical_risk})
-    return rows
+    models = estimator.fit_gd_path(design, V_tr, cfg["alpha"], t_grid)
+    del design   # frees Z and its Gram matrix before the test rows are built
+    reports = estimator.evaluate_path(models, U_te.reshape(-1, 1), V_te)
+    return [{"M": args["M"], "T": round(1.0 / (cfg["alpha"] * model.lam)),
+             "rep": args["rep"], "error": rep.empirical_risk}
+            for model, rep in zip(models, reports)]
 
 
 def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> int:
@@ -435,7 +474,7 @@ def _rates_cell(args: dict) -> dict:
         for s in np.random.SeedSequence(args["cell_seed"]).spawn(3)
     ]
     U_tr, V_tr = synthetic.sample_dataset(problem, args["n"], noise, data_seed)
-    U_te, _ = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise, test_seed)
+    U_te = synthetic.sample_inputs(int(cfg["n_test"]), test_seed)
     fs = features.sample_features(problem.feature_map, sched["M_n"], feat_seed)
     design = features.build_design(fs, U_tr)
     # schedule lambdas live on the raw kernel scale; the design is
@@ -616,7 +655,9 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="specrf", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--config", default=None,
+                        help="JSON config file, or an inline JSON object "
+                             "such as '{\"n\": 100}'")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

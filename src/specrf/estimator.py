@@ -6,6 +6,17 @@ eigendecomposition of the design covariance; fit_gd iterates
     theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - S_hat^* v)
 
 from zero, which is exactly the landweber filter at lambda = 1/(alpha T).
+
+Every gradient-descent iterate lies in the range of Z^T (the identity
+phi(A^*A) A^* = A^* phi(AA^*)): theta_t = Z^T c_t / n with
+
+    c_{t+1} = c_t - alpha (G c_t - v),    G = (1/n) Z Z^T.
+
+So the descent runs on whichever square operator is smaller: the primal
+covariance Sigma_hat (M_distinct*p wide) when it is cached already or no
+wider than the n*d_v rows, else the dual Gram matrix G, mapping c back to
+theta only at the requested stopping times.  Both give the same iterates up
+to rounding.
 """
 from __future__ import annotations
 
@@ -27,6 +38,7 @@ __all__ = [
     "predict",
     "predict_batch",
     "evaluate",
+    "evaluate_path",
 ]
 
 
@@ -113,36 +125,39 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
              track_risk: bool = False) -> tuple[list[np.ndarray], list[float]]:
     """Gradient descent from theta = 0 up to the last of the ascending
     iteration counts `stops`.  Returns the iterate at each stop and, with
-    `track_risk`, the empirical risk before the first step and after each."""
+    `track_risk`, the empirical risk before the first step and after each.
+
+    Iterates on cov() when it is cached or dim <= rows, else on gram() in the
+    dual coordinates c (theta = Z^T c / n), where the gradient G c - v is
+    itself the residual Z theta - v."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     _reject_degenerate(design)
     v = _stacked_outputs(design, outputs)
-    rhs = design.embed_adjoint(v)
-    theta = np.zeros_like(rhs)
+    rows, dim = design.Z.shape
+    dual = not (design.cov_cached or dim <= rows)
+    if dual:
+        op, target = design.gram(), v
+    else:
+        op, target = design.cov(), design.embed_adjoint(v)
 
-    # small coefficient spaces iterate on the cached covariance; large ones
-    # avoid forming it and use two Z products per step
-    dim = design.Z.shape[1]
-    use_cov = design.cov_cached or dim * dim <= design.Z.size
-    cov = design.cov() if use_cov else None
-
-    def risk(th: np.ndarray) -> float:
-        resid = design.Z @ th - v
+    def risk(resid: np.ndarray) -> float:
         return 0.5 * float(resid @ resid) / design.n
 
-    risks = [risk(theta)] if track_risk else []
+    x = np.zeros_like(target)
+    risks = []
     snapshots = []
     for step in range(1, stops[-1] + 1):
-        if cov is not None:
-            grad = cov @ theta - rhs
-        else:
-            grad = design.Z.T @ (design.Z @ theta) / design.n - rhs
-        theta = theta - alpha * grad
+        grad = op @ x - target
         if track_risk:
-            risks.append(risk(theta))
+            risks.append(risk(grad if dual else design.Z @ x - v))
+        x = x - alpha * grad
         while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
-            snapshots.append(theta)   # no copy: each step binds a new array
+            snapshots.append(x)   # no copy: each step binds a new array
+    if track_risk:
+        risks.append(risk(op @ x - v if dual else design.Z @ x - v))
+    if dual:
+        snapshots = [design.embed_adjoint(c) for c in snapshots]
     return snapshots, risks
 
 
@@ -156,7 +171,10 @@ def fit_gd(
     """Gradient descent from theta = 0 on the empirical least-squares risk.
 
     Requires alpha in (0, 1] (the design contract keeps ||Sigma_hat|| <= 1).
-    The recorded lambda is 1/(alpha * n_steps).
+    The recorded lambda is 1/(alpha * n_steps).  Runs on Sigma_hat or, when
+    the design has more columns than rows and no cached covariance, on the
+    Gram matrix (see the module docstring).  With `track_risk` the model's
+    train_risks holds the empirical risk at each of the n_steps + 1 iterates.
     """
     if n_steps < 1:
         raise EstimatorError(f"n_steps must be >= 1, got {n_steps}")
@@ -175,6 +193,7 @@ def fit_gd_path(
 
     Returns a model per checkpoint (ascending iteration counts); each is
     identical to fit_gd run to that count, since the iterates are nested.
+    In the dual (Gram) coordinates, theta is formed only at the checkpoints.
     """
     stops = sorted(int(t) for t in checkpoints)
     if not stops or stops[0] < 1:
@@ -196,14 +215,16 @@ def predict_batch(model: RFModel, U, chunk: int = 512) -> np.ndarray:
                                    model.kappa_scale, model.summands, chunk)
 
 
-def evaluate(model: RFModel, test_inputs, test_outputs, oracle=None) -> RiskReport:
-    """Empirical half-squared risk on a test set, plus the excess L2 distance
-    to the regression operator when an oracle evaluator is supplied."""
+def _test_inputs(test_inputs) -> np.ndarray:
     U = np.asarray(test_inputs, dtype=float)
-    n_test = U.shape[0]
-    if n_test == 0:
+    if U.shape[0] == 0:
         raise EstimatorError("test set is empty")
-    preds = predict_batch(model, U)
+    return U
+
+
+def _report(model: RFModel, preds: np.ndarray, U: np.ndarray, test_outputs,
+            oracle=None) -> RiskReport:
+    n_test = U.shape[0]
     v = np.asarray(test_outputs, dtype=float).reshape(n_test, model.d_v)
     sq = np.sum((preds - v) ** 2, axis=1) * model.v_weight
     empirical = 0.5 * float(np.mean(sq))
@@ -213,3 +234,23 @@ def evaluate(model: RFModel, test_inputs, test_outputs, oracle=None) -> RiskRepo
         sq_exc = np.sum((preds - target) ** 2, axis=1) * model.v_weight
         excess = float(math.sqrt(np.mean(sq_exc)))
     return RiskReport(empirical_risk=empirical, excess_l2=excess, n_test=n_test)
+
+
+def evaluate(model: RFModel, test_inputs, test_outputs, oracle=None) -> RiskReport:
+    """Empirical half-squared risk on a test set, plus the excess L2 distance
+    to the regression operator when an oracle evaluator is supplied."""
+    U = _test_inputs(test_inputs)
+    return _report(model, predict_batch(model, U), U, test_outputs, oracle)
+
+
+def evaluate_path(models: list[RFModel], test_inputs, test_outputs) -> list[RiskReport]:
+    """`evaluate` for each model of one `fit_gd_path` trajectory.  The models
+    share a feature set, so the test inputs' feature rows are built once and
+    multiply every checkpoint's coefficients together."""
+    first = models[0]
+    U = _test_inputs(test_inputs)
+    thetas = np.stack([m.theta for m in models], axis=1)
+    preds = features.predict_values(first.feature_set, thetas, U, first.kappa_scale,
+                                    first.summands)
+    return [_report(model, preds[..., k], U, test_outputs)
+            for k, model in enumerate(models)]

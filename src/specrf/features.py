@@ -64,10 +64,18 @@ class Activation:
     df: Callable[[np.ndarray], np.ndarray]
     sup_abs: float        # sup |sigma|
     sup_abs_deriv: float  # sup |sigma'|
+    # sigma' written as a function of sigma(z), when it is one
+    df_of_f: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def f_and_df(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma(z), sigma'(z)), deriving sigma' from sigma(z) where possible."""
+        fz = self.f(z)
+        return fz, self.df(z) if self.df_of_f is None else self.df_of_f(fz)
 
 
 def tanh_act() -> Activation:
-    return Activation("tanh", np.tanh, lambda z: 1.0 / np.cosh(z) ** 2, 1.0, 1.0)
+    return Activation("tanh", np.tanh, lambda z: 1.0 / np.cosh(z) ** 2, 1.0, 1.0,
+                      df_of_f=lambda t: 1.0 - t * t)
 
 
 def identity_act() -> Activation:
@@ -193,13 +201,19 @@ def feature_rows(fs: FeatureSet, U: np.ndarray, kappa_scale: float, v_weight: fl
 def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float,
                    summands: np.ndarray | None = None, chunk: int = 512) -> np.ndarray:
     """Raw predictions (1/kappa_scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
-    over the distinct draws omega_m (counts c_m), shape (len(U), d_v)."""
+    over the distinct draws omega_m (counts c_m), shape (len(U), d_v).
+
+    A (dim, k) theta holds k coefficient vectors side by side; each chunk's
+    rows are then built once for all of them and the result has shape
+    (len(U), d_v, k)."""
     U = np.asarray(U, dtype=float)
-    out = np.empty((U.shape[0], fs.map.d_v))
+    theta = np.asarray(theta, dtype=float)
+    tail = (fs.map.d_v,) + theta.shape[1:]
+    out = np.empty((U.shape[0],) + tail)
     for start in range(0, U.shape[0], chunk):
         stop = min(start + chunk, U.shape[0])
         rows = feature_rows(fs, U[start:stop], kappa_scale, summands=summands)
-        out[start:stop] = (rows @ theta).reshape(stop - start, -1)
+        out[start:stop] = (rows @ theta).reshape((stop - start,) + tail)
     return out
 
 
@@ -211,9 +225,11 @@ class DesignMatrix:
     sqrt(v_weight)-scaled feature vectors at input u_j, weighted by
     sqrt(count/M)/kappa_scale.  Z Z^T, and so every filtered prediction,
     equals that of the unmerged (n*d_v, M*p) design.  With that scaling
-    cov() = (1/n) Z^T Z has spectral norm at most 1.  `summands` (boolean,
-    length p) freezes the feature functions it leaves out: their columns
-    are zero.
+    cov() = (1/n) Z^T Z has spectral norm at most 1, and so has the Gram
+    matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum; both are
+    formed on first use and cached, and a solver picks whichever is smaller.
+    `summands` (boolean, length p) freezes the feature functions it leaves
+    out: their columns are zero.
     """
 
     def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True,
@@ -237,6 +253,7 @@ class DesignMatrix:
         self.summands = summands
         self.Z = self._assemble(inputs, chunk)
         self._cov: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
         self._eig = None
 
     def _feature_rows(self, U: np.ndarray) -> np.ndarray:
@@ -261,6 +278,14 @@ class DesignMatrix:
         if self._cov is None:
             self._cov = self.Z.T @ self.Z / self.n
         return self._cov
+
+    def gram(self) -> np.ndarray:
+        """Gram matrix (1/n) Z Z^T of shape (n*d_v, n*d_v), cached."""
+        if self._gram is None:
+            gram = self.Z @ self.Z.T
+            gram /= self.n       # in place: no second (n*d_v)^2 temporary
+            self._gram = gram
+        return self._gram
 
     def eigensystem(self):
         """Cached eigendecomposition of cov(), shared across lambda sweeps."""
@@ -477,8 +502,7 @@ def ntk_feature_map(
 
     def evaluate(U: np.ndarray, omegas: np.ndarray) -> np.ndarray:
         J, z = arch.preactivations(U, omegas)     # (n, n_X, d_tilde), (n, n_X, M)
-        psi = act.f(z)
-        dpsi = act.df(z)
+        psi, dpsi = act.f_and_df(z)
         n, n_x, M = z.shape
         out = np.empty((n, M, 1 + d_tilde, n_x))
         out[:, :, 0, :] = np.transpose(psi, (0, 2, 1))

@@ -116,13 +116,13 @@ def _risk_and_gradients(no: ShallowNO, U: np.ndarray, V: np.ndarray):
     pairs."""
     act = no.arch.activation
     J, z1 = no.arch.preactivations(U, no.B)
-    s = act.f(z1)
+    s, ds = act.f_and_df(z1)
     resid = s @ no.a / math.sqrt(no.M) - V      # (n, n_X), as in forward
     n, n_x, d_tilde = J.shape
     r = resid.reshape(-1)
     scale = 1.0 / (n * n_x * math.sqrt(no.M))
     grad_a = scale * (r @ s.reshape(-1, no.M))
-    weighted = act.df(z1).reshape(-1, no.M) * r[:, None]
+    weighted = ds.reshape(-1, no.M) * r[:, None]
     grad_b = scale * no.a[:, None] * (weighted.T @ J.reshape(-1, d_tilde))
     return _half_mean_square(resid), grad_a, grad_b
 
@@ -170,9 +170,9 @@ def empirical_ntk(no: ShallowNO, u, u2) -> np.ndarray:
     act = no.arch.activation
     J1, z1 = no.arch.preactivations(np.asarray(u)[None, ...], no.B)
     J2, z2 = no.arch.preactivations(np.asarray(u2)[None, ...], no.B)
-    psi1, psi2 = act.f(z1[0]), act.f(z2[0])          # (n_X, M)
+    psi1, d1 = act.f_and_df(z1[0])                  # (n_X, M) each
+    psi2, d2 = act.f_and_df(z2[0])
     k = psi1 @ psi2.T
-    d1, d2 = act.df(z1[0]), act.df(z2[0])
     # psi' part factorizes over m and j: (sum_m d1 d2) * (sum_j J1 J2)
     k = k + (d1 @ d2.T) * (J1[0] @ J2[0].T)
     return k / no.M
@@ -228,6 +228,7 @@ def compare_to_kernel_gd(
                 design = features.build_design(fs, U_tr, normalize=False,
                                                summands=summands)
                 model = estimator.fit_gd(design, V_tr, alpha, n_steps)
+                del design   # frees Z and its Gram matrix before the test rows are built
                 rf_preds = estimator.predict_batch(model, U_te)
 
             diff = no_preds - rf_preds

@@ -32,6 +32,7 @@ __all__ = [
     "spectrum_spec",
     "make_problem",
     "noise_model",
+    "sample_inputs",
     "sample_dataset",
     "effective_dimension",
     "rate_schedule",
@@ -228,14 +229,20 @@ def noise_model(problem: SyntheticProblem, half_width: float) -> NoiseModel:
     return NoiseModel(kind="bounded-uniform", half_width=float(half_width), Q=q, Z=q)
 
 
+def sample_inputs(n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """n inputs u ~ Uniform[0,1]: the inputs `sample_dataset` draws with the
+    same seed, without computing targets.  A Generator is drawn from in place."""
+    if n < 1:
+        raise SyntheticError(f"n must be >= 1, got {n}")
+    return np.random.default_rng(seed).uniform(0.0, 1.0, size=n)
+
+
 def sample_dataset(
     problem: SyntheticProblem, n: int, noise: NoiseModel, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u_j, v_j) pairs with u ~ Uniform[0,1] and v = G_rho(u) + eps."""
-    if n < 1:
-        raise SyntheticError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    U = rng.uniform(0.0, 1.0, size=n)
+    U = sample_inputs(n, rng)
     V = problem.target(U)
     if noise.half_width > 0:
         V = V + rng.uniform(-noise.half_width, noise.half_width, size=n)

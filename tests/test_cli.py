@@ -165,6 +165,36 @@ class TestCLIContract:
                          "--out", str(tmp_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("command,config", [
+        ("fit", {"M": "abc"}),
+        ("fit", {"M": 2.5}),
+        ("fit", {"lambda": "x"}),
+        ("fit", {"problem": {"r": "x"}}),
+        ("fit", {"problem": 3}),
+        ("rates", {"n_grid": [100, "a"]}),
+        ("sweep-heatmap", {"svg": 1}),
+        ("verify", {"events": "E1"}),
+    ])
+    def test_bad_config_type_exits_3(self, command, config, tmp_path, capsys):
+        code, _ = run(command, tmp_path, config)
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_4(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["gen", "--out", str(blocker / "sub"), "--config",
+                         '{"n": 10, "d_max": 16}'])
+        assert code == 4
+
+    def test_inline_json_config(self, tmp_path):
+        out = tmp_path / "gen"
+        code = cli.main(["gen", "--out", str(out), "--config",
+                         '{"kind": "susy-fixture", "n": 20}'])
+        assert code == 0
+        assert dataio.load_csv(out / "dataset.csv", skip_header=True).n == 20
+        assert cli.main(["gen", "--out", str(out), "--config", '{"n": ']) == 3
+
     def test_env_seed_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECRF_SEED", "777")
         code, out = run("gen", tmp_path, {"n": 10, "d_max": 16}, seed=1)

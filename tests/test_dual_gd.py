@@ -1,0 +1,117 @@
+"""Oracle tests for gradient descent in the dual (Gram) coordinates.
+
+When a design has more columns than rows and no cached covariance,
+`estimator._descend` iterates c_{t+1} = c_t - alpha (G c_t - v) on the Gram
+matrix G = Z Z^T / n and maps back with theta = Z^T c / n.  Each test runs the
+primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
+written out here, and checks the iterates and risks against it.  The last
+test checks the one-pass checkpoint evaluation against per-model `evaluate`.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from specrf import estimator, features, neuralop
+
+TOL = 1e-10
+
+
+def primal_oracle(design, outputs, alpha, n_steps):
+    """Iterates theta_1..theta_T and the risks at theta_0..theta_T, from Z alone."""
+    Z, n = design.Z, design.n
+    v = design.stack_outputs(outputs)
+    cov = Z.T @ Z / n
+    rhs = Z.T @ v / n
+    theta = np.zeros(Z.shape[1])
+    thetas, risks = [], [0.5 * float(v @ v) / n]
+    for _ in range(n_steps):
+        theta = theta - alpha * (cov @ theta - rhs)
+        thetas.append(theta)
+        resid = Z @ theta - v
+        risks.append(0.5 * float(resid @ resid) / n)
+    return thetas, np.asarray(risks)
+
+
+def rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def ntk_case():
+    """Normalized NTK design as in sweep-heatmap: 64 draws x 3 summands on 40 rows."""
+    arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
+                                         use_lift=False)
+    fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(3.0))
+    fs = features.sample_features(fmap, 64, seed=1)
+    rng = np.random.default_rng(2)
+    U = rng.uniform(0.0, 1.0, (40, 1))
+    V = np.sin(3.0 * U[:, 0]) + 0.1 * rng.normal(size=40)
+    U_te = rng.uniform(0.0, 1.0, (600, 1))          # more than one 512-row chunk
+    V_te = np.sin(3.0 * U_te[:, 0])
+    return features.build_design(fs, U), V, U_te, V_te, 0.5
+
+
+def tangent_case():
+    """Unnormalized tangent design on a 4-point grid (d_v = 4), with the psi'_1
+    summand frozen: 16 distinct draws x 4 summands on 32 rows."""
+    arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
+    no = neuralop.init_symmetric(arch, 32, tau=0.5, seed=3)
+    fs = neuralop.tangent_feature_set(no)
+    rng = np.random.default_rng(4)
+    U, U_te = 0.5 * rng.normal(size=(8, 4, 1)), 0.5 * rng.normal(size=(30, 4, 1))
+    V, V_te = rng.normal(size=(8, 4)), rng.normal(size=(30, 4))
+    summands = np.array([True, False, True, True])
+    design = features.build_design(fs, U, normalize=False, summands=summands)
+    # ||Sigma_hat|| is not bounded by 1 without normalization; step inside 1/||Sigma_hat||
+    alpha = min(1.0, 0.9 * design.n / np.linalg.norm(design.Z, 2) ** 2)
+    return design, V, U_te, V_te, alpha
+
+
+CASES = {"ntk-normalized": ntk_case, "tangent-unnormalized": tangent_case}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_dual_fit_gd_matches_primal_oracle(name):
+    design, V, _, _, alpha = CASES[name]()
+    rows, dim = design.Z.shape
+    assert dim > rows
+    thetas, risks = primal_oracle(design, V, alpha, 40)
+    model = estimator.fit_gd(design, V, alpha, 40, track_risk=True)
+    assert not design.cov_cached          # the dual route never forms Sigma_hat
+    assert rel(model.theta, thetas[-1]) < TOL
+    np.testing.assert_allclose(model.train_risks, risks, rtol=TOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_dual_path_snapshots_match_primal_oracle(name):
+    design, V, _, _, alpha = CASES[name]()
+    stops = [1, 3, 10, 40]
+    thetas, _ = primal_oracle(design, V, alpha, stops[-1])
+    models = estimator.fit_gd_path(design, V, alpha, stops)
+    assert not design.cov_cached
+    for step, model in zip(stops, models):
+        assert rel(model.theta, thetas[step - 1]) < TOL, step
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cached_cov_keeps_primal_route(name):
+    """A design whose covariance is already formed descends on it instead,
+    with the oracle's arithmetic, so bit for bit."""
+    design, V, _, _, alpha = CASES[name]()
+    thetas, risks = primal_oracle(design, V, alpha, 20)
+    design.cov()
+    model = estimator.fit_gd(design, V, alpha, 20, track_risk=True)
+    np.testing.assert_array_equal(model.theta, thetas[-1])
+    np.testing.assert_array_equal(model.train_risks, risks)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_path_evaluation_matches_per_model_evaluate(name):
+    design, V, U_te, V_te, alpha = CASES[name]()
+    models = estimator.fit_gd_path(design, V, alpha, [1, 4, 16, 64])
+    one_pass = estimator.evaluate_path(models, U_te, V_te)
+    for model, report in zip(models, one_pass):
+        single = estimator.evaluate(model, U_te, V_te)
+        assert report.n_test == single.n_test
+        assert report.empirical_risk == pytest.approx(single.empirical_risk,
+                                                      rel=1e-12, abs=0.0)

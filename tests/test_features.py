@@ -217,6 +217,13 @@ class TestDesign:
 
 
 class TestNTKMap:
+    @pytest.mark.parametrize("act", [tanh_act(), identity_act()], ids=["tanh", "identity"])
+    def test_f_and_df_matches_f_and_df_separately(self, act):
+        z = np.linspace(-20.0, 20.0, 801)
+        fz, dfz = act.f_and_df(z)
+        np.testing.assert_array_equal(fz, act.f(z))
+        np.testing.assert_allclose(dfz, act.df(z), rtol=0.0, atol=1e-15)
+
     def test_zero_inputs_give_zero_features_for_tanh(self):
         arch = OperatorArchitecture(
             tanh_act(), np.linspace(0, 1, 4), d_y=1, use_lift=False,

@@ -15,6 +15,7 @@ from specrf.synthetic import (
     noise_model,
     rate_schedule,
     sample_dataset,
+    sample_inputs,
     spectrum_spec,
 )
 
@@ -105,6 +106,11 @@ class TestSampling:
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(v1, v2)
         assert not np.array_equal(u1, u3)
+
+    def test_sample_inputs_are_the_dataset_inputs(self):
+        noise = noise_model(self.problem, 0.5)
+        U, _ = sample_dataset(self.problem, 20, noise, seed=5)
+        np.testing.assert_array_equal(sample_inputs(20, 5), U)
 
     def test_noise_moment_bound(self):
         # E|v|^l <= (1/2) l! Z^(l-2) Q^2 via exact uniform-noise moments at the
