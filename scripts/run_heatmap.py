@@ -7,7 +7,6 @@ Emits heatmap.csv plus an SVG rendering.  Desk scale by default (n=1000,
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from specrf import cli
@@ -26,12 +25,9 @@ def main() -> int:
         "T_grid": [1, 4, 16, 34, 64, 256, 1024],
         "svg": True,
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        cfg_path = fh.name
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cli_args = ["sweep-heatmap", "--config", cfg_path, "--out", str(out),
+    cli_args = ["sweep-heatmap", "--config", json.dumps(cfg), "--out", str(out),
                 "--seed", str(args.seed), "--jobs", str(args.jobs)]
     if args.paper_scale:
         cli_args.append("--paper-scale")

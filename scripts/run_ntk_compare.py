@@ -4,7 +4,6 @@ operator task (random smooth inputs, running-mean target)."""
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from specrf import cli, dataio
@@ -22,12 +21,9 @@ def main() -> int:
     cfg = {"M_grid": [64, 128, 256, 512, 1024], "activation": args.activation}
     if args.activation == "identity":
         cfg.update({"T": 1, "alpha": 0.05})
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        cfg_path = fh.name
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cli_args = ["ntk-compare", "--config", cfg_path, "--out", str(out),
+    cli_args = ["ntk-compare", "--config", json.dumps(cfg), "--out", str(out),
                 "--seed", str(args.seed)]
     if args.paper_scale:
         cli_args.append("--paper-scale")

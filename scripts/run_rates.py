@@ -7,7 +7,6 @@ Desk scale by default; pass --paper-scale for 50 repetitions.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from specrf import cli
@@ -34,10 +33,7 @@ def main() -> int:
         out = Path(args.out) / label
         out.mkdir(parents=True, exist_ok=True)
         cfg = dict(overrides, problem_seed=0)
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(cfg, fh)
-            cfg_path = fh.name
-        cli_args = ["rates", "--config", cfg_path, "--out", str(out),
+        cli_args = ["rates", "--config", json.dumps(cfg), "--out", str(out),
                     "--seed", str(args.seed), "--jobs", str(args.jobs)]
         if args.paper_scale:
             cli_args.append("--paper-scale")

@@ -4,7 +4,6 @@ checks of all nine concentration events.  Exit code 2 flags any violation."""
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from specrf import cli
@@ -24,12 +23,9 @@ def main() -> int:
         "event_M": 400,
         "trials": args.trials,
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        cfg_path = fh.name
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    code = cli.main(["verify", "--config", cfg_path, "--out", str(out),
+    code = cli.main(["verify", "--config", json.dumps(cfg), "--out", str(out),
                      "--seed", str(args.seed)])
     print(f"verify exit code {code}; reports in {out}/")
     return code

@@ -161,6 +161,12 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
             if isinstance(cfg.get(key), dict) and isinstance(value, dict):
+                # paper_scale overrides top-level keys; other objects merge their own
+                known = cfg if key == "paper_scale" else cfg[key]
+                for sub in value:
+                    if sub not in known or sub == "paper_scale":
+                        raise ConfigError(
+                            f"unknown config key '{key}.{sub}' for {command}")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -579,9 +585,14 @@ def cmd_verify(cfg: dict, out: Path, jobs: int) -> int:
             event_id=eid, kappa=problem.kappa, delta=cfg["delta"],
             lam=cfg["event_lambda"], n=int(cfg["event_n"]), M=int(cfg["event_M"]),
         )
-        report = conclab.simulate_event(espec, problem, noise,
-                                        trials=int(cfg["trials"]),
-                                        seed=int(eseed.generate_state(1)[0]))
+        try:
+            report = conclab.simulate_event(espec, problem, noise,
+                                            trials=int(cfg["trials"]),
+                                            seed=int(eseed.generate_state(1)[0]))
+        except conclab.ConcentrationConfigError as exc:
+            raise ConfigError(f"event {eid} failed: {exc}") from exc
+        except Exception as exc:
+            raise RuntimeError(f"event {eid} failed: {exc}") from exc
         any_flag = any_flag or report.violation_rate > cfg["delta"]
         event_rows.append(report.to_row())
     events_path = out / "verify_events.csv"

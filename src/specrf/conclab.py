@@ -3,9 +3,11 @@ E1-E9 on the finite-rank synthetic problem, where all population operators
 are explicit matrices in the eigenbasis.
 
 The feature map of the synthetic problem samples basis indices, so the
-sampled kernel operator L_M is diagonal with entries nu_i = d mu_i c_i / M,
-and the covariance operators on the feature coordinates are small dense
-matrices.  Each event resamples exactly the randomness it concerns (data for
+sampled kernel operator L_M is diagonal with entries nu_i = d mu_i c_i / M.
+Data events work in the distinct-draw coordinates of `features.feature_rows`
+(one column per distinct index, at most d_max of them), where the population
+covariance Sigma_M = diag(nu) and every operator is a small dense matrix.
+Each event resamples exactly the randomness it concerns (data for
 E1/E3/E7/E8/E9, features for E2/E4/E5/E6) and compares the left-hand norm
 against the closed-form right-hand side.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import synthetic
-from .features import FeatureSet, sample_features
+from .features import FeatureSet, feature_rows, sample_features
 from .synthetic import NoiseModel, SyntheticProblem
 
 __all__ = [
@@ -183,27 +185,6 @@ def event_rhs(spec: EventSpec) -> float:
 # ---------------------------------------------------------------------------
 # exact operators of the synthetic problem
 
-def _sigma_pop(problem: SyntheticProblem, fs: FeatureSet) -> np.ndarray:
-    """Population covariance Sigma_M on the feature coordinates (M x M):
-    (d/M) mu_{i_m} on entries with matching sampled indices."""
-    idx = np.asarray(fs.samples, dtype=int)
-    mu = problem.spectrum.eigenvalues
-    same = idx[:, None] == idx[None, :]
-    return (problem.d_max / fs.M) * np.sqrt(np.outer(mu[idx], mu[idx])) * same
-
-
-def _feature_matrix(problem: SyntheticProblem, fs: FeatureSet, U: np.ndarray) -> np.ndarray:
-    """z_j[m] = (1/sqrt(M)) phi(u_j, omega_m), shape (n, M)."""
-    phi = fs.map.evaluate(U, fs.samples)[:, :, 0, 0]
-    return phi / math.sqrt(fs.M)
-
-
-def _inv_sqrt(mat: np.ndarray, lam: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs / np.sqrt(vals + lam)) @ vecs.T
-
-
 def _opnorm_sym(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
@@ -217,6 +198,37 @@ def _fstar_quantities(problem: SyntheticProblem, nu: np.ndarray, lam: float):
     smoothed = nu / (nu + lam) * g      # coefficients of S_M F*_lambda
     pop_err_sq = float(np.sum((g * resid_factor) ** 2))
     return smoothed, pop_err_sq
+
+
+def _data_setup(spec: EventSpec, problem: SyntheticProblem,
+                fs: FeatureSet) -> tuple[EventSpec, dict]:
+    """Fill in the population quantities of a data event for the fixed
+    feature draw `fs`, and the operators its trials compare against.
+
+    Trials work in the distinct-draw coordinates of `features.feature_rows`
+    (one column per distinct basis index, weighted by sqrt(count/M)), where
+    Sigma_M = diag(nu[omegas]) and (Sigma_M + lambda)^{-1/2} is a vector.
+    Every norm and spectrum the events read equals its value in the raw
+    M-draw coordinates: those operators are P X P^T for the 0/1 duplication
+    matrix P, which has the norms and spectrum of C^{1/2} X C^{1/2}, C the
+    diagonal of counts."""
+    nu = synthetic.lm_eigenvalues(problem, fs)
+    norm_lm = float(np.max(nu))
+    if norm_lm == 0.0:
+        raise ConcentrationConfigError("sampled operator is zero; increase M")
+    n_eff_lm = float(np.sum(nu / (nu + spec.lam))) if spec.lam else None
+    spec = replace(spec, n_eff_lm=n_eff_lm, norm_lm=norm_lm)
+    sigma = nu[np.asarray(fs.distinct[0], dtype=int)]
+    fixed = {"fs": fs, "sigma_pop": np.diag(sigma)}
+    if spec.lam:
+        fixed["w_half"] = 1.0 / np.sqrt(sigma + spec.lam)
+    if spec.event_id == "E9":
+        spec = replace(spec, r=problem.source.r, R=problem.source.R)
+        smoothed, pop_err_sq = _fstar_quantities(problem, nu, spec.lam)
+        fixed["fstar_smoothed"] = smoothed
+        fixed["pop_err_sq"] = pop_err_sq
+        spec = replace(spec, pop_error=math.sqrt(pop_err_sq))
+    return spec, fixed
 
 
 def _trial_lhs(
@@ -249,21 +261,18 @@ def _trial_lhs(
         resid = basis @ (problem.source.coefficients - smoothed)
         return float(abs(np.mean(resid ** 2) - fixed["pop_err_sq"]))
 
-    fs: FeatureSet = fixed["fs"]
-    z = _feature_matrix(problem, fs, U)
-    if eid == "E7":
-        sigma_hat = z.T @ z / spec.n
-        return float(np.linalg.norm(sigma_hat - fixed["sigma_pop"], "fro"))
+    z = feature_rows(fixed["fs"], U, 1.0)
     if eid == "E8":
         eps = rng.uniform(-noise.half_width, noise.half_width, size=spec.n)
-        vec = fixed["w_half"] @ (z.T @ eps / spec.n)
-        return float(np.linalg.norm(vec))
-    sigma_hat = z.T @ z / spec.n
-    delta_m = sigma_hat - fixed["sigma_pop"]
+        return float(np.linalg.norm(fixed["w_half"] * (z.T @ eps / spec.n)))
+    delta_m = z.T @ z / spec.n - fixed["sigma_pop"]
+    if eid == "E7":
+        return float(np.linalg.norm(delta_m, "fro"))
+    w_half = fixed["w_half"]
     if eid == "E1":
-        return _opnorm_sym(fixed["w_half"] @ delta_m @ fixed["w_half"])
+        return _opnorm_sym(w_half[:, None] * delta_m * w_half)
     if eid == "E3":
-        return float(np.linalg.norm(fixed["w_half"] @ delta_m, "fro"))
+        return float(np.linalg.norm(w_half[:, None] * delta_m, "fro"))
     raise ConcentrationConfigError(f"unknown event id {eid!r}")
 
 
@@ -306,22 +315,7 @@ def simulate_event(
             spec.require("lam")
         fs = sample_features(
             problem.feature_map, spec.M, int(feature_seed.generate_state(1)[0]))
-        nu = synthetic.lm_eigenvalues(problem, fs)
-        norm_lm = float(np.max(nu))
-        if norm_lm == 0.0:
-            raise ConcentrationConfigError("sampled operator is zero; increase M")
-        n_eff_lm = float(np.sum(nu / (nu + spec.lam))) if spec.lam else None
-        spec = replace(spec, n_eff_lm=n_eff_lm, norm_lm=norm_lm)
-        fixed["fs"] = fs
-        fixed["sigma_pop"] = _sigma_pop(problem, fs)
-        if spec.lam:
-            fixed["w_half"] = _inv_sqrt(fixed["sigma_pop"], spec.lam)
-        if spec.event_id == "E9":
-            spec = replace(spec, r=problem.source.r, R=problem.source.R)
-            smoothed, pop_err_sq = _fstar_quantities(problem, nu, spec.lam)
-            fixed["fstar_smoothed"] = smoothed
-            fixed["pop_err_sq"] = pop_err_sq
-            spec = replace(spec, pop_error=math.sqrt(pop_err_sq))
+        spec, fixed = _data_setup(spec, problem, fs)
     else:
         spec.require("M")
         if spec.event_id != "E6":

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specrf import cli, dataio
+from specrf import cli, conclab, dataio
 
 
 def run(command, tmp_path, config=None, seed=3, extra_args=()):
@@ -132,6 +135,24 @@ class TestVerify:
         eflags = body[:, header.index("e_flag")]
         assert eflags.any()
 
+    def test_failing_event_is_named(self, tmp_path, monkeypatch, capsys):
+        real = conclab.simulate_event
+
+        def fail_on_e7(spec, *args, **kwargs):
+            if spec.event_id == "E7":
+                raise FloatingPointError("overflow")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(conclab, "simulate_event", fail_on_e7)
+        code, _ = run("verify", tmp_path, self.CFG)
+        assert code == 2
+        assert "event E7 failed: overflow" in capsys.readouterr().err
+
+    def test_event_config_error_exits_3(self, tmp_path, capsys):
+        code, _ = run("verify", tmp_path, dict(self.CFG, trials=10))
+        assert code == 3
+        assert "event E6 failed: need at least 50 trials" in capsys.readouterr().err
+
 
 class TestNTKCompare:
     CFG = {"grid_size": 6, "n_train": 10, "n_test": 12, "M_grid": [8, 16],
@@ -155,6 +176,23 @@ class TestCLIContract:
     def test_unknown_config_key_exits_3(self, tmp_path):
         code, _ = run("rates", tmp_path, {"not_a_key": 1})
         assert code == 3
+
+    @pytest.mark.parametrize("command,config,name", [
+        ("fit", {"problem": {"rr": 2.0}}, "problem.rr"),
+        ("verify", {"problem": {"r": 0.5, "d_mx": 16}}, "problem.d_mx"),
+        ("sweep-heatmap", {"paper_scale": {"reps": 2}}, "paper_scale.reps"),
+    ])
+    def test_unknown_nested_config_key_exits_3(self, command, config, name,
+                                               tmp_path, capsys):
+        code, out = run(command, tmp_path, config)
+        assert code == 3
+        assert f"unknown config key '{name}'" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_paper_scale_overrides_top_level_keys(self):
+        cfg = cli.load_config("sweep-heatmap", '{"paper_scale": {"M_grid": [8]}}',
+                              None, paper_scale=True)
+        assert cfg["M_grid"] == [8] and cfg["n_train"] == 5000
 
     def test_invalid_grid_exits_3(self, tmp_path):
         code, _ = run("rates", tmp_path, {"n_grid": []})
@@ -221,3 +259,22 @@ class TestCLIContract:
         for name in sorted(os.listdir(out1)):
             if name.endswith(".csv"):
                 assert (out1 / name).read_bytes() == (out2_dir / name).read_bytes(), name
+
+
+class TestScripts:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_run_verify_leaves_no_temp_files(self, tmp_path):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        pythonpath = os.pathsep.join(
+            p for p in (str(self.ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, TMPDIR=str(tmp), PYTHONPATH=pythonpath)
+        env.pop("SPECRF_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / "run_verify.py"),
+             "--trials", "50", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "verify_events.csv").exists()
+        assert list(tmp.iterdir()) == []

@@ -174,16 +174,17 @@ class TestSimulate:
         rng = np.random.default_rng(29)
         fs = features.sample_features(problem.feature_map, 40, seed=31)
         U = rng.uniform(size=60)
-        z = conclab._feature_matrix(problem, fs, U)
+        z = features.feature_rows(fs, U, 1.0)      # one column per distinct draw
+        width = z.shape[1]
         gram = z.T @ z / len(U)
-        dense = np.zeros((40, 40))
+        dense = np.zeros((width, width))
         for j in range(len(U)):
             dense += np.outer(z[j], z[j])
         dense /= len(U)
         assert np.max(np.abs(gram - dense)) < 1e-12
         # population covariance from the closed form vs Monte Carlo mean
-        pop = conclab._sigma_pop(problem, fs)
+        pop = np.diag(synthetic.lm_eigenvalues(problem, fs)[fs.distinct[0]])
         u_mc = np.random.default_rng(37).uniform(size=200_000)
-        z_mc = conclab._feature_matrix(problem, fs, u_mc)
+        z_mc = features.feature_rows(fs, u_mc, 1.0)
         mc = z_mc.T @ z_mc / len(u_mc)
         assert np.max(np.abs(mc - pop)) < 0.05
