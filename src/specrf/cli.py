@@ -10,8 +10,9 @@ verify         filter-axiom checks plus Monte Carlo concentration events
 ntk-compare    width sweep of the operator-vs-kernel-GD discrepancy
 
 Every run writes CSV artifacts plus a manifest JSON (config echo, seed,
-output hashes) into the output directory.  The seed precedence is
-SPECRF_SEED environment variable > --seed flag > config file.
+output hashes, environment) into the output directory.  The seed precedence
+is SPECRF_SEED environment variable > --seed flag > config file.  BLAS runs
+one thread per process, in the serial path and in every --jobs worker.
 
 Exit codes: 0 success, 2 invariant violation, 3 config error, 4 I/O error.
 """
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, conclab, dataio, estimator, features, neuralop, spectral, synthetic
+from . import (__version__, conclab, dataio, estimator, features, neuralop, runtime,
+               spectral, synthetic)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -214,7 +216,8 @@ def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
         if not _same_type(value, default):
             raise ConfigError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
         if isinstance(default, dict):
-            _check_types(value, default, name + ".")
+            # paper_scale entries override top-level keys, so check them as such
+            _check_types(value, defaults if key == "paper_scale" else default, name + ".")
         elif isinstance(default, list) and default:
             if not all(_same_type(item, default[0]) for item in value):
                 raise ConfigError(f"{name} entries must each be "
@@ -235,7 +238,8 @@ def validate_config(command: str, cfg: dict) -> None:
                 raise ConfigError(f"{grid_key} entries must be >= 1")
     if "repetitions" in cfg and cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
-    for name in ("n", "n_train", "n_test", "alpha", "T", "trials"):
+    for name in ("n", "n_train", "n_test", "alpha", "T", "trials",
+                 "event_n", "event_M", "event_lambda"):
         if name in cfg:
             positive(name)
     if "delta" in cfg and not 0.0 < cfg["delta"] < 1.0:
@@ -264,16 +268,26 @@ def _build_problem(pcfg: dict, seed: int):
 
 
 def _pmap(fn, items, jobs: int):
+    """[fn(item) for item in items], on `jobs` worker processes with one BLAS
+    thread each; the results keep the order of `items`."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=runtime.pin_blas_threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _run_cell(fn, args: dict, label: str):
+    """fn(args), naming the cell `label` in the error if it fails."""
+    try:
+        return fn(args)
+    except Exception as exc:
+        raise RuntimeError(f"{label} failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # gen
 
-def cmd_gen(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_gen(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
     path = out / cfg["filename"]
     if cfg["kind"] == "susy-fixture":
         dataio.make_susy_fixture(path, n=int(cfg["n"]), seed=cfg["seed"])
@@ -285,9 +299,7 @@ def cmd_gen(cfg: dict, out: Path, jobs: int) -> int:
         dataio.save_results(rows, path)
     else:
         raise ConfigError(f"unknown gen kind {cfg['kind']!r}")
-    dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"], [path],
-                          extra={"version": __version__, "subcommand": "gen"})
-    return EXIT_OK
+    return EXIT_OK, [path], {}
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +315,7 @@ def _make_filter(name: str, alpha: float) -> spectral.SpectralFilter:
     raise ConfigError(f"unknown filter {name!r}")
 
 
-def cmd_fit(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_fit(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
     seed = cfg["seed"]
     rng_seeds = np.random.SeedSequence(seed).spawn(3)
     oracle = None
@@ -355,11 +367,7 @@ def cmd_fit(cfg: dict, out: Path, jobs: int) -> int:
     }]
     path = out / "fit.csv"
     dataio.save_results(rows, path)
-    extra = {"version": __version__, "subcommand": "fit"}
-    if inputs_hash:
-        extra["inputs_sha256"] = inputs_hash
-    dataio.write_manifest(out / "manifest.json", cfg, seed, [path], extra=extra)
-    return EXIT_OK
+    return EXIT_OK, [path], {"inputs_sha256": inputs_hash} if inputs_hash else {}
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +375,8 @@ def cmd_fit(cfg: dict, out: Path, jobs: int) -> int:
 
 def _heatmap_cell(args: dict) -> list[dict]:
     """All T-grid errors for one (M, repetition): a single GD trajectory."""
-    try:
-        return _heatmap_cell_inner(args)
-    except Exception as exc:
-        raise RuntimeError(
-            f"heatmap cell M={args['M']} rep={args['rep']} failed: {exc}"
-        ) from exc
+    return _run_cell(_heatmap_cell_inner, args,
+                     f"heatmap cell M={args['M']} rep={args['rep']}")
 
 
 def _heatmap_cell_inner(args: dict) -> list[dict]:
@@ -406,7 +410,7 @@ def _heatmap_cell_inner(args: dict) -> list[dict]:
             for model, rep in zip(models, reports)]
 
 
-def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
     reps = int(cfg["repetitions"])
     m_grid = sorted(int(m) for m in cfg["M_grid"])
     cells = []
@@ -433,9 +437,7 @@ def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> int:
         svg_path = out / "heatmap.svg"
         _write_svg_heatmap(summary, svg_path)
         outputs.append(svg_path)
-    dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"], outputs,
-                          extra={"version": __version__, "subcommand": "sweep-heatmap"})
-    return EXIT_OK
+    return EXIT_OK, outputs, {}
 
 
 def _write_svg_heatmap(rows: list[dict], path: Path, cell: int = 28) -> None:
@@ -468,6 +470,11 @@ def _write_svg_heatmap(rows: list[dict], path: Path, cell: int = 28) -> None:
 # rates
 
 def _rates_cell(args: dict) -> dict:
+    """Excess risk of one (n, repetition) fit at the rate schedule for n."""
+    return _run_cell(_rates_cell_inner, args, f"rates cell n={args['n']} rep={args['rep']}")
+
+
+def _rates_cell_inner(args: dict) -> dict:
     cfg = args["cfg"]
     problem, noise = _build_problem(
         {"r": cfg["r"], "b": cfg["b"], "d_max": cfg["d_max"], "R": cfg["R"],
@@ -496,7 +503,7 @@ def _rates_cell(args: dict) -> dict:
             "meets_n0": sched["meets_n0"]}
 
 
-def cmd_rates(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_rates(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
     mult = synthetic.ScheduleMultipliers(C=cfg["C_multiplier"], M=cfg["M_multiplier"], p=1)
     n_grid = sorted(int(n) for n in cfg["n_grid"])
     reps = int(cfg["repetitions"])
@@ -532,11 +539,7 @@ def cmd_rates(cfg: dict, out: Path, jobs: int) -> int:
           "repetitions": reps, "delta": cfg["delta"]}],
         summary_path,
     )
-    dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"],
-                          [rates_path, summary_path],
-                          extra={"version": __version__, "subcommand": "rates",
-                                 "slope": slope, "target_slope": target})
-    return EXIT_OK
+    return EXIT_OK, [rates_path, summary_path], {"slope": slope, "target_slope": target}
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +552,7 @@ def _broken_filter() -> spectral.SpectralFilter:
     )
 
 
-def cmd_verify(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_verify(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
     n_pts = int(cfg["grid_points"])
     t_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
     lam_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
@@ -598,10 +601,7 @@ def cmd_verify(cfg: dict, out: Path, jobs: int) -> int:
     events_path = out / "verify_events.csv"
     dataio.save_results(event_rows, events_path)
 
-    dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"],
-                          [filters_path, events_path],
-                          extra={"version": __version__, "subcommand": "verify"})
-    return EXIT_VIOLATION if any_flag else EXIT_OK
+    return EXIT_VIOLATION if any_flag else EXIT_OK, [filters_path, events_path], {}
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +623,31 @@ def _operator_dataset(n: int, n_x: int, noise_half_width: float, seed: int):
     return grid, U[:, :, None], V
 
 
-def cmd_ntk_compare(cfg: dict, out: Path, jobs: int) -> int:
+def _ntk_cell(args: dict) -> dict:
+    """The operator-vs-kernel discrepancy of one (width, seed) cell, with the
+    architecture and data rebuilt from the config where the cell runs."""
+    return _run_cell(_ntk_cell_inner, args,
+                     f"ntk-compare cell M={args['M']} seed={args['seed']}")
+
+
+def _ntk_cell_inner(args: dict) -> dict:
+    cfg = args["cfg"]
     n_x = int(cfg["grid_size"])
     grid, U_tr, V_tr = _operator_dataset(
         int(cfg["n_train"]), n_x, cfg["noise_half_width"], cfg["seed"] + 1)
     _, U_te, _ = _operator_dataset(
         int(cfg["n_test"]), n_x, 0.0, cfg["seed"] + 2)
     arch = features.OperatorArchitecture(_activation(cfg["activation"]), grid, d_y=1)
+    return neuralop.compare_cell(arch, U_tr, V_tr, U_te, args["M"], args["seed"],
+                                 cfg["alpha"], int(cfg["T"]), tau=cfg["tau"])
+
+
+def cmd_ntk_compare(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(cfg["seed"]).spawn(int(cfg["repetitions"]))]
-    rows = neuralop.compare_to_kernel_gd(
-        arch, U_tr, V_tr, U_te,
-        widths=sorted(int(m) for m in cfg["M_grid"]),
-        alpha=cfg["alpha"], n_steps=int(cfg["T"]), seeds=seeds, tau=cfg["tau"],
-    )
+    cells = [{"cfg": cfg, "M": m, "seed": seed}
+             for m in sorted(int(m) for m in cfg["M_grid"]) for seed in seeds]
+    rows = _pmap(_ntk_cell, cells, jobs)
     medians = neuralop.median_discrepancies(rows)
     summary = [{"M": m, "median_discrepancy": med, "seeds": len(seeds)}
                for m, med in medians.items()]
@@ -644,15 +655,14 @@ def cmd_ntk_compare(cfg: dict, out: Path, jobs: int) -> int:
     dataio.save_results(summary, path)
     detail_path = out / "ntk_compare_detail.csv"
     dataio.save_results(rows, detail_path)
-    dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"],
-                          [path, detail_path],
-                          extra={"version": __version__, "subcommand": "ntk-compare"})
-    return EXIT_OK
+    return EXIT_OK, [path, detail_path], {}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
+# Each command writes its outputs into `out` and returns (exit code, output
+# paths, extra manifest entries); `main` writes the manifest.
 COMMANDS = {
     "gen": cmd_gen,
     "fit": cmd_fit,
@@ -672,9 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for sweep-heatmap and rates "
-                             "(default: CPU count); gen, fit, verify and "
-                             "ntk-compare run serially and ignore it")
+                        help="worker processes for the cells of sweep-heatmap, "
+                             "rates and ntk-compare (default: CPU count), each "
+                             "with one BLAS thread; outputs do not depend on it. "
+                             "gen, fit and verify run serially and ignore it")
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the paper's sample sizes and repetition counts")
     return parser
@@ -682,11 +693,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    runtime.pin_blas_threads()
     try:
         cfg = load_config(args.command, args.config, args.seed, args.paper_scale)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.jobs)
+        code, outputs, extra = COMMANDS[args.command](cfg, out, args.jobs)
+        dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"], outputs,
+                              extra={"version": __version__, "subcommand": args.command,
+                                     **extra},
+                              environment=runtime.environment(args.jobs))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

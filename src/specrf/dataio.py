@@ -221,14 +221,18 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, config: dict, seed: int, outputs: Sequence, extra: dict | None = None) -> None:
-    """JSON manifest from which a run can be replayed: config echo, seed, and
-    content hashes of every output file."""
+def write_manifest(path, config: dict, seed: int, outputs: Sequence, extra: dict | None = None,
+                   environment: dict | None = None) -> None:
+    """JSON manifest from which a run can be replayed: config echo, seed,
+    content hashes of every output file and, when given, the `environment`
+    that produced them (versions, BLAS threads, jobs, cores)."""
     manifest = {
         "config": config,
         "seed": seed,
         "outputs": {Path(p).name: file_sha256(p) for p in outputs},
     }
+    if environment is not None:
+        manifest["environment"] = environment
     if extra:
         manifest.update(extra)
     with Path(path).open("w") as fh:

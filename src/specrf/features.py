@@ -59,29 +59,61 @@ class UnsupportedOracleError(FeatureError):
 
 @dataclass(frozen=True)
 class Activation:
+    """sigma and sigma'.  `f`, `df` and `df_of_f` take an optional `out`
+    array to write into, as numpy ufuncs do."""
+
     name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
+    f: Callable[..., np.ndarray]
+    df: Callable[..., np.ndarray]
     sup_abs: float        # sup |sigma|
     sup_abs_deriv: float  # sup |sigma'|
     # sigma' written as a function of sigma(z), when it is one
-    df_of_f: Callable[[np.ndarray], np.ndarray] | None = None
+    df_of_f: Callable[..., np.ndarray] | None = None
 
-    def f_and_df(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma(z), sigma'(z)), deriving sigma' from sigma(z) where possible."""
-        fz = self.f(z)
-        return fz, self.df(z) if self.df_of_f is None else self.df_of_f(fz)
+    def f_and_df(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(sigma(z), sigma'(z)), deriving sigma' from sigma(z) where possible.
+
+        With out=(f_out, df_out) both are written in place; df_out may be z
+        itself, because z is last read before sigma' is written."""
+        f_out, df_out = (None, None) if out is None else out
+        fz = self.f(z, out=f_out)
+        if self.df_of_f is None:
+            return fz, self.df(z, out=df_out)
+        return fz, self.df_of_f(fz, out=df_out)
+
+
+def _sech_squared(z, out=None):
+    return np.divide(1.0, np.cosh(z) ** 2, out=out)
+
+
+def _one_minus_square(t, out=None):
+    square = np.multiply(t, t, out=out)
+    return np.subtract(1.0, square, out=square)
+
+
+def _identity(z, out=None):
+    if out is None:
+        return z
+    np.copyto(out, z)
+    return out
+
+
+def _ones(z, out=None):
+    if out is None:
+        return np.ones_like(z)
+    out.fill(1.0)
+    return out
 
 
 def tanh_act() -> Activation:
-    return Activation("tanh", np.tanh, lambda z: 1.0 / np.cosh(z) ** 2, 1.0, 1.0,
-                      df_of_f=lambda t: 1.0 - t * t)
+    return Activation("tanh", np.tanh, _sech_squared, 1.0, 1.0,
+                      df_of_f=_one_minus_square)
 
 
 def identity_act() -> Activation:
     """Identity activation.  Unbounded, so the feature bound kappa is infinite;
     designs built on it must stay unnormalized."""
-    return Activation("identity", lambda z: z, np.ones_like, math.inf, 1.0)
+    return Activation("identity", _identity, _ones, math.inf, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +496,17 @@ class OperatorArchitecture:
         preactivations Z = <w_m, J(u)(x)> of shape (n, n_X, M) for the M weight
         rows of W (M, d_tilde), as one 2-D matmul over all (u, x) pairs."""
         J = self.j_features(U)
+        return J, self.project(J, W)
+
+    @staticmethod
+    def project(J: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Preactivations <w_m, J(u)(x)> of shape (n, n_X, M) from J of shape
+        (n, n_X, d_tilde), written into the C-contiguous `out` when given."""
         n, n_x, d_tilde = J.shape
-        return J, (J.reshape(-1, d_tilde) @ W.T).reshape(n, n_x, -1)
+        if out is None:
+            out = np.empty((n, n_x, W.shape[0]))
+        np.matmul(J.reshape(-1, d_tilde), W.T, out=out.reshape(n * n_x, -1))
+        return out
 
 
 def ntk_feature_map(

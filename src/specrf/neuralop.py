@@ -7,7 +7,8 @@ The operator is G_theta(u)(x) = (1/sqrt(M)) <a, sigma(B J(u)(x))> with
 J(u)(x) = (A(u)(x), u(x), c(x)) shared with `features.OperatorArchitecture`.
 Symmetric initialization pairs output weights +tau/-tau with duplicated input
 weights so that G_theta0 is identically zero.  Training runs one forward pass
-per gradient step: the step's risk and both gradients come from that pass.
+per gradient step: the step's risk and both gradients come from that pass,
+written into work arrays allocated once per training run.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ __all__ = [
     "train_gd",
     "empirical_ntk",
     "tangent_feature_set",
+    "compare_cell",
     "compare_to_kernel_gd",
 ]
 
@@ -109,20 +111,30 @@ def _risk(no: ShallowNO, U: np.ndarray, V: np.ndarray) -> float:
     return _half_mean_square(forward(no, U) - V)
 
 
-def _risk_and_gradients(no: ShallowNO, U: np.ndarray, V: np.ndarray):
+def _step_buffers(no: ShallowNO, U: np.ndarray):
+    """(J, z, s) for `_risk_and_gradients`: J(U) and two (n, n_X, M) work
+    arrays, allocated once and reused by every step of a training run."""
+    J = no.arch.j_features(U)
+    n, n_x, _ = J.shape
+    return J, np.empty((n, n_x, no.M)), np.empty((n, n_x, no.M))
+
+
+def _risk_and_gradients(no: ShallowNO, U: np.ndarray, V: np.ndarray, buffers=None):
     """Empirical risk (equal to `_risk`) and its full-batch gradients dE/da_m
     and dE/dB_mj with the grid-mean inner product, all from one forward pass.
     Every contraction is a 2-D matmul over the n * n_X (input, grid point)
-    pairs."""
-    act = no.arch.activation
-    J, z1 = no.arch.preactivations(U, no.B)
-    s, ds = act.f_and_df(z1)
+    pairs.  `buffers` from `_step_buffers(no, U)` are filled in place: z takes
+    the preactivations, then sigma'(z) weighted by the residual, and s takes
+    sigma(z)."""
+    J, z, s = _step_buffers(no, U) if buffers is None else buffers
+    OperatorArchitecture.project(J, no.B, out=z)
+    s, ds = no.arch.activation.f_and_df(z, out=(s, z))
     resid = s @ no.a / math.sqrt(no.M) - V      # (n, n_X), as in forward
     n, n_x, d_tilde = J.shape
     r = resid.reshape(-1)
     scale = 1.0 / (n * n_x * math.sqrt(no.M))
     grad_a = scale * (r @ s.reshape(-1, no.M))
-    weighted = ds.reshape(-1, no.M) * r[:, None]
+    weighted = np.multiply(ds.reshape(-1, no.M), r[:, None], out=ds.reshape(-1, no.M))
     grad_b = scale * no.a[:, None] * (weighted.T @ J.reshape(-1, d_tilde))
     return _half_mean_square(resid), grad_a, grad_b
 
@@ -146,11 +158,12 @@ def train_gd(
         raise NeuralOpError("dataset is empty")
 
     a0, b0 = no.a.copy(), no.B.copy()
+    buffers = _step_buffers(no, U)
     cur = no
     risks = []
     drifts = [0.0]
     for _ in range(n_steps):
-        risk, grad_a, grad_b = _risk_and_gradients(cur, U, V)
+        risk, grad_a, grad_b = _risk_and_gradients(cur, U, V, buffers)
         risks.append(risk)
         new_a = cur.a - alpha * grad_a if train_a else cur.a
         new_b = cur.B - alpha * grad_b if train_b else cur.B
@@ -189,6 +202,49 @@ def tangent_feature_set(no: ShallowNO, deriv_scale: float | None = None) -> Feat
     return features.feature_set_from_samples(fmap, no.B.copy(), no.M)
 
 
+def compare_cell(
+    arch: OperatorArchitecture,
+    train_inputs,
+    train_outputs,
+    test_inputs,
+    width: int,
+    seed: int,
+    alpha: float,
+    n_steps: int,
+    tau: float = 1.0,
+    train_a: bool = True,
+    train_b: bool = True,
+) -> dict:
+    """One (width, seed) row of `compare_to_kernel_gd`."""
+    U_tr = arch.coerce_inputs(train_inputs)
+    V_tr = np.asarray(train_outputs, dtype=float).reshape(U_tr.shape[0], arch.n_x)
+    U_te = arch.coerce_inputs(test_inputs)
+    no0 = init_symmetric(arch, width, tau, seed)
+    record = train_gd(no0, U_tr, V_tr, alpha, n_steps,
+                      train_a=train_a, train_b=train_b)
+    no_preds = forward(record.model, U_te)
+
+    if not train_a and tau == 0.0:
+        # no trainable tangent directions remain; both paths are zero
+        rf_preds = np.zeros_like(no_preds)
+    else:
+        fs = tangent_feature_set(no0)
+        # summand 0 (psi) is the a-direction, summands 1.. (psi') the B-directions
+        summands = np.ones(fs.map.p, dtype=bool)
+        summands[0] = train_a
+        summands[1:] = train_b
+        design = features.build_design(fs, U_tr, normalize=False,
+                                       summands=summands)
+        model = estimator.fit_gd(design, V_tr, alpha, n_steps)
+        del design   # frees Z and its Gram matrix before the test rows are built
+        rf_preds = estimator.predict_batch(model, U_te)
+
+    diff = no_preds - rf_preds
+    disc = math.sqrt(float(np.mean(np.mean(diff ** 2, axis=1))))
+    return {"M": width, "seed": seed, "discrepancy": disc,
+            "drift": record.drift_budget}
+
+
 def compare_to_kernel_gd(
     arch: OperatorArchitecture,
     train_inputs,
@@ -204,40 +260,12 @@ def compare_to_kernel_gd(
 ) -> list[dict]:
     """Train the operator and its frozen-tangent kernel twin with identical
     gradient descent, then measure ||G_theta_T - F_T^M|| in the empirical L2
-    norm over held-out inputs.  Returns one row per (width, seed)."""
-    U_tr = arch.coerce_inputs(train_inputs)
-    V_tr = np.asarray(train_outputs, dtype=float).reshape(U_tr.shape[0], arch.n_x)
-    U_te = arch.coerce_inputs(test_inputs)
-    rows = []
-    for m in widths:
-        for seed in seeds:
-            no0 = init_symmetric(arch, int(m), tau, int(seed))
-            record = train_gd(no0, U_tr, V_tr, alpha, n_steps,
-                              train_a=train_a, train_b=train_b)
-            no_preds = forward(record.model, U_te)
-
-            if not train_a and tau == 0.0:
-                # no trainable tangent directions remain; both paths are zero
-                rf_preds = np.zeros_like(no_preds)
-            else:
-                fs = tangent_feature_set(no0)
-                # summand 0 (psi) is the a-direction, summands 1.. (psi') the B-directions
-                summands = np.ones(fs.map.p, dtype=bool)
-                summands[0] = train_a
-                summands[1:] = train_b
-                design = features.build_design(fs, U_tr, normalize=False,
-                                               summands=summands)
-                model = estimator.fit_gd(design, V_tr, alpha, n_steps)
-                del design   # frees Z and its Gram matrix before the test rows are built
-                rf_preds = estimator.predict_batch(model, U_te)
-
-            diff = no_preds - rf_preds
-            disc = math.sqrt(float(np.mean(np.mean(diff ** 2, axis=1))))
-            rows.append(
-                {"M": int(m), "seed": int(seed), "discrepancy": disc,
-                 "drift": record.drift_budget}
-            )
-    return rows
+    norm over held-out inputs.  Returns one row per (width, seed), widths
+    outermost; `compare_cell` computes one row."""
+    return [compare_cell(arch, train_inputs, train_outputs, test_inputs, int(m),
+                         int(seed), alpha, n_steps, tau=tau, train_a=train_a,
+                         train_b=train_b)
+            for m in widths for seed in seeds]
 
 
 def median_discrepancies(rows: list[dict]) -> dict[int, float]:

@@ -130,9 +130,14 @@ def _phi_array(filt: SpectralFilter, lam: float, t: np.ndarray) -> np.ndarray:
         steps = _landweber_steps(filt, lam)
         alpha = filt.step_size
         out = np.full_like(t, alpha * steps)
-        nz = t != 0.0
-        # alpha * geometric sum = (1 - (1 - alpha t)^T) / t
-        out[nz] = (1.0 - (1.0 - alpha * t[nz]) ** steps) / t[nz]
+        at = alpha * t
+        # alpha * geometric sum = (1 - (1 - alpha t)^T) / t; below alpha t = 1
+        # it is -expm1(T log1p(-alpha t)) / t, which keeps its digits when
+        # alpha t << 1/T, where the power form cancels
+        small = (t != 0.0) & (at < 1.0)
+        out[small] = -np.expm1(steps * np.log1p(-at[small])) / t[small]
+        big = at >= 1.0
+        out[big] = (1.0 - (1.0 - at[big]) ** steps) / t[big]
         return out
     if filt.kind == "cutoff":
         out = np.zeros_like(t)

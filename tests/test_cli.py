@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specrf import cli, conclab, dataio
+from specrf import cli, conclab, dataio, estimator, neuralop, runtime
 
 
 def run(command, tmp_path, config=None, seed=3, extra_args=()):
@@ -153,6 +153,13 @@ class TestVerify:
         assert code == 3
         assert "event E6 failed: need at least 50 trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("event_lambda", -1.0), ("event_n", 0),
+                                           ("event_M", 0)])
+    def test_event_range_exits_3(self, key, value, tmp_path, capsys):
+        code, _ = run("verify", tmp_path, dict(self.CFG, events=["E1"], **{key: value}))
+        assert code == 3
+        assert f"config error: {key} must be positive" in capsys.readouterr().err
+
 
 class TestNTKCompare:
     CFG = {"grid_size": 6, "n_train": 10, "n_test": 12, "M_grid": [8, 16],
@@ -170,6 +177,16 @@ class TestNTKCompare:
         assert code == 0
         header, body = dataio.load_results(out / "ntk_compare.csv")
         assert np.all(body[:, header.index("median_discrepancy")] <= 1e-10)
+
+    def test_jobs_do_not_change_the_bytes(self, tmp_path):
+        _, out1 = run("ntk-compare", tmp_path, self.CFG)
+        out2 = tmp_path / "pool"
+        assert cli.main(["ntk-compare", "--out", str(out2), "--seed", "3", "--jobs", "2",
+                         "--config", json.dumps(self.CFG)]) == 0
+        for name in ("ntk_compare.csv", "ntk_compare_detail.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        manifest = json.loads((out2 / "manifest.json").read_text())
+        assert manifest["environment"]["jobs"] == 2
 
 
 class TestCLIContract:
@@ -193,6 +210,48 @@ class TestCLIContract:
         cfg = cli.load_config("sweep-heatmap", '{"paper_scale": {"M_grid": [8]}}',
                               None, paper_scale=True)
         assert cfg["M_grid"] == [8] and cfg["n_train"] == 5000
+
+    def test_paper_scale_override_type_exits_3(self, tmp_path, capsys):
+        code, _ = run("sweep-heatmap", tmp_path, {"paper_scale": {"alpha": "x"}},
+                      extra_args=("--paper-scale",))
+        assert code == 3
+        assert "paper_scale.alpha must be a number" in capsys.readouterr().err
+
+    def test_manifest_records_environment(self, tmp_path):
+        code, out = run("gen", tmp_path, {"n": 10, "d_max": 16})
+        assert code == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["jobs"] == 1 and env["nproc"] == os.cpu_count()
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
+                            "jobs", "nproc"}
+        if runtime.blas_threads() is None:
+            pytest.skip("no OpenBLAS thread symbol in this numpy build")
+        assert env["blas_threads"] == 1
+
+    @pytest.mark.parametrize("command,config,module,name,label", [
+        ("sweep-heatmap", TestSweepHeatmap.CFG, estimator, "fit_gd_path",
+         "heatmap cell M=8 rep=1"),
+        ("rates", {"n_grid": [100, 200], "repetitions": 1, "d_max": 16, "n_test": 50},
+         estimator, "fit_closed", "rates cell n=200 rep=0"),
+        ("ntk-compare", TestNTKCompare.CFG, neuralop, "train_gd",
+         f"ntk-compare cell M=8 seed="
+         f"{np.random.SeedSequence(3).spawn(2)[1].generate_state(1)[0]}"),
+    ])
+    def test_failing_cell_is_named(self, command, config, module, name, label,
+                                   tmp_path, monkeypatch, capsys):
+        real, calls = getattr(module, name), []
+
+        def fail_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, fail_second_call)
+        code, _ = run(command, tmp_path, config)
+        assert code == 2
+        assert f"error: {label} failed: overflow" in capsys.readouterr().err
 
     def test_invalid_grid_exits_3(self, tmp_path):
         code, _ = run("rates", tmp_path, {"n_grid": []})

@@ -95,6 +95,24 @@ class TestFitGD:
             scale = max(1.0, float(np.max(np.abs(closed.theta))))
             assert np.max(np.abs(gd.theta - closed.theta)) / scale < 1e-9
 
+    @pytest.mark.parametrize("M", [16, 32, 128])
+    def test_closed_form_matches_gd_on_a_heatmap_design(self, M):
+        # a sweep-heatmap cell at its defaults: NTK features of 1000 inputs,
+        # many eigenvalues far below 1/(alpha T), where the Landweber filter
+        # must not cancel
+        spec = synthetic.spectrum_spec(b=1.0, d_max=8)
+        problem = synthetic.make_problem(spec, r=1.5, R=2.0, seed=0)
+        noise = synthetic.noise_model(problem, 0.1)
+        U, V = synthetic.sample_dataset(problem, 1000, noise, seed=1)
+        arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
+                                             use_lift=False)
+        fmap = features.ntk_feature_map(arch, input_bound=np.sqrt(3.0))
+        design = features.build_design(features.sample_features(fmap, M, seed=2),
+                                       U.reshape(-1, 1))
+        gd = fit_gd(design, V, 0.5, 1024).theta
+        closed = fit_closed(design, V, spectral.landweber(0.5), 1.0 / 512).theta
+        assert np.linalg.norm(closed - gd) / np.linalg.norm(gd) < 1e-10
+
     def test_training_risk_monotone(self):
         _, design, _, V = problem_design(n=60, M=24, seed=9)
         model = fit_gd(design, V, alpha=1.0, n_steps=40, track_risk=True)

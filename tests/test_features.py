@@ -224,6 +224,16 @@ class TestNTKMap:
         np.testing.assert_array_equal(fz, act.f(z))
         np.testing.assert_allclose(dfz, act.df(z), rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("act", [tanh_act(), identity_act()], ids=["tanh", "identity"])
+    def test_f_and_df_in_place_is_bit_identical(self, act):
+        z = np.linspace(-20.0, 20.0, 801)
+        fz, dfz = act.f_and_df(z)
+        f_out, z_in = np.empty_like(z), z.copy()
+        f_in_place, df_in_place = act.f_and_df(z_in, out=(f_out, z_in))
+        assert f_in_place is f_out and df_in_place is z_in
+        np.testing.assert_array_equal(f_out, fz)
+        np.testing.assert_array_equal(z_in, dfz)
+
     def test_zero_inputs_give_zero_features_for_tanh(self):
         arch = OperatorArchitecture(
             tanh_act(), np.linspace(0, 1, 4), d_y=1, use_lift=False,

@@ -114,3 +114,30 @@ def test_train_gd_matches_two_pass_trajectory(activation, train_a, train_b):
     _assert_close(record.drifts, drifts)
     _assert_close(record.model.a, model.a)
     _assert_close(record.model.B, model.B)
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_reused_buffers_match_a_fresh_step_bit_for_bit(activation):
+    no, U, V, rng = _problem(activation, seed=3, width=16, n=6)
+    buffers = neuralop._step_buffers(no, U)
+    for _ in range(3):
+        no = neuralop.replace(no, a=no.a + 0.3 * rng.normal(size=no.M),
+                              B=no.B + 0.3 * rng.normal(size=no.B.shape))
+        fresh = neuralop._risk_and_gradients(no, U, V)
+        reused = neuralop._risk_and_gradients(no, U, V, buffers)
+        assert fresh[0] == reused[0]
+        np.testing.assert_array_equal(fresh[1], reused[1])
+        np.testing.assert_array_equal(fresh[2], reused[2])
+
+
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_train_gd_equals_fresh_steps_bit_for_bit(activation):
+    no, U, V, _ = _problem(activation, seed=5, width=16, n=6)
+    record = neuralop.train_gd(no, U, V, alpha=0.25, n_steps=6)
+    cur = no
+    for t in range(6):
+        risk, grad_a, grad_b = neuralop._risk_and_gradients(cur, U, V)
+        assert record.risks[t] == risk
+        cur = neuralop.replace(cur, a=cur.a - 0.25 * grad_a, B=cur.B - 0.25 * grad_b)
+    np.testing.assert_array_equal(record.model.a, cur.a)
+    np.testing.assert_array_equal(record.model.B, cur.B)

@@ -61,6 +61,15 @@ class TestFilterValues:
             filter_value(landweber(1.0), 0.3, 0.5)  # 1/0.3 is not an integer
 
 
+    @pytest.mark.parametrize("t", [1e-13, 1e-9, 1e-6])
+    def test_landweber_small_t_keeps_its_digits(self, t):
+        # phi(t) = alpha * sum_{k<T} (1 - alpha t)^k: T terms near alpha, no cancellation
+        alpha, steps = 0.5, 1024
+        exact = alpha * sum((1.0 - alpha * t) ** k for k in range(steps))
+        value = filter_value(landweber(alpha), 1.0 / (alpha * steps), t)
+        assert value == pytest.approx(exact, rel=1e-12)
+
+
 class TestResiduals:
     def test_tikhonov(self):
         assert residual_value(tikhonov(), 0.25, 0.75) == pytest.approx(0.25)
