@@ -10,9 +10,10 @@ verify         filter-axiom checks plus Monte Carlo concentration events
 ntk-compare    width sweep of the operator-vs-kernel-GD discrepancy
 
 Every run writes CSV artifacts plus a manifest JSON (config echo, seed,
-output hashes, environment) into the output directory.  The seed precedence
-is SPECRF_SEED environment variable > --seed flag > config file.  BLAS runs
-one thread per process, in the serial path and in every --jobs worker.
+output hashes, environment, per-stage wall times) into the output directory.
+The seed precedence is SPECRF_SEED environment variable > --seed flag >
+config file.  BLAS runs one thread per process, in the serial path and in
+every --jobs worker.
 
 Exit codes: 0 success, 2 invariant violation, 3 config error, 4 I/O error.
 """
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -248,8 +250,14 @@ def validate_config(command: str, cfg: dict) -> None:
         unknown = [e for e in cfg["events"] if e not in conclab.ALL_EVENTS]
         if unknown:
             raise ConfigError(f"unknown events: {unknown}")
-    if command == "ntk-compare" and cfg["activation"] not in ("tanh", "identity"):
-        raise ConfigError("activation must be 'tanh' or 'identity'")
+    if command == "ntk-compare":
+        if cfg["activation"] not in ("tanh", "identity"):
+            raise ConfigError("activation must be 'tanh' or 'identity'")
+        # symmetric initialization pairs the hidden units
+        if any(m < 2 or m % 2 for m in cfg["M_grid"]):
+            raise ConfigError("ntk-compare M_grid entries must be even and >= 2")
+        if cfg["grid_size"] < 1:
+            raise ConfigError("grid_size must be >= 1")
     if command == "rates" and cfg["filter"] not in ("tikhonov", "landweber"):
         raise ConfigError("rates filter must be 'tikhonov' or 'landweber'")
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
@@ -692,16 +700,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     runtime.pin_blas_threads()
     try:
         cfg = load_config(args.command, args.config, args.seed, args.paper_scale)
+        loaded = time.perf_counter()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         code, outputs, extra = COMMANDS[args.command](cfg, out, args.jobs)
+        done = time.perf_counter()
+        # fixed-width strings, so a manifest has the same size on every run
+        timings = {name: f"{seconds:.4e}" for name, seconds in (
+            ("load_config_s", loaded - start), ("run_s", done - loaded),
+            ("total_s", done - start))}
         dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"], outputs,
                               extra={"version": __version__, "subcommand": args.command,
-                                     **extra},
+                                     "timings": timings, **extra},
                               environment=runtime.environment(args.jobs))
         return code
     except ConfigError as exc:

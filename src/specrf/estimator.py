@@ -17,6 +17,11 @@ covariance Sigma_hat (M_distinct*p wide) when it is cached already or no
 wider than the n*d_v rows, else the dual Gram matrix G, mapping c back to
 theta only at the requested stopping times.  Both give the same iterates up
 to rounding.
+
+Either operator is exactly symmetric, so each step reads one triangle of it:
+one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
+where that symbol is missing), writing into work arrays reused for the whole
+descent; only the iterates at the stopping times are copied out.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import features, spectral
+from . import features, runtime, spectral
 from .features import DesignMatrix, FeatureSet
 from .spectral import SpectralFilter
 
@@ -129,7 +134,11 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
 
     Iterates on cov() when it is cached or dim <= rows, else on gram() in the
     dual coordinates c (theta = Z^T c / n), where the gradient G c - v is
-    itself the residual Z theta - v."""
+    itself the residual Z theta - v.  Both operators are formed by a
+    symmetric rank-k update, so they are exactly symmetric: each step is one
+    symmetric matrix-vector product reading one triangle
+    (`runtime.symmetric_step`), into an iterate and a gradient allocated once
+    per fit and updated in place.  The iterate is copied at each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     _reject_degenerate(design)
@@ -145,15 +154,18 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
         return 0.5 * float(resid @ resid) / design.n
 
     x = np.zeros_like(target)
+    grad = np.empty_like(target)
+    gradient = runtime.symmetric_step(op, x, target, grad)   # grad = op @ x - target
     risks = []
     snapshots = []
     for step in range(1, stops[-1] + 1):
-        grad = op @ x - target
+        gradient()
         if track_risk:
             risks.append(risk(grad if dual else design.Z @ x - v))
-        x = x - alpha * grad
+        grad *= alpha
+        x -= grad
         while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
-            snapshots.append(x)   # no copy: each step binds a new array
+            snapshots.append(x.copy())
     if track_risk:
         risks.append(risk(op @ x - v if dual else design.Z @ x - v))
     if dual:

@@ -547,9 +547,10 @@ def ntk_feature_map(
         n, n_x, M = z.shape
         out = np.empty((n, M, 1 + d_tilde, n_x))
         out[:, :, 0, :] = np.transpose(psi, (0, 2, 1))
-        # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j)
-        deriv = np.einsum("nxm,nxj->nmjx", dpsi, J)
-        out[:, :, 1:, :] = deriv_scale * deriv
+        # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j), written in place
+        deriv = out[:, :, 1:, :]
+        np.einsum("nxm,nxj->nmjx", dpsi, J, out=deriv)
+        deriv *= deriv_scale
         return out
 
     return FeatureMap(

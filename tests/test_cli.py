@@ -224,10 +224,39 @@ class TestCLIContract:
         assert env["numpy"] == np.__version__
         assert env["jobs"] == 1 and env["nproc"] == os.cpu_count()
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
-                            "jobs", "nproc"}
+                            "gd_kernel", "jobs", "nproc"}
+        assert env["gd_kernel"] == runtime.gd_kernel() in ("dsymv", "matmul")
         if runtime.blas_threads() is None:
             pytest.skip("no OpenBLAS thread symbol in this numpy build")
         assert env["blas_threads"] == 1
+
+    def test_manifest_records_timings(self, tmp_path):
+        sizes = []
+        for run_dir in ("first", "second"):
+            (tmp_path / run_dir).mkdir()
+            code, out = run("gen", tmp_path / run_dir, {"n": 10, "d_max": 16})
+            assert code == 0
+            sizes.append((out / "manifest.json").stat().st_size)
+            timings = json.loads((out / "manifest.json").read_text())["timings"]
+            assert set(timings) == {"load_config_s", "run_s", "total_s"}
+            seconds = {name: float(value) for name, value in timings.items()}
+            assert all(t >= 0.0 for t in seconds.values())
+            assert seconds["total_s"] >= 0.99 * (seconds["load_config_s"] + seconds["run_s"])
+        # the timings never change the manifest's size
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("config", [{"M_grid": [8, 9]}, {"M_grid": [1]}])
+    def test_ntk_compare_odd_width_exits_3(self, config, tmp_path, capsys):
+        code, out = run("ntk-compare", tmp_path, dict(TestNTKCompare.CFG, **config))
+        assert code == 3
+        assert "M_grid entries must be even" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_ntk_compare_empty_grid_exits_3(self, tmp_path, capsys):
+        code, out = run("ntk-compare", tmp_path, dict(TestNTKCompare.CFG, grid_size=0))
+        assert code == 3
+        assert "grid_size must be >= 1" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command,config,module,name,label", [
         ("sweep-heatmap", TestSweepHeatmap.CFG, estimator, "fit_gd_path",

@@ -4,15 +4,18 @@ When a design has more columns than rows and no cached covariance,
 `estimator._descend` iterates c_{t+1} = c_t - alpha (G c_t - v) on the Gram
 matrix G = Z Z^T / n and maps back with theta = Z^T c / n.  Each test runs the
 primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
-written out here, and checks the iterates and risks against it.  The last
-test checks the one-pass checkpoint evaluation against per-model `evaluate`.
+written out here, and checks the iterates and risks against it.  Each step,
+on either route, is one symmetric matrix-vector product
+(`runtime.symmetric_step`); it is checked against its np.matmul fallback.
+The last test checks the one-pass checkpoint evaluation against per-model
+`evaluate`.
 """
 import math
 
 import numpy as np
 import pytest
 
-from specrf import estimator, features, neuralop
+from specrf import estimator, features, neuralop, runtime
 
 TOL = 1e-10
 
@@ -94,15 +97,81 @@ def test_dual_path_snapshots_match_primal_oracle(name):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_cached_cov_keeps_primal_route(name):
-    """A design whose covariance is already formed descends on it instead,
-    with the oracle's arithmetic, so bit for bit."""
+def test_cached_cov_keeps_primal_route(name, monkeypatch):
+    """A design whose covariance is already formed descends on it instead: it
+    never forms the Gram matrix, and its iterates and risks are the oracle's."""
     design, V, _, _, alpha = CASES[name]()
     thetas, risks = primal_oracle(design, V, alpha, 20)
     design.cov()
+
+    def no_gram():
+        raise AssertionError("the primal route formed the Gram matrix")
+
+    monkeypatch.setattr(design, "gram", no_gram)
+    model = estimator.fit_gd(design, V, alpha, 20, track_risk=True)
+    assert rel(model.theta, thetas[-1]) < 1e-12
+    np.testing.assert_allclose(model.train_risks, risks, rtol=1e-12, atol=0.0)
+    # the np.matmul fallback does the oracle's arithmetic, so bit for bit
+    monkeypatch.setattr(runtime, "_dsymv", lambda: None)
     model = estimator.fit_gd(design, V, alpha, 20, track_risk=True)
     np.testing.assert_array_equal(model.theta, thetas[-1])
     np.testing.assert_array_equal(model.train_risks, risks)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_operators_are_exactly_symmetric(name):
+    """The GD step reads one triangle of cov() or gram(); both must be
+    symmetric to the last bit, not just to rounding."""
+    design, *_ = CASES[name]()
+    for op in (design.cov(), design.gram()):
+        assert op.flags.c_contiguous
+        np.testing.assert_array_equal(op, op.T)
+
+
+@pytest.mark.parametrize("route", ["primal", "dual"])
+@pytest.mark.parametrize("name", CASES)
+def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
+    """1024 steps of fit_gd (with risks) and fit_gd_path on the symmetric
+    kernel against the np.matmul fallback it replaces."""
+    design, V, _, _, alpha = CASES[name]()
+    if route == "primal":
+        design.cov()
+    stops = [1, 16, 256, 1024]
+
+    def fits():
+        return (estimator.fit_gd(design, V, alpha, stops[-1], track_risk=True),
+                estimator.fit_gd_path(design, V, alpha, stops))
+
+    fast, fast_path = fits()
+    monkeypatch.setattr(runtime, "_dsymv", lambda: None)
+    assert runtime.gd_kernel() == "matmul"
+    slow, slow_path = fits()
+    assert design.cov_cached == (route == "primal")
+    assert rel(fast.theta, slow.theta) < 1e-12
+    np.testing.assert_allclose(fast.train_risks, slow.train_risks, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(fast_path[-1].theta, fast.theta)
+    for step, f, s in zip(stops, fast_path, slow_path):
+        assert rel(f.theta, s.theta) < 1e-12, step
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_symmetric_step_writes_the_gradient(fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(runtime, "_dsymv", lambda: None)
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=(60, 50))
+    a = Z.T @ Z / 60
+    x, target, out = rng.normal(size=50), rng.normal(size=50), np.empty(50)
+    step = runtime.symmetric_step(a, x, target, out)
+    for _ in range(2):              # reads x as it is at each call
+        step()
+        expected = a @ x - target
+        assert rel(out, expected) < 1e-14
+        x += 1.0
+    with pytest.raises(ValueError):
+        runtime.symmetric_step(np.asfortranarray(a), x, target, out)
+    with pytest.raises(ValueError):
+        runtime.symmetric_step(a, x[:-1], target, out)
 
 
 @pytest.mark.parametrize("name", CASES)

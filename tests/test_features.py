@@ -281,3 +281,12 @@ class TestNTKMap:
             analytic = phi[:, 1 + j, :]          # (M, n_X)
             rel = np.abs(fd.T - analytic) / np.maximum(np.abs(fd.T), 1e-8)
             assert np.max(rel) < 1e-5
+
+    def test_deriv_scale_scales_only_the_derivative_block(self):
+        arch = OperatorArchitecture(tanh_act(), np.linspace(0, 1, 5), d_y=1)
+        fs = sample_features(ntk_feature_map(arch), 6, seed=3)
+        U = np.random.default_rng(5).normal(size=(4, 5, 1))
+        phi = ntk_feature_map(arch).evaluate(U, fs.samples)          # (n, M, p, n_X)
+        scaled = ntk_feature_map(arch, deriv_scale=0.3).evaluate(U, fs.samples)
+        np.testing.assert_array_equal(scaled[:, :, 0], phi[:, :, 0])
+        np.testing.assert_array_equal(scaled[:, :, 1:], 0.3 * phi[:, :, 1:])
