@@ -240,12 +240,30 @@ def validate_config(command: str, cfg: dict) -> None:
                 raise ConfigError(f"{grid_key} entries must be >= 1")
     if "repetitions" in cfg and cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
-    for name in ("n", "n_train", "n_test", "alpha", "T", "trials",
+    for name in ("n", "n_train", "n_test", "M", "T", "trials",
                  "event_n", "event_M", "event_lambda"):
         if name in cfg:
             positive(name)
+    # every GD run keeps the step inside the design's unit-norm contract
+    if "alpha" in cfg and not 0.0 < cfg["alpha"] <= 1.0:
+        raise ConfigError("alpha must be in (0, 1]")
     if "delta" in cfg and not 0.0 < cfg["delta"] < 1.0:
         raise ConfigError("delta must be in (0, 1)")
+    # synthetic-problem parameters sit under "problem" or, for gen and rates,
+    # at the top level; ntk-compare has only the noise width
+    problem, prefix = (cfg["problem"], "problem.") if "problem" in cfg else (cfg, "")
+    if "d_max" in problem:
+        if problem["d_max"] < 2:
+            raise ConfigError(f"{prefix}d_max must be >= 2")
+        if not 0.0 < problem["b"] <= 1.0:
+            raise ConfigError(f"{prefix}b must be in (0, 1]")
+        for name in ("r", "R"):
+            if problem[name] <= 0:
+                raise ConfigError(f"{prefix}{name} must be positive")
+    if problem.get("noise_half_width", 0.0) < 0:
+        raise ConfigError(f"{prefix}noise_half_width must be nonnegative")
+    if command == "rates" and 2.0 * cfg["r"] + cfg["b"] <= 1.0:
+        raise ConfigError(f"rates needs 2r + b > 1, got {2.0 * cfg['r'] + cfg['b']}")
     if command == "verify":
         unknown = [e for e in cfg["events"] if e not in conclab.ALL_EVENTS]
         if unknown:
@@ -275,13 +293,21 @@ def _build_problem(pcfg: dict, seed: int):
     return problem, noise
 
 
-def _pmap(fn, items, jobs: int):
+def _pmap(fn, items, jobs: int, size=None):
     """[fn(item) for item in items], on `jobs` worker processes with one BLAS
-    thread each; the results keep the order of `items`."""
+    thread each; the results keep the order of `items`.  With `size`, the
+    pool starts the items in decreasing size(item), so the largest does not
+    start last and set the tail."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    order = list(range(len(items)))
+    if size is not None:
+        order.sort(key=lambda i: -size(items[i]))
+    results = [None] * len(items)
     with ProcessPoolExecutor(max_workers=jobs, initializer=runtime.pin_blas_threads) as pool:
-        return list(pool.map(fn, items))
+        for i, result in zip(order, pool.map(fn, [items[i] for i in order])):
+            results[i] = result
+    return results
 
 
 def _run_cell(fn, args: dict, label: str):
@@ -526,7 +552,7 @@ def cmd_rates(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
                           "schedule": sched.to_dict(),
                           "cell_seed": int(cell_seeds[k].generate_state(1)[0])})
             k += 1
-    rows = _pmap(_rates_cell, cells, jobs)
+    rows = _pmap(_rates_cell, cells, jobs, size=lambda cell: cell["n"])
 
     per_n = []
     for n in n_grid:

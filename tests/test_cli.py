@@ -22,6 +22,18 @@ def run(command, tmp_path, config=None, seed=3, extra_args=()):
     return code, out
 
 
+def assert_jobs_do_not_change_the_bytes(command, config, names, tmp_path):
+    """The CSVs `names` of a `--jobs 1` run equal those of a `--jobs 2` run."""
+    _, out1 = run(command, tmp_path, config)
+    out2 = tmp_path / "pool"
+    assert cli.main([command, "--out", str(out2), "--seed", "3", "--jobs", "2",
+                     "--config", json.dumps(config)]) == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    manifest = json.loads((out2 / "manifest.json").read_text())
+    assert manifest["environment"]["jobs"] == 2
+
+
 TINY_PROBLEM = {"r": 0.5, "b": 1.0, "d_max": 32, "R": 1.0, "noise_half_width": 0.3}
 
 
@@ -92,6 +104,10 @@ class TestSweepHeatmap:
         svg = (out / "heatmap.svg").read_text()
         assert svg.startswith("<svg") and "rect" in svg
 
+    def test_jobs_do_not_change_the_bytes(self, tmp_path):
+        assert_jobs_do_not_change_the_bytes("sweep-heatmap", self.CFG, ["heatmap.csv"],
+                                            tmp_path)
+
 
 class TestRates:
     def test_small_run_emits_slope(self, tmp_path):
@@ -113,6 +129,17 @@ class TestRates:
         header, body = dataio.load_results(out / "rates.csv")
         flags = body[:, header.index("meets_n0")]
         assert flags[0] == 0.0 and flags[1] == 1.0
+
+    def test_pool_returns_results_in_item_order(self):
+        # started largest first: 3, -2, -1, 1
+        assert cli._pmap(abs, [-1, 3, -2, 1], 2, size=abs) == [1, 3, 2, 1]
+
+    def test_jobs_do_not_change_the_bytes(self, tmp_path):
+        # the pool starts the largest n first; rows still aggregate in cell order
+        cfg = {"n_grid": [100, 200, 400], "repetitions": 2, "d_max": 32,
+               "n_test": 100}
+        assert_jobs_do_not_change_the_bytes("rates", cfg, ["rates.csv", "summary.csv"],
+                                            tmp_path)
 
 
 class TestVerify:
@@ -179,14 +206,9 @@ class TestNTKCompare:
         assert np.all(body[:, header.index("median_discrepancy")] <= 1e-10)
 
     def test_jobs_do_not_change_the_bytes(self, tmp_path):
-        _, out1 = run("ntk-compare", tmp_path, self.CFG)
-        out2 = tmp_path / "pool"
-        assert cli.main(["ntk-compare", "--out", str(out2), "--seed", "3", "--jobs", "2",
-                         "--config", json.dumps(self.CFG)]) == 0
-        for name in ("ntk_compare.csv", "ntk_compare_detail.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-        manifest = json.loads((out2 / "manifest.json").read_text())
-        assert manifest["environment"]["jobs"] == 2
+        assert_jobs_do_not_change_the_bytes(
+            "ntk-compare", self.CFG, ["ntk_compare.csv", "ntk_compare_detail.csv"],
+            tmp_path)
 
 
 class TestCLIContract:
@@ -281,6 +303,29 @@ class TestCLIContract:
         code, _ = run(command, tmp_path, config)
         assert code == 2
         assert f"error: {label} failed: overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("sweep-heatmap", {"problem": {"d_max": 1}}, "problem.d_max must be >= 2"),
+        ("verify", {"problem": {"d_max": 1}}, "problem.d_max must be >= 2"),
+        ("gen", {"d_max": 1}, "d_max must be >= 2"),
+        ("fit", {"problem": {"b": 1.5}}, "problem.b must be in (0, 1]"),
+        ("rates", {"b": 0.0}, "b must be in (0, 1]"),
+        ("fit", {"problem": {"r": 0.0}}, "problem.r must be positive"),
+        ("rates", {"r": 0.2, "b": 0.5}, "rates needs 2r + b > 1"),
+        ("gen", {"noise_half_width": -0.5}, "noise_half_width must be nonnegative"),
+        ("verify", {"problem": {"noise_half_width": -0.5}},
+         "problem.noise_half_width must be nonnegative"),
+        ("ntk-compare", {"noise_half_width": -0.5}, "noise_half_width must be nonnegative"),
+        ("fit", {"M": 0}, "M must be positive"),
+        ("sweep-heatmap", {"alpha": 1.5}, "alpha must be in (0, 1]"),
+        ("fit", {"alpha": 0.0}, "alpha must be in (0, 1]"),
+    ])
+    def test_bad_problem_parameter_exits_3(self, command, config, message, tmp_path,
+                                           capsys):
+        code, out = run(command, tmp_path, config)
+        assert code == 3
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_invalid_grid_exits_3(self, tmp_path):
         code, _ = run("rates", tmp_path, {"n_grid": []})

@@ -82,6 +82,78 @@ class TestProblemConstruction:
         assert doc["d_max"] == 16 and doc["seed"] == 5
 
 
+BLOCK = synthetic._COS_BLOCK
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def kernel_inputs(n, seed=0):
+    """n uniform inputs, the first just below 1 and the second at 0."""
+    U = np.random.default_rng(seed).uniform(size=n)
+    U[0] = np.nextafter(1.0, 0.0)
+    if n > 1:
+        U[1] = 0.0
+    return U
+
+
+def kernel_table(U, K):
+    """cos(pi k u) for k = 1..K, shape (K, n), assembled from the kernel's blocks."""
+    table = np.empty((K, U.size))
+    for rows, block in synthetic._cos_blocks(U, K):
+        table[:, rows] = block
+    return table
+
+
+def direct_table(U, K):
+    return np.cos(np.pi * np.outer(np.arange(1, K + 1), U))
+
+
+class TestCosineKernel:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("K", [1, 2, 100, 512])
+    def test_table_matches_direct_cosines(self, n, K):
+        U = kernel_inputs(n)
+        np.testing.assert_allclose(kernel_table(U, K), direct_table(U, K), rtol=0, atol=1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="long double is double here: no more precise reference")
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("K", [1, 2, 100, 512])
+    def test_table_error_at_most_the_direct_routes(self, n, K):
+        U = kernel_inputs(n)
+        ref = np.cos(LONG_PI * np.outer(np.arange(1, K + 1, dtype=np.longdouble),
+                                        U.astype(np.longdouble)))
+        kernel_err = float(np.max(np.abs(kernel_table(U, K) - ref)))
+        direct_err = float(np.max(np.abs(direct_table(U, K) - ref)))
+        # at K = 2 the direct argument pi*(2u) is fl(pi*u) doubled exactly, a
+        # single rounding, while cos^2 - sin^2 adds two roundings of products
+        # of size <= 1; from K = 3 on the direct route's error is the larger
+        assert kernel_err <= direct_err + 2 * np.finfo(float).eps
+
+    def test_feature_map_on_unsorted_distinct_indices(self):
+        spec = spectrum_spec(b=1.0, d_max=512)
+        fmap = make_problem(spec, r=0.5, R=1.0, seed=0).feature_map
+        draws = np.array([37, 5, 5, 200, 0, 511, 37, 63, 5])
+        omegas, _ = features.feature_set_from_samples(fmap, draws, draws.size).distinct
+        assert list(omegas) == [37, 5, 200, 0, 511, 63]
+        U = kernel_inputs(BLOCK + 1)
+        for subset in (omegas, omegas[[3, 1]]):    # the second needs K = 6 only
+            got = fmap.evaluate(U, subset)
+            assert got.shape == (U.size, subset.size, 1, 1)
+            weights = math.sqrt(2.0) * np.sqrt(512 * spec.eigenvalues[subset])
+            np.testing.assert_allclose(got[:, :, 0, 0] / weights,
+                                       np.cos(np.pi * np.outer(U, subset + 1)),
+                                       rtol=0, atol=1e-12)
+
+    def test_basis_and_target_agree(self):
+        problem = make_problem(spectrum_spec(b=1.0, d_max=512), r=0.5, R=1.2, seed=0)
+        U = kernel_inputs(2 * BLOCK + 3)
+        basis = problem.basis(U)
+        np.testing.assert_allclose(basis, math.sqrt(2.0) * direct_table(U, 512).T,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(problem.target(U), basis @ problem.source.coefficients,
+                                   rtol=0, atol=1e-13)
+
+
 class TestSampling:
     def setup_method(self):
         self.spec = spectrum_spec(b=1.0, d_max=16)
