@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -41,6 +42,18 @@ EXIT_IO = 4
 
 class ConfigError(ValueError):
     pass
+
+
+class CellError(RuntimeError):
+    """A unit of work (a cell or an event) failed one of the program's checks."""
+
+
+# The program's own checks: an exception of these types flags a violated
+# invariant (exit 2, `error: ...`).  Any other exception is an internal error
+# (also exit 2, `internal error: ...` and its traceback).
+CHECK_ERRORS = (CellError, conclab.ConcentrationConfigError, dataio.DataError,
+                estimator.EstimatorError, features.FeatureError, neuralop.NeuralOpError,
+                spectral.FilterDomainError, spectral.ScheduleError)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +254,8 @@ def validate_config(command: str, cfg: dict) -> None:
     if "repetitions" in cfg and cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
     for name in ("n", "n_train", "n_test", "M", "T", "trials",
-                 "event_n", "event_M", "event_lambda"):
+                 "event_n", "event_M", "event_lambda", "grid_points",
+                 "max_landweber_steps"):
         if name in cfg:
             positive(name)
     # every GD run keeps the step inside the design's unit-norm contract
@@ -268,6 +282,13 @@ def validate_config(command: str, cfg: dict) -> None:
         unknown = [e for e in cfg["events"] if e not in conclab.ALL_EVENTS]
         if unknown:
             raise ConfigError(f"unknown events: {unknown}")
+        if not 0.0 < cfg["landweber_alpha"] <= 1.0:
+            raise ConfigError("landweber_alpha must be in (0, 1]")
+        if any(q < 0 for q in cfg["q_grid"]):
+            raise ConfigError("q_grid entries must be nonnegative")
+    # the filters are defined for lambda in (0, 1], the design's spectral range
+    if command == "fit" and cfg["lambda"] is not None and not 0.0 < cfg["lambda"] <= 1.0:
+        raise ConfigError("lambda must be in (0, 1]")
     if command == "ntk-compare":
         if cfg["activation"] not in ("tanh", "identity"):
             raise ConfigError("activation must be 'tanh' or 'identity'")
@@ -310,12 +331,19 @@ def _pmap(fn, items, jobs: int, size=None):
     return results
 
 
+def _failure(label: str, exc: Exception) -> Exception:
+    """`exc`, raised inside the unit of work `label`, renamed after the unit:
+    a CellError where `exc` is one of the program's checks."""
+    kind = CellError if isinstance(exc, CHECK_ERRORS) else RuntimeError
+    return kind(f"{label} failed: {exc}")
+
+
 def _run_cell(fn, args: dict, label: str):
     """fn(args), naming the cell `label` in the error if it fails."""
     try:
         return fn(args)
     except Exception as exc:
-        raise RuntimeError(f"{label} failed: {exc}") from exc
+        raise _failure(label, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +657,7 @@ def cmd_verify(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
         except conclab.ConcentrationConfigError as exc:
             raise ConfigError(f"event {eid} failed: {exc}") from exc
         except Exception as exc:
-            raise RuntimeError(f"event {eid} failed: {exc}") from exc
+            raise _failure(f"event {eid}", exc) from exc
         any_flag = any_flag or report.violation_rate > cfg["delta"]
         event_rows.append(report.to_row())
     events_path = out / "verify_events.csv"
@@ -751,8 +779,13 @@ def main(argv=None) -> int:
     except (IOError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # invariant violations and cell failures
+    except CHECK_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except Exception as exc:
+        # the chain holds the failing cell's own traceback, also from a worker
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
         return EXIT_VIOLATION
 
 

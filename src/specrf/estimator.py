@@ -22,6 +22,13 @@ Either operator is exactly symmetric, so each step reads one triangle of it:
 one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
 where that symbol is missing), writing into work arrays reused for the whole
 descent; only the iterates at the stopping times are copied out.
+
+A trajectory at least as long as the operator is wide (and the operator at
+least REDUCTION_MIN_WIDTH wide) instead reduces it once to Q T Q^T, T
+tridiagonal (LAPACK dsytrd, `runtime.tridiagonalize`), and runs the same
+recursion on T in the rotated coordinates Q^T theta at O(d) per step, rotating
+the stopping-time iterates back by Q (LAPACK dormtr).  That costs one O(d^3)
+reduction in place of T O(d^2) steps and no second operator-sized array.
 """
 from __future__ import annotations
 
@@ -126,6 +133,52 @@ def fit_closed(
     return _model(design, theta, filt.kind, lam)
 
 
+#: The narrowest operator a descent runs on in tridiagonal form (see
+#: `tridiagonal_route`).
+REDUCTION_MIN_WIDTH = 384
+
+
+def tridiagonal_route(width: int, steps: int) -> bool:
+    """Whether `steps` descent steps on a (width, width) operator run on its
+    tridiagonal form.  The O(width^3) reduction pays for itself once it
+    replaces enough O(width^2) steps; each reduced step is a few vector
+    operations, whose fixed cost is about that of a dense step below
+    REDUCTION_MIN_WIDTH.  Measured on one BLAS thread, the two routes tie at
+    about width steps at width 384 and at about width/2 steps at widths 768
+    and 1000, so the rule is conservative for wide operators."""
+    return steps >= width >= REDUCTION_MIN_WIDTH
+
+
+def _tridiagonal_descent(op: np.ndarray, target: np.ndarray, alpha: float,
+                         stops: list[int]) -> list[np.ndarray]:
+    """The iterates of x <- x - alpha (op x - target) from x = 0 at `stops`.
+    op = Q T Q^T is reduced in place (`runtime.tridiagonalize`), so op is
+    overwritten.  y = Q^T x follows the same recursion on T and
+    c = Q^T target, y <- y - alpha (T y - c), at O(d) per step; y is rotated
+    back by Q at each stop."""
+    diag, off, rotate = runtime.tridiagonalize(op)
+    c = target.copy()
+    rotate(c, True)
+    y = np.zeros_like(c)
+    grad = np.empty_like(c)
+    work = np.empty_like(off)
+    snapshots = []
+    for step in range(1, stops[-1] + 1):
+        np.multiply(diag, y, out=grad)        # grad = T y - c
+        np.multiply(off, y[1:], out=work)
+        grad[:-1] += work
+        np.multiply(off, y[:-1], out=work)
+        grad[1:] += work
+        grad -= c
+        grad *= alpha
+        y -= grad
+        while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
+            snapshots.append(y.copy())
+    for x in snapshots:
+        rotate(x, False)
+    return snapshots
+
+
 def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: list[int],
              track_risk: bool = False) -> tuple[list[np.ndarray], list[float]]:
     """Gradient descent from theta = 0 up to the last of the ascending
@@ -135,39 +188,49 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     Iterates on cov() when it is cached or dim <= rows, else on gram() in the
     dual coordinates c (theta = Z^T c / n), where the gradient G c - v is
     itself the residual Z theta - v.  Both operators are formed by a
-    symmetric rank-k update, so they are exactly symmetric: each step is one
-    symmetric matrix-vector product reading one triangle
-    (`runtime.symmetric_step`), into an iterate and a gradient allocated once
-    per fit and updated in place.  The iterate is copied at each stop."""
+    symmetric rank-k update, so they are exactly symmetric.
+
+    A trajectory at least as long as the operator is wide
+    (`tridiagonal_route`), without `track_risk` and where LAPACK is found
+    (`runtime.gd_reduction`), runs on the operator's tridiagonal form
+    (`_tridiagonal_descent`).  The operator is then an array the fit owns: a
+    copy where the design caches it, else formed without caching it, since
+    the reduction overwrites it.  Otherwise each step is one symmetric
+    matrix-vector product reading one triangle (`runtime.symmetric_step`),
+    into an iterate and a gradient allocated once per fit and updated in
+    place, and the iterate is copied at each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     _reject_degenerate(design)
     v = _stacked_outputs(design, outputs)
     rows, dim = design.Z.shape
     dual = not (design.cov_cached or dim <= rows)
-    if dual:
-        op, target = design.gram(), v
-    else:
-        op, target = design.cov(), design.embed_adjoint(v)
-
-    def risk(resid: np.ndarray) -> float:
-        return 0.5 * float(resid @ resid) / design.n
-
-    x = np.zeros_like(target)
-    grad = np.empty_like(target)
-    gradient = runtime.symmetric_step(op, x, target, grad)   # grad = op @ x - target
+    target = v if dual else design.embed_adjoint(v)
+    operator = design.gram if dual else design.cov
     risks = []
-    snapshots = []
-    for step in range(1, stops[-1] + 1):
-        gradient()
+    if (not track_risk and runtime.gd_reduction() is not None
+            and tridiagonal_route(len(target), stops[-1])):
+        snapshots = _tridiagonal_descent(operator(fresh=True), target, alpha, stops)
+    else:
+        op = operator()
+
+        def risk(resid: np.ndarray) -> float:
+            return 0.5 * float(resid @ resid) / design.n
+
+        x = np.zeros_like(target)
+        grad = np.empty_like(target)
+        gradient = runtime.symmetric_step(op, x, target, grad)   # grad = op @ x - target
+        snapshots = []
+        for step in range(1, stops[-1] + 1):
+            gradient()
+            if track_risk:
+                risks.append(risk(grad if dual else design.Z @ x - v))
+            grad *= alpha
+            x -= grad
+            while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
+                snapshots.append(x.copy())
         if track_risk:
-            risks.append(risk(grad if dual else design.Z @ x - v))
-        grad *= alpha
-        x -= grad
-        while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
-            snapshots.append(x.copy())
-    if track_risk:
-        risks.append(risk(op @ x - v if dual else design.Z @ x - v))
+            risks.append(risk(op @ x - v if dual else design.Z @ x - v))
     if dual:
         snapshots = [design.embed_adjoint(c) for c in snapshots]
     return snapshots, risks

@@ -305,19 +305,27 @@ class DesignMatrix:
         """Whether cov() has already been formed, so reusing it costs nothing."""
         return self._cov is not None
 
-    def cov(self) -> np.ndarray:
-        """Sigma_hat = (1/n) Z^T Z, cached."""
-        if self._cov is None:
-            self._cov = self.Z.T @ self.Z / self.n
-        return self._cov
+    def cov(self, fresh: bool = False) -> np.ndarray:
+        """Sigma_hat = (1/n) Z^T Z, cached.  With `fresh`, an array the caller
+        owns and may overwrite: the cached one copied, else formed uncached."""
+        return self._operator("_cov", self.Z.T, fresh)
 
-    def gram(self) -> np.ndarray:
-        """Gram matrix (1/n) Z Z^T of shape (n*d_v, n*d_v), cached."""
-        if self._gram is None:
-            gram = self.Z @ self.Z.T
-            gram /= self.n       # in place: no second (n*d_v)^2 temporary
-            self._gram = gram
-        return self._gram
+    def gram(self, fresh: bool = False) -> np.ndarray:
+        """Gram matrix (1/n) Z Z^T of shape (n*d_v, n*d_v), cached; `fresh`
+        as for cov()."""
+        return self._operator("_gram", self.Z, fresh)
+
+    def _operator(self, attr: str, a: np.ndarray, fresh: bool) -> np.ndarray:
+        """(1/n) a a^T, cached in `attr`.  a @ a.T is one symmetric rank-k
+        update, so the result is exactly symmetric."""
+        op = getattr(self, attr)
+        if op is not None:
+            return op.copy() if fresh else op
+        op = a @ a.T
+        op /= self.n       # in place: no second temporary of the operator's size
+        if not fresh:
+            setattr(self, attr, op)
+        return op
 
     def eigensystem(self):
         """Cached eigendecomposition of cov(), shared across lambda sweeps."""

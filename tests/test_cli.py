@@ -246,8 +246,9 @@ class TestCLIContract:
         assert env["numpy"] == np.__version__
         assert env["jobs"] == 1 and env["nproc"] == os.cpu_count()
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
-                            "gd_kernel", "jobs", "nproc"}
+                            "gd_kernel", "gd_reduction", "jobs", "nproc"}
         assert env["gd_kernel"] == runtime.gd_kernel() in ("dsymv", "matmul")
+        assert env["gd_reduction"] == runtime.gd_reduction() in ("dsytrd", None)
         if runtime.blas_threads() is None:
             pytest.skip("no OpenBLAS thread symbol in this numpy build")
         assert env["blas_threads"] == 1
@@ -304,6 +305,30 @@ class TestCLIContract:
         assert code == 2
         assert f"error: {label} failed: overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("exc,internal", [(ZeroDivisionError("boom"), True),
+                                              (estimator.EstimatorError("boom"), False)])
+    def test_unexpected_exception_is_an_internal_error(self, exc, internal, jobs, tmp_path,
+                                                        monkeypatch, capsys):
+        """A failed check of the program is an invariant violation; any other
+        exception is an internal error, printed with the cell and a traceback
+        (from a worker process too).  Both exit 2."""
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(estimator, "fit_gd_path", fail)
+        code = cli.main(["sweep-heatmap", "--out", str(tmp_path), "--seed", "3",
+                         "--jobs", jobs, "--config",
+                         json.dumps(dict(TestSweepHeatmap.CFG, M_grid=[8]))])
+        assert code == 2
+        err = capsys.readouterr().err
+        label = "heatmap cell M=8 rep=0 failed: boom"
+        if internal:
+            assert err.startswith(f"internal error: {label}\n")
+            assert "Traceback" in err and "ZeroDivisionError: boom" in err
+        else:
+            assert err == f"error: {label}\n"
+
     @pytest.mark.parametrize("command,config,message", [
         ("sweep-heatmap", {"problem": {"d_max": 1}}, "problem.d_max must be >= 2"),
         ("verify", {"problem": {"d_max": 1}}, "problem.d_max must be >= 2"),
@@ -319,6 +344,12 @@ class TestCLIContract:
         ("fit", {"M": 0}, "M must be positive"),
         ("sweep-heatmap", {"alpha": 1.5}, "alpha must be in (0, 1]"),
         ("fit", {"alpha": 0.0}, "alpha must be in (0, 1]"),
+        ("verify", {"landweber_alpha": 3.0}, "landweber_alpha must be in (0, 1]"),
+        ("verify", {"grid_points": 0}, "grid_points must be positive"),
+        ("verify", {"q_grid": [-1.0]}, "q_grid entries must be nonnegative"),
+        ("verify", {"max_landweber_steps": 0}, "max_landweber_steps must be positive"),
+        ("fit", {"filter": "tikhonov", "lambda": -0.5}, "lambda must be in (0, 1]"),
+        ("fit", {"filter": "cutoff", "lambda": 2.0}, "lambda must be in (0, 1]"),
     ])
     def test_bad_problem_parameter_exits_3(self, command, config, message, tmp_path,
                                            capsys):

@@ -7,15 +7,17 @@ primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
 written out here, and checks the iterates and risks against it.  Each step,
 on either route, is one symmetric matrix-vector product
 (`runtime.symmetric_step`); it is checked against its np.matmul fallback.
-The last test checks the one-pass checkpoint evaluation against per-model
-`evaluate`.
+A trajectory at least as long as a wide operator instead runs on its
+tridiagonal form (`estimator.tridiagonal_route`); it is checked against the
+dense loop and the oracle on one primal and one dual design.  The last test
+checks the one-pass checkpoint evaluation against per-model `evaluate`.
 """
 import math
 
 import numpy as np
 import pytest
 
-from specrf import estimator, features, neuralop, runtime
+from specrf import estimator, features, neuralop, runtime, spectral
 
 TOL = 1e-10
 
@@ -40,15 +42,15 @@ def rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def ntk_case():
-    """Normalized NTK design as in sweep-heatmap: 64 draws x 3 summands on 40 rows."""
+def ntk_case(M=64, n=40):
+    """Normalized NTK design as in sweep-heatmap: M draws x 3 summands on n rows."""
     arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
                                          use_lift=False)
     fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(3.0))
-    fs = features.sample_features(fmap, 64, seed=1)
+    fs = features.sample_features(fmap, M, seed=1)
     rng = np.random.default_rng(2)
-    U = rng.uniform(0.0, 1.0, (40, 1))
-    V = np.sin(3.0 * U[:, 0]) + 0.1 * rng.normal(size=40)
+    U = rng.uniform(0.0, 1.0, (n, 1))
+    V = np.sin(3.0 * U[:, 0]) + 0.1 * rng.normal(size=n)
     U_te = rng.uniform(0.0, 1.0, (600, 1))          # more than one 512-row chunk
     V_te = np.sin(3.0 * U_te[:, 0])
     return features.build_design(fs, U), V, U_te, V_te, 0.5
@@ -71,6 +73,13 @@ def tangent_case():
 
 
 CASES = {"ntk-normalized": ntk_case, "tangent-unnormalized": tangent_case}
+
+
+def operator_width(design):
+    """The width of the operator `_descend` iterates on: cov() when it is
+    cached or no wider than the rows, else gram()."""
+    rows, dim = design.Z.shape
+    return dim if design.cov_cached or dim <= rows else rows
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -137,6 +146,8 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
     if route == "primal":
         design.cov()
     stops = [1, 16, 256, 1024]
+    # narrow enough that these 1024 steps stay on the dense loop
+    assert not estimator.tridiagonal_route(operator_width(design), stops[-1])
 
     def fits():
         return (estimator.fit_gd(design, V, alpha, stops[-1], track_risk=True),
@@ -152,6 +163,73 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
     np.testing.assert_array_equal(fast_path[-1].theta, fast.theta)
     for step, f, s in zip(stops, fast_path, slow_path):
         assert rel(f.theta, s.theta) < 1e-12, step
+
+
+# wide enough for the tridiagonal route: 136 draws x 3 on 450 rows descends on
+# the 408-wide cov(), 160 draws x 3 on 400 rows on the 400-wide gram()
+REDUCED_CASES = {"primal": (136, 450), "dual": (160, 400)}
+REDUCED_STOPS = [1, 4, 16, 64, 256, 1024]
+
+
+@pytest.mark.parametrize("route", REDUCED_CASES)
+def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
+    design, V, _, _, alpha = ntk_case(*REDUCED_CASES[route])
+    rows, dim = design.Z.shape
+    assert (dim > rows) == (route == "dual")
+    assert estimator.tridiagonal_route(operator_width(design), REDUCED_STOPS[-1])
+    assert runtime.gd_reduction() == "dsytrd"
+    real, calls = runtime.tridiagonalize, []
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(runtime, "tridiagonalize", counted)
+    reduced = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
+    single = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1])
+    assert calls == [operator_width(design)] * 2
+    np.testing.assert_array_equal(single.theta, reduced[-1].theta)
+    assert not design.cov_cached   # the reduction never caches the operator it overwrites
+    thetas, risks = primal_oracle(design, V, alpha, REDUCED_STOPS[-1])
+    # the risks are taken along the dense loop
+    tracked = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1], track_risk=True)
+    assert len(calls) == 2
+    np.testing.assert_allclose(tracked.train_risks, risks, rtol=TOL, atol=0.0)
+    closed = estimator.fit_closed(design, V, spectral.landweber(alpha),
+                                  1.0 / (alpha * REDUCED_STOPS[-1]))
+    assert rel(reduced[-1].theta, closed.theta) < 1e-9
+    design = ntk_case(*REDUCED_CASES[route])[0]   # without the cov() fit_closed cached
+
+    def no_reduction(a):
+        raise AssertionError("the fit reduced the operator without LAPACK")
+
+    monkeypatch.setattr(runtime, "_lapack", lambda: None)
+    monkeypatch.setattr(runtime, "tridiagonalize", no_reduction)
+    assert runtime.gd_reduction() is None
+    dense = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
+    for step, r, d in zip(REDUCED_STOPS, reduced, dense):
+        assert rel(r.theta, thetas[step - 1]) < TOL, step
+        assert rel(r.theta, d.theta) < 1e-12, step
+
+
+@pytest.mark.parametrize("route", REDUCED_CASES)
+def test_reduced_route_leaves_cached_operators_intact(route):
+    """The reduction overwrites the operator it runs on, so it reduces a copy
+    of a cached one; the cache and the iterates are unchanged."""
+    design, V, _, _, alpha = ntk_case(*REDUCED_CASES[route])
+    expected = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
+    # a cached cov() would move the dual design to the primal route
+    cached = [design.gram()] + ([design.cov()] if route == "primal" else [])
+    before = [op.copy() for op in cached]
+    models = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
+    assert design.gram() is cached[0]
+    assert design.cov_cached == (route == "primal")
+    if route == "primal":
+        assert design.cov() is cached[1]
+    for op, copy in zip(cached, before):
+        np.testing.assert_array_equal(op, copy)
+    for model, e in zip(models, expected):
+        np.testing.assert_array_equal(model.theta, e.theta)
 
 
 @pytest.mark.parametrize("fallback", [False, True])
@@ -172,6 +250,31 @@ def test_symmetric_step_writes_the_gradient(fallback, monkeypatch):
         runtime.symmetric_step(np.asfortranarray(a), x, target, out)
     with pytest.raises(ValueError):
         runtime.symmetric_step(a, x[:-1], target, out)
+
+
+def test_tridiagonalize_factors_the_operator():
+    """a = Q T Q^T with Q orthogonal, Q built column by column with rotate."""
+    if runtime.gd_reduction() is None:
+        pytest.skip("no LAPACK dsytrd/dormtr in this numpy build")
+    rng = np.random.default_rng(6)
+    Z = rng.normal(size=(70, 50))
+    a = Z.T @ Z / 70
+    work = a.copy()
+    diag, off, rotate = runtime.tridiagonalize(work)
+    q = np.eye(50)
+    for col in q:               # row k of q becomes Q e_k, so q holds Q^T
+        rotate(col, False)
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    np.testing.assert_allclose(q.T @ t @ q, a, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(q @ q.T, np.eye(50), rtol=0.0, atol=1e-13)
+    x = rng.normal(size=50)
+    y = x.copy()
+    rotate(y, True)
+    np.testing.assert_allclose(y, q @ x, rtol=0.0, atol=1e-13)
+    with pytest.raises(ValueError):
+        rotate(np.ones(49), True)
+    with pytest.raises(ValueError):
+        runtime.tridiagonalize(np.asfortranarray(a))
 
 
 @pytest.mark.parametrize("name", CASES)
