@@ -315,17 +315,17 @@ def _build_problem(pcfg: dict, seed: int):
 
 
 def _pmap(fn, items, jobs: int, size=None):
-    """[fn(item) for item in items], on `jobs` worker processes with one BLAS
-    thread each; the results keep the order of `items`.  With `size`, the
-    pool starts the items in decreasing size(item), so the largest does not
-    start last and set the tail."""
+    """[fn(item) for item in items], on `jobs` worker processes set up as the
+    serial one is (`runtime.init_process`); the results keep the order of
+    `items`.  With `size`, the pool starts the items in decreasing
+    size(item), so the largest does not start last and set the tail."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     order = list(range(len(items)))
     if size is not None:
         order.sort(key=lambda i: -size(items[i]))
     results = [None] * len(items)
-    with ProcessPoolExecutor(max_workers=jobs, initializer=runtime.pin_blas_threads) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=runtime.init_process) as pool:
         for i, result in zip(order, pool.map(fn, [items[i] for i in order])):
             results[i] = result
     return results
@@ -484,7 +484,7 @@ def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]
             cells.append({"cfg": cfg, "M": m, "rep": rep,
                           "cell_seed": int(cell_seeds[k].generate_state(1)[0])})
             k += 1
-    nested = _pmap(_heatmap_cell, cells, jobs)
+    nested = _pmap(_heatmap_cell, cells, jobs, size=lambda cell: cell["M"])
     flat = [row for rows in nested for row in rows]
     summary = []
     for m in m_grid:
@@ -558,7 +558,10 @@ def _rates_cell_inner(args: dict) -> dict:
     if cfg["filter"] == "tikhonov":
         model = estimator.fit_closed(design, V_tr, spectral.tikhonov(), lam)
     else:
-        model = estimator.fit_gd(design, V_tr, 1.0, max(1, round(1.0 / lam)))
+        # T unit GD steps are the Landweber filter at lambda = 1/T (acceptance
+        # 2's identity): one eigh instead of tens of thousands of steps
+        steps = max(1, round(1.0 / lam))
+        model = estimator.fit_closed(design, V_tr, spectral.landweber(1.0), 1.0 / steps)
     report = estimator.evaluate(model, U_te, np.zeros_like(U_te), oracle=problem.target)
     return {"n": args["n"], "rep": args["rep"], "excess_l2": report.excess_l2,
             "lambda_n": sched["lambda_n"], "T_n": sched["T_n"], "M_n": sched["M_n"],
@@ -709,7 +712,7 @@ def cmd_ntk_compare(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
              for s in np.random.SeedSequence(cfg["seed"]).spawn(int(cfg["repetitions"]))]
     cells = [{"cfg": cfg, "M": m, "seed": seed}
              for m in sorted(int(m) for m in cfg["M_grid"]) for seed in seeds]
-    rows = _pmap(_ntk_cell, cells, jobs)
+    rows = _pmap(_ntk_cell, cells, jobs, size=lambda cell: cell["M"])
     medians = neuralop.median_discrepancies(rows)
     summary = [{"M": m, "median_discrepancy": med, "seeds": len(seeds)}
                for m, med in medians.items()]
@@ -756,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     start = time.perf_counter()
     args = build_parser().parse_args(argv)
-    runtime.pin_blas_threads()
+    runtime.init_process()
     try:
         cfg = load_config(args.command, args.config, args.seed, args.paper_scale)
         loaded = time.perf_counter()

@@ -124,15 +124,21 @@ class FeatureMap:
     """p feature functions into R^{d_v} plus a sampler for omega.
 
     draw(rng, M) returns M omega samples with a leading axis (or any sequence
-    the evaluator understands).  evaluate(U, omegas) is batched: U has leading
-    axis n and the result has shape (n, M, p, d_v).
+    the evaluator understands).  evaluate(U, omegas, out=None) is batched: U
+    has leading axis n.  It writes component k of phi_i(u_j, omega_m) into
+    out[j, k, m, i] of a C-contiguous (n, d_v, M, p) array, allocating `out`
+    when it is None, and returns the (n, M, p, d_v) view
+    out.transpose(0, 2, 3, 1).  `out` is laid out as feature rows are (see
+    `feature_rows`): reshaped to (n*d_v, M*p), row j*d_v + k holds component
+    k at input u_j, so designs have their maps write each entry once, in
+    place.
     """
 
     p: int
     d_v: int
     kappa: float
     draw: Callable[[np.random.Generator, int], Any]
-    evaluate: Callable[[Any, Any], np.ndarray]
+    evaluate: Callable[..., np.ndarray]
     support: tuple[Any, np.ndarray] | None = None  # (omegas, probabilities)
     v_weight: float = 1.0
     meta: dict = field(default_factory=dict)
@@ -209,8 +215,9 @@ def kernel_exact(fmap: FeatureMap, u: Any, u2: Any) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # design matrices
 
-def feature_rows(fs: FeatureSet, U: np.ndarray, kappa_scale: float, v_weight: float = 1.0,
-                 summands: np.ndarray | None = None) -> np.ndarray:
+def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1.0,
+                 summands: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Feature rows for a batch of inputs, shape (len(U)*d_v, M_distinct*p).
 
     Row j*d_v + k holds component k of phi_i(u_j, omega) for each distinct
@@ -219,15 +226,29 @@ def feature_rows(fs: FeatureSet, U: np.ndarray, kappa_scale: float, v_weight: fl
     contribute exactly what c unit-weight columns would to Z Z^T.  `summands`
     (boolean, length p) zeroes the feature functions it leaves out.  Designs
     and predictions both build their rows here, so coefficients fitted on a
-    design always meet rows in the same coordinates.
+    design always meet rows in the same coordinates.  The map writes the
+    values straight into `out` (a C-contiguous array of that shape, allocated
+    when None) and the weights are applied there in place.
     """
     omegas, counts = fs.distinct
-    phi = fs.map.evaluate(U, omegas)                  # (n, M_distinct, p, d_v)
-    n, m, p, d_v = phi.shape
+    fmap = fs.map
+    n, m, p, d_v = len(U), len(counts), fmap.p, fmap.d_v
+    if out is None:
+        out = np.empty((n * d_v, m * p))
+    elif out.shape != (n * d_v, m * p) or not out.flags.c_contiguous:
+        raise FeatureError(f"row buffer must be C-contiguous of shape {(n * d_v, m * p)}, "
+                           f"got {out.shape}")
+    block = out.reshape(n, d_v, m, p)
+    phi = fmap.evaluate(U, omegas, out=block)
+    view = block.transpose(0, 2, 3, 1)
+    if (phi.shape != view.shape or phi.strides != view.strides
+            or phi.ctypes.data != view.ctypes.data):
+        raise FeatureError("evaluate(U, omegas, out) must write into `out` and return "
+                           "out.transpose(0, 2, 3, 1)")
     weights = math.sqrt(v_weight) / (kappa_scale * math.sqrt(fs.M)) * np.sqrt(counts)
     keep = np.ones(p) if summands is None else np.asarray(summands, dtype=float)
-    block = np.transpose(phi, (0, 3, 1, 2)).reshape(n * d_v, m * p)
-    return block * np.outer(weights, keep).reshape(-1)
+    out *= np.outer(weights, keep).reshape(-1)
+    return out
 
 
 def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float,
@@ -237,14 +258,17 @@ def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float
 
     A (dim, k) theta holds k coefficient vectors side by side; each chunk's
     rows are then built once for all of them and the result has shape
-    (len(U), d_v, k)."""
+    (len(U), d_v, k).  Every chunk's rows are written into one buffer."""
     U = np.asarray(U, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    tail = (fs.map.d_v,) + theta.shape[1:]
+    d_v = fs.map.d_v
+    tail = (d_v,) + theta.shape[1:]
     out = np.empty((U.shape[0],) + tail)
+    buffer = np.empty((min(chunk, U.shape[0]) * d_v, len(fs.distinct[1]) * fs.map.p))
     for start in range(0, U.shape[0], chunk):
         stop = min(start + chunk, U.shape[0])
-        rows = feature_rows(fs, U[start:stop], kappa_scale, summands=summands)
+        rows = feature_rows(fs, U[start:stop], kappa_scale, summands=summands,
+                            out=buffer[:(stop - start) * d_v])
         out[start:stop] = (rows @ theta).reshape((stop - start,) + tail)
     return out
 
@@ -288,16 +312,17 @@ class DesignMatrix:
         self._gram: np.ndarray | None = None
         self._eig = None
 
-    def _feature_rows(self, U: np.ndarray) -> np.ndarray:
-        """Rows of Z for a batch of inputs, shape (len(U)*d_v, M_distinct*p)."""
+    def _feature_rows(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows of Z for a batch of inputs, shape (len(U)*d_v, M_distinct*p),
+        written into `out` when given."""
         return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight,
-                            self.summands)
+                            self.summands, out)
 
     def _assemble(self, inputs: np.ndarray, chunk: int) -> np.ndarray:
         z = np.empty((self.n * self.d_v, self.M_distinct * self.p))
         for start in range(0, self.n, chunk):
             stop = min(start + chunk, self.n)
-            z[start * self.d_v:stop * self.d_v] = self._feature_rows(inputs[start:stop])
+            self._feature_rows(inputs[start:stop], out=z[start * self.d_v:stop * self.d_v])
         return z
 
     @property
@@ -378,7 +403,10 @@ def discrete_map(
     v_weight: float = 1.0,
     meta: dict | None = None,
 ) -> FeatureMap:
-    """Finite-support feature map; `evaluate(U, omegas)` must be batched."""
+    """Finite-support feature map.  `evaluate(U, omegas, out=None)` follows
+    the `FeatureMap` contract: batched over the leading axis of U, it writes
+    the values into the (n, d_v, M, p) row layout `out` (allocated when None)
+    and returns out.transpose(0, 2, 3, 1), of shape (n, M, p, d_v)."""
     omegas = np.asarray(omegas)
     probs = np.asarray(probs, dtype=float)
     if omegas.shape[0] != probs.shape[0]:
@@ -410,10 +438,13 @@ def rff_map(dim: int, lengthscale: float = 1.0) -> FeatureMap:
         b = rng.uniform(0.0, 2.0 * np.pi, size=M)
         return {"w": w, "b": b}
 
-    def evaluate(U: np.ndarray, omegas) -> np.ndarray:
+    def evaluate(U: np.ndarray, omegas, out=None) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        vals = np.sqrt(2.0) * np.cos(U @ omegas["w"].T + omegas["b"])  # (n, M)
-        return vals[:, :, None, None]
+        if out is None:
+            out = np.empty((U.shape[0], 1, len(omegas["b"]), 1))
+        np.multiply(np.sqrt(2.0), np.cos(U @ omegas["w"].T + omegas["b"]),
+                    out=out[:, 0, :, 0])
+        return out.transpose(0, 2, 3, 1)
 
     return FeatureMap(
         p=1, d_v=1, kappa=math.sqrt(2.0), draw=draw, evaluate=evaluate,
@@ -549,17 +580,19 @@ def ntk_feature_map(
     def draw(rng: np.random.Generator, M: int):
         return rng.normal(size=(M, d_tilde))
 
-    def evaluate(U: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    def evaluate(U: np.ndarray, omegas: np.ndarray, out=None) -> np.ndarray:
         J, z = arch.preactivations(U, omegas)     # (n, n_X, d_tilde), (n, n_X, M)
-        psi, dpsi = act.f_and_df(z)
         n, n_x, M = z.shape
-        out = np.empty((n, M, 1 + d_tilde, n_x))
-        out[:, :, 0, :] = np.transpose(psi, (0, 2, 1))
-        # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j), written in place
-        deriv = out[:, :, 1:, :]
-        np.einsum("nxm,nxj->nmjx", dpsi, J, out=deriv)
-        deriv *= deriv_scale
-        return out
+        if out is None:
+            out = np.empty((n, n_x, M, 1 + d_tilde))
+        # sigma(z) straight into the psi column, sigma'(z) over z
+        _, dpsi = act.f_and_df(z, out=(out[..., 0], z))
+        # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j), one broadcast product
+        deriv = out[..., 1:]
+        np.multiply(dpsi[..., None], J[:, :, None, :], out=deriv)
+        if deriv_scale != 1.0:     # a product with 1.0 is exact: skip the pass
+            deriv *= deriv_scale
+        return out.transpose(0, 2, 3, 1)
 
     return FeatureMap(
         p=1 + d_tilde,

@@ -245,14 +245,16 @@ def _problem_feature_map(spec: SpectrumSpec) -> FeatureMap:
     mu = spec.eigenvalues
     scales = np.sqrt(d * mu)
 
-    def evaluate(U: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    def evaluate(U: np.ndarray, omegas: np.ndarray, out=None) -> np.ndarray:
         U = np.asarray(U, dtype=float).reshape(-1)
         idx = np.asarray(omegas, dtype=int)        # basis indices, 0-based
         weights = scales[idx] * math.sqrt(2.0)
-        vals = np.empty((U.size, idx.size))        # (n, M)
+        if out is None:
+            out = np.empty((U.size, 1, idx.size, 1))
+        vals = out[:, 0, :, 0]                     # (n, M)
         for rows, table in _cos_blocks(U, int(idx.max()) + 1):
             np.multiply(table[idx].T, weights, out=vals[rows])
-        return vals[:, :, None, None]
+        return out.transpose(0, 2, 3, 1)
 
     omegas = np.arange(d)
     probs = np.full(d, 1.0 / d)

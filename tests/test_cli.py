@@ -442,3 +442,34 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "verify_events.csv").exists()
         assert list(tmp.iterdir()) == []
+
+
+CHURN = """
+import resource, sys
+import numpy as np
+from specrf import runtime
+runtime.init_process()
+def churn():
+    arrays = [np.ones(12_800) for _ in range(15)]   # 1.5 MiB in 100 KiB arrays
+    del arrays
+churn()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+@pytest.mark.skipif(runtime._malloc_free() is None, reason="no C library malloc found")
+def test_init_process_keeps_the_heap_top_resident():
+    """A loop that allocates and frees 1.5 MiB of 100 KiB arrays at the top
+    of the heap faults its pages in once after `runtime.init_process`, not on
+    every pass (without it, about 5 000 minor faults over these 20 passes
+    with glibc)."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CHURN], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200

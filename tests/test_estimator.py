@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specrf import features, spectral, synthetic
+from specrf import cli, estimator, features, spectral, synthetic
 from specrf.estimator import (
     EstimatorError,
     evaluate,
@@ -21,10 +21,20 @@ def problem_design(n=40, M=16, d_max=32, seed=0, noise_width=0.3, r=0.5, b=1.0):
     return problem, features.build_design(fs, U), U, V
 
 
+def constant_evaluate(value):
+    """Evaluator of the constant feature `value` (p = d_v = 1)."""
+    def evaluate(U, om, out=None):
+        if out is None:
+            out = np.empty((len(U), 1, len(om), 1))
+        out.fill(value)
+        return out.transpose(0, 2, 3, 1)
+    return evaluate
+
+
 def constant_design(n=1):
     fmap = features.discrete_map(
         [0.0], [1.0],
-        lambda U, om: np.ones((len(U), len(om), 1, 1)),
+        constant_evaluate(1.0),
         p=1, d_v=1, kappa=1.0,
     )
     fs = features.sample_features(fmap, 1, seed=0)
@@ -57,7 +67,7 @@ class TestFitClosed:
     def test_rejects_zero_design(self):
         fmap = features.discrete_map(
             [0.0], [1.0],
-            lambda U, om: np.zeros((len(U), len(om), 1, 1)),
+            constant_evaluate(0.0),
             p=1, d_v=1, kappa=1.0,
         )
         fs = features.sample_features(fmap, 2, seed=0)
@@ -206,3 +216,30 @@ class TestFilterPathProperties:
         model = fit_closed(design, v / np.sqrt(design.v_weight), spectral.cutoff(), lam)
         resid = np.linalg.norm(design.Z @ model.theta - v) / np.linalg.norm(v)
         assert resid <= 1e-6
+
+
+def test_landweber_rates_cell_is_the_gd_closed_form(monkeypatch):
+    """`rates` with filter landweber fits its T = round(1/lambda) unit GD
+    steps as the Landweber filter at lambda = 1/T from one eigh.  On the
+    first rate case at n = 500 (over 20 000 steps) that closed form agrees
+    with fit_gd to acceptance 2's 1e-9 relative and records the same lambda."""
+    cfg = cli.load_config("rates", '{"filter": "landweber"}', None, False)
+    mult = synthetic.ScheduleMultipliers(C=cfg["C_multiplier"], M=cfg["M_multiplier"], p=1)
+    sched = synthetic.rate_schedule(500, cfg["r"], cfg["b"], cfg["delta"], mult)
+    fits = []
+
+    def recording(design, outputs, filt, lam):
+        model = fit_closed(design, outputs, filt, lam)
+        fits.append((design, outputs, filt, model))
+        return model
+
+    monkeypatch.setattr(estimator, "fit_closed", recording)
+    cli._rates_cell_inner({"cfg": cfg, "n": 500, "rep": 0,
+                           "schedule": sched.to_dict(), "cell_seed": 11})
+    (design, V, filt, closed), = fits
+    steps = round(1.0 / closed.lam)
+    assert filt.kind == "landweber" and filt.step_size == 1.0 and steps > 20_000
+    gd = fit_gd(design, V, 1.0, steps)
+    assert gd.lam == closed.lam
+    scale = max(1.0, float(np.max(np.abs(closed.theta))))
+    assert float(np.max(np.abs(gd.theta - closed.theta))) / scale < 1e-9

@@ -24,13 +24,23 @@ from specrf.features import (
 )
 
 
+def ones_evaluate(U, om, out=None):
+    """Constant feature 1 for every input and draw (p = d_v = 1)."""
+    if out is None:
+        out = np.empty((len(U), 1, len(om), 1))
+    out.fill(1.0)
+    return out.transpose(0, 2, 3, 1)
+
+
 def sign_map():
     """Scalar linear features phi(u, w) = w*u over Omega = {+1, -1}."""
 
-    def evaluate(U, omegas):
+    def evaluate(U, omegas, out=None):
         U = np.asarray(U, float).reshape(-1)
-        vals = U[:, None] * np.asarray(omegas, float)[None, :]
-        return vals[:, :, None, None]
+        if out is None:
+            out = np.empty((U.size, 1, len(omegas), 1))
+        np.multiply(U[:, None], np.asarray(omegas, float)[None, :], out=out[:, 0, :, 0])
+        return out.transpose(0, 2, 3, 1)
 
     return discrete_map([1.0, -1.0], [0.5, 0.5], evaluate, p=1, d_v=1, kappa=1.0)
 
@@ -39,7 +49,7 @@ class TestSampling:
     def test_singleton_support(self):
         fmap = discrete_map(
             [2.0], [1.0],
-            lambda U, om: np.ones((len(U), len(om), 1, 1)),
+            ones_evaluate,
             p=1, d_v=1, kappa=1.0,
         )
         fs = sample_features(fmap, 7, seed=0)
@@ -160,7 +170,7 @@ class TestDesign:
     def test_scalar_case(self):
         fmap = discrete_map(
             [0.0], [1.0],
-            lambda U, om: np.ones((len(U), len(om), 1, 1)),
+            ones_evaluate,
             p=1, d_v=1, kappa=1.0,
         )
         fs = sample_features(fmap, 1, seed=0)

@@ -44,10 +44,14 @@ def vector_omega_case():
     rng = np.random.default_rng(4)
     omegas = np.column_stack([rng.uniform(1.0, 6.0, 6), rng.uniform(0.0, 3.0, 6)])
 
-    def evaluate(U, om):
+    def evaluate(U, om, out=None):
         arg = np.outer(np.asarray(U, float).reshape(-1), om[:, 0]) + om[:, 1]
         c, s = np.cos(arg), np.sin(arg)
-        return np.stack([np.stack([c, s], -1), 0.5 * np.stack([s, -c], -1)], 2)
+        if out is None:
+            out = np.empty((len(arg), 2, len(om), 2))    # (n, d_v, M, p)
+        out[:, :, :, 0] = np.stack([c, s], 1)
+        out[:, :, :, 1] = 0.5 * np.stack([s, -c], 1)
+        return out.transpose(0, 2, 3, 1)
 
     fmap = features.discrete_map(omegas, np.full(6, 1 / 6), evaluate, p=2, d_v=2,
                                  kappa=1.0, v_weight=0.5)
