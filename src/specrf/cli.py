@@ -10,7 +10,9 @@ verify         filter-axiom checks plus Monte Carlo concentration events
 ntk-compare    width sweep of the operator-vs-kernel-GD discrepancy
 
 Every run writes CSV artifacts plus a manifest JSON (config echo, seed,
-output hashes, environment, per-stage wall times) into the output directory.
+output hashes, environment, exit code, per-stage wall times) into the output
+directory.  A run that exits 2 on an error still writes one, with the error
+message and no output hashes.
 The seed precedence is SPECRF_SEED environment variable > --seed flag >
 config file.  BLAS runs one thread per process, in the serial path and in
 every --jobs worker.
@@ -26,7 +28,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -318,9 +319,13 @@ def _pmap(fn, items, jobs: int, size=None):
     """[fn(item) for item in items], on `jobs` worker processes set up as the
     serial one is (`runtime.init_process`); the results keep the order of
     `items`.  With `size`, the pool starts the items in decreasing
-    size(item), so the largest does not start last and set the tail."""
+    size(item), so the largest does not start last and set the tail.  The
+    pool module (with multiprocessing) is imported only when a pool runs,
+    which keeps it out of the start-up of every serial process."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     order = list(range(len(items)))
     if size is not None:
         order.sort(key=lambda i: -size(items[i]))
@@ -756,10 +761,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _timings(*marks: tuple[str, float]) -> dict:
+    """Wall times in seconds as fixed-width strings, so a manifest has the
+    same size on every run."""
+    return {name: f"{seconds:.4e}" for name, seconds in marks}
+
+
 def main(argv=None) -> int:
     start = time.perf_counter()
     args = build_parser().parse_args(argv)
     runtime.init_process()
+    cfg = out = None
     try:
         cfg = load_config(args.command, args.config, args.seed, args.paper_scale)
         loaded = time.perf_counter()
@@ -767,13 +779,11 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         code, outputs, extra = COMMANDS[args.command](cfg, out, args.jobs)
         done = time.perf_counter()
-        # fixed-width strings, so a manifest has the same size on every run
-        timings = {name: f"{seconds:.4e}" for name, seconds in (
-            ("load_config_s", loaded - start), ("run_s", done - loaded),
-            ("total_s", done - start))}
+        timings = _timings(("load_config_s", loaded - start), ("run_s", done - loaded),
+                           ("total_s", done - start))
         dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"], outputs,
                               extra={"version": __version__, "subcommand": args.command,
-                                     "timings": timings, **extra},
+                                     "exit_code": code, "timings": timings, **extra},
                               environment=runtime.environment(args.jobs))
         return code
     except ConfigError as exc:
@@ -784,12 +794,31 @@ def main(argv=None) -> int:
         return EXIT_IO
     except CHECK_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        failure = exc
     except Exception as exc:
         # the chain holds the failing cell's own traceback, also from a worker
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exception(exc, file=sys.stderr)
-        return EXIT_VIOLATION
+        failure = exc
+    if out is not None:
+        _write_failure_manifest(out, cfg, args, failure, start)
+    return EXIT_VIOLATION
+
+
+def _write_failure_manifest(out: Path, cfg: dict, args, failure: Exception,
+                            start: float) -> None:
+    """The manifest of a run that exits 2: its exit code, the failure's
+    message (which names the failing cell) and the environment, with no
+    output hashes.  A failed write is reported and leaves the exit code."""
+    try:
+        dataio.write_manifest(
+            out / "manifest.json", cfg, cfg["seed"], [],
+            extra={"version": __version__, "subcommand": args.command,
+                   "exit_code": EXIT_VIOLATION, "error": str(failure),
+                   "timings": _timings(("total_s", time.perf_counter() - start))},
+            environment=runtime.environment(args.jobs))
+    except OSError as exc:
+        print(f"i/o error: manifest not written: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
 """The random-feature spectral estimator and its gradient-descent twin.
 
-fit_closed computes theta = phi_lambda(Sigma_hat) S_hat^* v through the
-eigendecomposition of the design covariance; fit_gd iterates
+fit_closed computes theta = phi_lambda(Sigma_hat) S_hat^* v from the normal
+equations (Sigma_hat, S_hat^* v), which the design sums over chunks of its
+rows without holding Z (`DesignMatrix.normal_equations`).  The Tikhonov
+filter is the single inverse (Sigma_hat + lambda)^{-1}, so it takes one
+linear solve (`spectral.tikhonov_solve`); the other filters take the
+eigendecomposition of Sigma_hat.  fit_gd iterates
 
     theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - S_hat^* v)
 
@@ -98,7 +102,7 @@ def _stacked_outputs(design: DesignMatrix, outputs: np.ndarray) -> np.ndarray:
 
 def _reject_degenerate(design: DesignMatrix) -> None:
     # all-zero designs indicate a broken feature pipeline, not a model to fit
-    if not np.any(design.Z):
+    if design.is_zero:
         raise EstimatorError("design matrix is identically zero")
 
 
@@ -123,13 +127,22 @@ def fit_closed(
     filt: SpectralFilter,
     lam: float,
 ) -> RFModel:
-    """Spectral estimator theta = phi_lambda(Sigma_hat) S_hat^* v."""
+    """Spectral estimator theta = phi_lambda(Sigma_hat) S_hat^* v.
+
+    Sigma_hat and S_hat^* v come from one pass over the design's rows, into
+    a Sigma_hat the fit owns and the design does not cache.  The Tikhonov
+    filter solves (Sigma_hat + lambda I) theta = S_hat^* v
+    (`spectral.tikhonov_solve`), rejecting the designs whose spectrum the
+    eigendecomposition would reject; the other filters apply phi_lambda
+    through the eigendecomposition of Sigma_hat (`spectral.apply_filter`)."""
     if not 0.0 < lam <= 1.0:
         raise EstimatorError(f"lambda must be in (0, 1], got {lam}")
+    cov, rhs = design.normal_equations(_stacked_outputs(design, outputs), fresh=True)
     _reject_degenerate(design)
-    v = _stacked_outputs(design, outputs)
-    rhs = design.embed_adjoint(v)
-    theta = spectral.apply_filter(filt, lam, design.eigensystem(), rhs)
+    if filt.kind == "tikhonov":
+        theta = spectral.tikhonov_solve(cov, lam, rhs)
+    else:
+        theta = spectral.apply_filter(filt, lam, cov, rhs)
     return _model(design, theta, filt.kind, lam)
 
 
@@ -187,8 +200,10 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
 
     Iterates on cov() when it is cached or dim <= rows, else on gram() in the
     dual coordinates c (theta = Z^T c / n), where the gradient G c - v is
-    itself the residual Z theta - v.  Both operators are formed by a
-    symmetric rank-k update, so they are exactly symmetric.
+    itself the residual Z theta - v.  The primal side takes Sigma_hat and
+    S_hat^* v from one pass over the design's rows (`normal_equations`), so
+    Z is built only for gram() or to track the risk.  Both operators are
+    formed by symmetric rank-k updates, so they are exactly symmetric.
 
     A trajectory at least as long as the operator is wide
     (`tridiagonal_route`), without `track_risk` and where LAPACK is found
@@ -201,19 +216,20 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     place, and the iterate is copied at each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
-    _reject_degenerate(design)
     v = _stacked_outputs(design, outputs)
-    rows, dim = design.Z.shape
+    rows, dim = design.shape
     dual = not (design.cov_cached or dim <= rows)
-    target = v if dual else design.embed_adjoint(v)
-    operator = design.gram if dual else design.cov
-    risks = []
-    if (not track_risk and runtime.gd_reduction() is not None
-            and tridiagonal_route(len(target), stops[-1])):
-        snapshots = _tridiagonal_descent(operator(fresh=True), target, alpha, stops)
+    reduce = (not track_risk and runtime.gd_reduction() is not None
+              and tridiagonal_route(rows if dual else dim, stops[-1]))
+    if dual:
+        op, target = design.gram(fresh=reduce), v
     else:
-        op = operator()
-
+        op, target = design.normal_equations(v, fresh=reduce)
+    _reject_degenerate(design)
+    risks = []
+    if reduce:
+        snapshots = _tridiagonal_descent(op, target, alpha, stops)
+    else:
         def risk(resid: np.ndarray) -> float:
             return 0.5 * float(resid @ resid) / design.n
 
@@ -284,8 +300,9 @@ def predict(model: RFModel, u) -> np.ndarray:
     return predict_batch(model, np.asarray(u, dtype=float)[None, ...])[0]
 
 
-def predict_batch(model: RFModel, U, chunk: int = 512) -> np.ndarray:
-    """Predictions for a batch of inputs, shape (len(U), d_v)."""
+def predict_batch(model: RFModel, U, chunk: int | None = None) -> np.ndarray:
+    """Predictions for a batch of inputs, shape (len(U), d_v); `chunk` as for
+    `features.predict_values`."""
     return features.predict_values(model.feature_set, model.theta, U,
                                    model.kappa_scale, model.summands, chunk)
 

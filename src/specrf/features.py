@@ -9,7 +9,8 @@ the Monte Carlo kernel
 
 Design matrices carry the empirical operators of a dataset: Sigma_hat =
 (1/n) Z^T Z and the embedding adjoint (1/n) Z^T v, with features rescaled so
-the spectrum of Sigma_hat lies in [0, 1].
+the spectrum of Sigma_hat lies in [0, 1]; both are summed over chunks of rows,
+so Z itself is built only where a caller needs it.
 
 Output spaces are finite dimensional: either plain vectors (Euclidean inner
 product) or functions sampled on a grid of n_X points with the empirical
@@ -251,26 +252,41 @@ def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1
     return out
 
 
+#: bytes of feature rows a prediction builds at a time (at least one input's)
+PREDICT_CHUNK_BYTES = 4 << 20
+
+
 def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float,
-                   summands: np.ndarray | None = None, chunk: int = 512) -> np.ndarray:
+                   summands: np.ndarray | None = None,
+                   chunk: int | None = None) -> np.ndarray:
     """Raw predictions (1/kappa_scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
     over the distinct draws omega_m (counts c_m), shape (len(U), d_v).
 
     A (dim, k) theta holds k coefficient vectors side by side; each chunk's
     rows are then built once for all of them and the result has shape
-    (len(U), d_v, k).  Every chunk's rows are written into one buffer."""
+    (len(U), d_v, k).  The rows of `chunk` inputs at a time (by default as
+    many as fit in PREDICT_CHUNK_BYTES, and at least one) are written into
+    one buffer.  Each prediction is one dot product of a row with a
+    coefficient vector, taken by np.einsum in an order fixed by the row alone,
+    so the bytes do not depend on `chunk` or on how many vectors are stacked
+    (a BLAS product sums a row differently depending on where it falls in the
+    block)."""
     U = np.asarray(U, dtype=float)
     theta = np.asarray(theta, dtype=float)
     d_v = fs.map.d_v
-    tail = (d_v,) + theta.shape[1:]
-    out = np.empty((U.shape[0],) + tail)
-    buffer = np.empty((min(chunk, U.shape[0]) * d_v, len(fs.distinct[1]) * fs.map.p))
-    for start in range(0, U.shape[0], chunk):
-        stop = min(start + chunk, U.shape[0])
+    width = len(fs.distinct[1]) * fs.map.p
+    if chunk is None:
+        chunk = max(1, PREDICT_CHUNK_BYTES // (8 * d_v * width))
+    coefs = np.ascontiguousarray(theta.reshape(width, -1).T)     # (k, width)
+    n, k = U.shape[0], coefs.shape[0]
+    out = np.empty((n, d_v, k))
+    buffer = np.empty((min(chunk, n) * d_v, width))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
         rows = feature_rows(fs, U[start:stop], kappa_scale, summands=summands,
                             out=buffer[:(stop - start) * d_v])
-        out[start:stop] = (rows @ theta).reshape((stop - start,) + tail)
-    return out
+        np.einsum("ij,kj->ik", rows, coefs, out=out[start:stop].reshape(-1, k))
+    return out.reshape((n, d_v) + theta.shape[1:])
 
 
 class DesignMatrix:
@@ -281,9 +297,16 @@ class DesignMatrix:
     sqrt(v_weight)-scaled feature vectors at input u_j, weighted by
     sqrt(count/M)/kappa_scale.  Z Z^T, and so every filtered prediction,
     equals that of the unmerged (n*d_v, M*p) design.  With that scaling
-    cov() = (1/n) Z^T Z has spectral norm at most 1, and so has the Gram
-    matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum; both are
-    formed on first use and cached, and a solver picks whichever is smaller.
+    Sigma_hat = cov() = (1/n) Z^T Z has spectral norm at most 1, and so has
+    the Gram matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum.
+
+    The primal side needs only Sigma_hat and S_hat^* v = (1/n) Z^T v, so
+    these are summed in one pass over the rows of `chunk` inputs at a time
+    (`normal_equations`): views of Z where it is held, else rows built into
+    one reused buffer, so a fit holds one chunk of rows, not Z.  Z is built
+    on first access only (the Gram matrix, risk tracking).  Both routes sum
+    the same rows in the same order, so the operators are bit-identical
+    whether or not Z was built.  cov() and gram() are cached when formed;
     `summands` (boolean, length p) freezes the feature functions it leaves
     out: their columns are zero.
     """
@@ -307,10 +330,15 @@ class DesignMatrix:
         self.v_weight = fmap.v_weight
         self.kappa_scale = float(fmap.kappa) if normalize else 1.0
         self.summands = summands
-        self.Z = self._assemble(inputs, chunk)
+        self.chunk = chunk
         self._cov: np.ndarray | None = None
         self._gram: np.ndarray | None = None
-        self._eig = None
+        self._zero: bool | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of Z, (n*d_v, M_distinct*p), known without building it."""
+        return self.n * self.d_v, self.M_distinct * self.p
 
     def _feature_rows(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows of Z for a batch of inputs, shape (len(U)*d_v, M_distinct*p),
@@ -318,12 +346,88 @@ class DesignMatrix:
         return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight,
                             self.summands, out)
 
-    def _assemble(self, inputs: np.ndarray, chunk: int) -> np.ndarray:
-        z = np.empty((self.n * self.d_v, self.M_distinct * self.p))
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
-            self._feature_rows(inputs[start:stop], out=z[start * self.d_v:stop * self.d_v])
+    def _chunks(self):
+        """(first input, stop input) of each chunk of `chunk` inputs."""
+        for start in range(0, self.n, self.chunk):
+            yield start, min(start + self.chunk, self.n)
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """The design matrix, built on first access, chunk by chunk in place."""
+        z = np.empty(self.shape)
+        for start, stop in self._chunks():
+            self._feature_rows(self.inputs[start:stop],
+                               out=z[start * self.d_v:stop * self.d_v])
         return z
+
+    def _row_chunks(self):
+        """(first row, rows) for each chunk: views of Z where it is held, else
+        rows built into one buffer reused for every chunk."""
+        held = self.__dict__.get("Z")
+        buffer = None
+        for start, stop in self._chunks():
+            lo, hi = start * self.d_v, stop * self.d_v
+            if held is not None:
+                yield lo, held[lo:hi]
+                continue
+            if buffer is None:
+                buffer = np.empty((min(self.chunk, self.n) * self.d_v, self.shape[1]))
+            yield lo, self._feature_rows(self.inputs[start:stop], out=buffer[:hi - lo])
+
+    def _accumulate(self, v: np.ndarray | None,
+                    with_cov: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """One pass over the rows: ((1/n) Z^T Z if `with_cov`, (1/n) Z^T v if
+        `v` is given).  Each chunk's Z_c^T Z_c is one symmetric rank-k update,
+        so Sigma_hat is exactly symmetric.  Records whether some row had a
+        nonzero entry (`is_zero`)."""
+        cov = rhs = None
+        nonzero = False
+        for lo, rows in self._row_chunks():
+            nonzero = nonzero or bool(rows.any())
+            if with_cov:
+                # the chunk's product is freed before the next rows are built
+                if cov is None:
+                    cov = rows.T @ rows
+                else:
+                    cov += rows.T @ rows
+            if v is not None:
+                part = rows.T @ v[lo:lo + rows.shape[0]]
+                if rhs is None:
+                    rhs = part
+                else:
+                    rhs += part
+        self._zero = not nonzero
+        for op in (cov, rhs):
+            if op is not None:
+                op /= self.n       # in place: no second temporary of the operator's size
+        return cov, rhs
+
+    def _stacked(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if v.shape[0] != self.n * self.d_v:
+            raise FeatureError(
+                f"stacked outputs have length {v.shape[0]}, expected {self.n * self.d_v}"
+            )
+        return v
+
+    def _normal(self, v: np.ndarray | None,
+                fresh: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """(cov(fresh), (1/n) Z^T v or None) from at most one pass."""
+        cached = self._cov
+        if cached is None:
+            cov, rhs = self._accumulate(v, True)
+            if not fresh:
+                self._cov = cov
+            return cov, rhs
+        rhs = None if v is None else self._accumulate(v, False)[1]
+        return (cached.copy() if fresh else cached), rhs
+
+    def normal_equations(self, v: np.ndarray,
+                         fresh: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(Sigma_hat, S_hat^* v) for stacked v of length n*d_v, from one pass
+        over the rows (Sigma_hat as cov(fresh) returns it; where it is cached
+        the pass forms only S_hat^* v)."""
+        return self._normal(self._stacked(v), fresh)
 
     @property
     def cov_cached(self) -> bool:
@@ -333,41 +437,32 @@ class DesignMatrix:
     def cov(self, fresh: bool = False) -> np.ndarray:
         """Sigma_hat = (1/n) Z^T Z, cached.  With `fresh`, an array the caller
         owns and may overwrite: the cached one copied, else formed uncached."""
-        return self._operator("_cov", self.Z.T, fresh)
+        return self._normal(None, fresh)[0]
 
     def gram(self, fresh: bool = False) -> np.ndarray:
         """Gram matrix (1/n) Z Z^T of shape (n*d_v, n*d_v), cached; `fresh`
-        as for cov()."""
-        return self._operator("_gram", self.Z, fresh)
-
-    def _operator(self, attr: str, a: np.ndarray, fresh: bool) -> np.ndarray:
-        """(1/n) a a^T, cached in `attr`.  a @ a.T is one symmetric rank-k
-        update, so the result is exactly symmetric."""
-        op = getattr(self, attr)
-        if op is not None:
-            return op.copy() if fresh else op
-        op = a @ a.T
-        op /= self.n       # in place: no second temporary of the operator's size
+        as for cov().  Z Z^T is one symmetric rank-k update, so it is exactly
+        symmetric."""
+        if self._gram is not None:
+            return self._gram.copy() if fresh else self._gram
+        gram = self.Z @ self.Z.T
+        gram /= self.n
         if not fresh:
-            setattr(self, attr, op)
-        return op
+            self._gram = gram
+        return gram
 
-    def eigensystem(self):
-        """Cached eigendecomposition of cov(), shared across lambda sweeps."""
-        if self._eig is None:
-            from . import spectral
-
-            self._eig = spectral.eigensystem(self.cov())
-        return self._eig
+    @property
+    def is_zero(self) -> bool:
+        """Whether every entry of Z is zero: read off the last pass over the
+        rows, or found by one."""
+        if self._zero is None:
+            self._accumulate(None, False)
+        return self._zero
 
     def embed_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """S_hat^* v = (1/n) Z^T v for stacked v of length n*d_v."""
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != self.n * self.d_v:
-            raise FeatureError(
-                f"stacked outputs have length {v.shape[0]}, expected {self.n * self.d_v}"
-            )
-        return self.Z.T @ v / self.n
+        """S_hat^* v = (1/n) Z^T v for stacked v of length n*d_v, summed over
+        the rows as in `normal_equations`."""
+        return self._accumulate(self._stacked(v), False)[1]
 
     def stack_outputs(self, outputs: np.ndarray) -> np.ndarray:
         """Stack raw outputs (n, d_v) into the scaled coordinates Z acts in."""
@@ -378,7 +473,8 @@ class DesignMatrix:
         """Raw prediction values at one input, shape (d_v,); see `predict_values`."""
         return self.predict_batch(theta, _as_batch(u))[0]
 
-    def predict_batch(self, theta: np.ndarray, U: Any, chunk: int = 512) -> np.ndarray:
+    def predict_batch(self, theta: np.ndarray, U: Any,
+                      chunk: int | None = None) -> np.ndarray:
         """Raw predictions for a batch of inputs, shape (len(U), d_v)."""
         return predict_values(self.feature_set, theta, U, self.kappa_scale,
                               self.summands, chunk)

@@ -32,6 +32,7 @@ __all__ = [
     "filter_value",
     "residual_value",
     "apply_filter",
+    "tikhonov_solve",
     "verify_filter_constants",
     "eigensystem",
 ]
@@ -244,6 +245,43 @@ def apply_filter(
     if b.ndim == 1:
         return v @ (phi * proj)
     return v @ (phi[:, None] * proj)
+
+
+def tikhonov_solve(a: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
+    """phi_lambda(A) @ b = (A + lambda I)^{-1} b for the Tikhonov filter, by
+    one linear solve instead of an eigendecomposition.
+
+    `a` must be a C-contiguous float64 square array, exactly symmetric, that
+    the caller owns: its diagonal is overwritten.  A is held to the contract
+    of `apply_filter`, with the same FilterDomainError: a spectrum reaching
+    below -NEG_EIG_TOL or above 1 + POS_EIG_TOL is rejected.  The top is
+    certified by the largest absolute row sum (a Gershgorin bound), the
+    bottom by a Cholesky factorization of A + NEG_EIG_TOL I; only where one
+    of them fails are the eigenvalues computed, and they decide.  The result
+    equals apply_filter's up to rounding and to its clamping of round-off
+    eigenvalues into [0, 1].
+    """
+    if not 0.0 < lam <= 1.0:
+        raise FilterDomainError(f"lambda must be in (0, 1], got {lam}")
+    d = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (d, d) or not a.flags.c_contiguous:
+        raise FilterDomainError("tikhonov_solve needs a C-contiguous float64 square matrix")
+    if b.shape[0] != d:
+        raise FilterDomainError(f"dimension mismatch: A is {d}, b has {b.shape[0]} rows")
+    diagonal = a.reshape(-1)[::d + 1]          # a view: writes go into a
+    base = diagonal.copy()
+    certified = float(np.max(np.sum(np.abs(a), axis=1))) <= 1.0 + POS_EIG_TOL
+    if certified:
+        np.add(base, NEG_EIG_TOL, out=diagonal)
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            certified = False
+        diagonal[:] = base
+    if not certified:
+        _clamped_spectrum(np.linalg.eigvalsh(a))
+    np.add(base, lam, out=diagonal)
+    return np.linalg.solve(a, b)
 
 
 @dataclass(frozen=True)

@@ -301,9 +301,33 @@ class TestCLIContract:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, fail_second_call)
-        code, _ = run(command, tmp_path, config)
+        code, out = run(command, tmp_path, config)
         assert code == 2
         assert f"error: {label} failed: overflow" in capsys.readouterr().err
+        # the failed run still leaves a manifest: exit code, cell, environment
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == f"{label} failed: overflow"
+        assert manifest["outputs"] == {}
+        assert manifest["environment"] == runtime.environment(1)
+        assert manifest["subcommand"] == command and manifest["seed"] == 3
+
+    @pytest.mark.parametrize("exc", [estimator.EstimatorError("boom"), ZeroDivisionError("boom")])
+    def test_failed_manifest_write_keeps_exit_2(self, exc, tmp_path, monkeypatch, capsys):
+        """A failed check and an internal error both exit 2, also where the
+        manifest of the failed run cannot be written."""
+        def fail(*args, **kwargs):
+            raise exc
+
+        def unwritable(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(estimator, "fit_gd_path", fail)
+        monkeypatch.setattr(dataio, "write_manifest", unwritable)
+        code, out = run("sweep-heatmap", tmp_path, dict(TestSweepHeatmap.CFG, M_grid=[8]))
+        assert code == 2
+        assert "i/o error: manifest not written: disk full" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("exc,internal", [(ZeroDivisionError("boom"), True),
@@ -473,3 +497,19 @@ def test_init_process_keeps_the_heap_top_resident():
                           env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 200
+
+
+def test_serial_import_leaves_out_the_process_pool():
+    """`import specrf.cli` does not import the process-pool module (nor
+    multiprocessing): `_pmap` imports it when a pool runs, so serial
+    processes do not pay for it at start-up."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, specrf.cli; "
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -207,7 +207,7 @@ class TestFilterPathProperties:
 
     def test_cutoff_interpolation_limit(self):
         _, design, _, _ = problem_design(n=30, M=12, seed=12)
-        eig = design.eigensystem()
+        eig = spectral.eigensystem(design.cov())
         lam = 0.5 * float(eig.eigenvalues[eig.eigenvalues > 1e-12].min())
         lam = max(lam, 1e-12)
         # outputs in the range of the sampling operator: v = Z theta*

@@ -110,8 +110,9 @@ def test_ntk_values_match_the_einsum_construction(n_x):
 
 
 def test_design_across_the_chunk_boundary():
-    """1100 inputs take three assembly chunks (512, 512, 76) of Z and three
-    prediction chunks through one row buffer."""
+    """1100 inputs take three assembly chunks (512, 512, 76) of Z and, at
+    chunk 512, three prediction chunks through one row buffer; the
+    predictions are the row-by-row dot products of the rows built at once."""
     arch = ntk_arch(1)
     fs = features.sample_features(features.ntk_feature_map(arch, input_bound=math.sqrt(3.0)),
                                   40, seed=7)
@@ -119,20 +120,56 @@ def test_design_across_the_chunk_boundary():
     design = features.build_design(fs, U)
     np.testing.assert_array_equal(design.Z, copied_rows(fs, U, design.kappa_scale))
     theta = np.random.default_rng(9).normal(size=(design.Z.shape[1], 3))
-    expected = np.concatenate([copied_rows(fs, U[s:s + 512], design.kappa_scale) @ theta
-                               for s in range(0, 1100, 512)])
-    np.testing.assert_array_equal(design.predict_batch(theta, U),
+    expected = np.einsum("ij,kj->ik", copied_rows(fs, U, design.kappa_scale),
+                         np.ascontiguousarray(theta.T))
+    np.testing.assert_array_equal(design.predict_batch(theta, U, chunk=512),
                                   expected.reshape(1100, 1, 3))
 
 
-def test_ntk_rows_hold_less_than_twice_their_bytes():
+def ntk_test_batch():
     """The `ntk-compare` test batch at its largest default width: 64 inputs on
-    16 grid points, symmetric width 1024 (512 distinct draws), 16 MiB of rows.
-    Evaluating into a transposed block, copying it to rows and weighting a
-    third copy peaked at 3x the rows."""
+    16 grid points, symmetric width 1024 (512 distinct draws), 2048 columns."""
     grid, U, _ = cli._operator_dataset(64, 16, 0.0, seed=2)
     arch = features.OperatorArchitecture(features.tanh_act(), grid, d_y=1)
-    fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, 1.0, seed=3))
+    return neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, 1.0, seed=3)), U
+
+
+def rates_test_batch():
+    """2500 test inputs of the synthetic map of the first rate case (d_max 512)."""
+    problem = synthetic.make_problem(synthetic.spectrum_spec(b=1.0, d_max=512),
+                                     r=0.5, R=1.2, seed=0)
+    fs = features.sample_features(problem.feature_map, 800, seed=1)
+    return fs, synthetic.sample_inputs(2500, seed=2)
+
+
+@pytest.mark.parametrize("batch", [ntk_test_batch, rates_test_batch])
+def test_predictions_do_not_depend_on_the_chunk(batch):
+    """Predictions are byte-identical at chunks of 1, 7 and 512 inputs and
+    at the default chunk of PREDICT_CHUNK_BYTES of rows (16 inputs of the
+    ntk batch, over 500 of the synthetic one), for one coefficient vector
+    and for the stacked vectors of `evaluate_path`; a stacked column
+    predicts what the vector alone does."""
+    fs, U = batch()
+    width = len(fs.distinct[1]) * fs.map.p
+    default = features.PREDICT_CHUNK_BYTES // (8 * fs.map.d_v * width)
+    assert 7 < default < len(U) and default != 512
+    stacked = np.random.default_rng(12).normal(size=(width, 4))
+    single = stacked[:, 0].copy()
+    predictions = {}
+    for name, theta in (("gemv", single), ("gemm", stacked)):
+        predictions[name] = features.predict_values(fs, theta, U, 2.0)
+        assert predictions[name].shape == (len(U), fs.map.d_v) + theta.shape[1:]
+        for chunk in (1, 7, 512):
+            np.testing.assert_array_equal(
+                features.predict_values(fs, theta, U, 2.0, chunk=chunk), predictions[name])
+    np.testing.assert_array_equal(predictions["gemm"][..., 0], predictions["gemv"])
+
+
+def test_ntk_rows_hold_less_than_twice_their_bytes():
+    """The `ntk-compare` test batch holds 16 MiB of rows.  Evaluating into a
+    transposed block, copying it to rows and weighting a third copy peaked at
+    3x the rows."""
+    fs, U = ntk_test_batch()
     fs.distinct                                      # cached before tracing
     tracemalloc.start()
     try:
