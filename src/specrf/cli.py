@@ -8,6 +8,7 @@ sweep-heatmap  mean test error over an (M, T) grid, Figure-1 style
 rates          schedule-driven excess-risk decay over a grid of sample sizes
 verify         filter-axiom checks plus Monte Carlo concentration events
 ntk-compare    width sweep of the operator-vs-kernel-GD discrepancy
+paper          the paper's experiments (PRESETS), each into its own directory
 
 Every run writes CSV artifacts plus a manifest JSON (config echo, seed,
 output hashes, environment, exit code, per-stage wall times) into the output
@@ -59,6 +60,24 @@ CHECK_ERRORS = (CellError, conclab.ConcentrationConfigError, dataio.DataError,
 
 # ---------------------------------------------------------------------------
 # configuration
+
+# The paper's experiments, name -> (subcommand, config overrides); `specrf
+# paper` runs them.  The rate cases' constants are frozen: the lambda
+# multiplier cancels the log^3(2/delta) factor (1/log^3(20) ~ 0.037), and
+# d_max, R and the noise make the statistical error dominate truncation and
+# feature coverage over n in [500, 8000].
+PRESETS: dict[str, tuple[str, dict]] = {
+    "rates-r0.5-b1.0": ("rates", {"r": 0.5, "b": 1.0, "d_max": 512, "R": 1.2,
+                                  "noise_half_width": 1.0, "C_multiplier": 0.037,
+                                  "M_multiplier": 2.0}),
+    "rates-r1.0-b0.5": ("rates", {"r": 1.0, "b": 0.5, "d_max": 32, "R": 0.5,
+                                  "noise_half_width": 1.0, "C_multiplier": 0.037,
+                                  "M_multiplier": 1.0}),
+    "heatmap": ("sweep-heatmap", {"M_grid": [16, 32, 64, 128, 256, 380, 512, 1024, 1518],
+                                  "T_grid": [1, 4, 16, 34, 64, 256, 1024], "svg": True}),
+    "verify": ("verify", {"problem": {"d_max": 64}, "event_n": 400, "event_M": 400}),
+    "ntk-compare": ("ntk-compare", {"M_grid": [64, 128, 256, 512, 1024]}),
+}
 
 DEFAULTS: dict[str, dict] = {
     "gen": {
@@ -155,6 +174,10 @@ DEFAULTS: dict[str, dict] = {
         "tau": 1.0,
         "noise_half_width": 0.0,
         "paper_scale": {"repetitions": 50},
+    },
+    "paper": {
+        "seed": 2024,
+        "experiments": list(PRESETS),
     },
 }
 
@@ -279,6 +302,8 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError(f"{prefix}noise_half_width must be nonnegative")
     if command == "rates" and 2.0 * cfg["r"] + cfg["b"] <= 1.0:
         raise ConfigError(f"rates needs 2r + b > 1, got {2.0 * cfg['r'] + cfg['b']}")
+    if command == "rates" and len(set(cfg["n_grid"])) < 3:
+        raise ConfigError("rates needs at least 3 distinct n_grid sizes to fit a rate")
     if command == "verify":
         unknown = [e for e in cfg["events"] if e not in conclab.ALL_EVENTS]
         if unknown:
@@ -302,6 +327,11 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError("rates filter must be 'tikhonov' or 'landweber'")
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
         raise ConfigError("fit filter must be tikhonov, landweber, or cutoff")
+    if command == "paper":
+        names = cfg["experiments"]
+        if not names or len(set(names)) < len(names) or not set(names) <= set(PRESETS):
+            raise ConfigError(f"experiments must name distinct presets of "
+                              f"{list(PRESETS)}, got {names}")
 
 
 def _activation(name: str) -> features.Activation:
@@ -354,7 +384,7 @@ def _run_cell(fn, args: dict, label: str):
 # ---------------------------------------------------------------------------
 # gen
 
-def cmd_gen(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
+def cmd_gen(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     path = out / cfg["filename"]
     if cfg["kind"] == "susy-fixture":
         dataio.make_susy_fixture(path, n=int(cfg["n"]), seed=cfg["seed"])
@@ -382,7 +412,7 @@ def _make_filter(name: str, alpha: float) -> spectral.SpectralFilter:
     raise ConfigError(f"unknown filter {name!r}")
 
 
-def cmd_fit(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
+def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     seed = cfg["seed"]
     rng_seeds = np.random.SeedSequence(seed).spawn(3)
     oracle = None
@@ -477,7 +507,8 @@ def _heatmap_cell_inner(args: dict) -> list[dict]:
             for model, rep in zip(models, reports)]
 
 
-def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
+def cmd_sweep_heatmap(cfg: dict, out: Path,
+                      flags: argparse.Namespace) -> tuple[int, list, dict]:
     reps = int(cfg["repetitions"])
     m_grid = sorted(int(m) for m in cfg["M_grid"])
     cells = []
@@ -489,7 +520,7 @@ def cmd_sweep_heatmap(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]
             cells.append({"cfg": cfg, "M": m, "rep": rep,
                           "cell_seed": int(cell_seeds[k].generate_state(1)[0])})
             k += 1
-    nested = _pmap(_heatmap_cell, cells, jobs, size=lambda cell: cell["M"])
+    nested = _pmap(_heatmap_cell, cells, flags.jobs, size=lambda cell: cell["M"])
     flat = [row for rows in nested for row in rows]
     summary = []
     for m in m_grid:
@@ -543,11 +574,7 @@ def _rates_cell(args: dict) -> dict:
 
 def _rates_cell_inner(args: dict) -> dict:
     cfg = args["cfg"]
-    problem, noise = _build_problem(
-        {"r": cfg["r"], "b": cfg["b"], "d_max": cfg["d_max"], "R": cfg["R"],
-         "noise_half_width": cfg["noise_half_width"]},
-        cfg["problem_seed"],
-    )
+    problem, noise = _build_problem(cfg, cfg["problem_seed"])
     sched: dict = args["schedule"]
     data_seed, test_seed, feat_seed = [
         int(s.generate_state(1)[0])
@@ -573,7 +600,7 @@ def _rates_cell_inner(args: dict) -> dict:
             "meets_n0": sched["meets_n0"]}
 
 
-def cmd_rates(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
+def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     mult = synthetic.ScheduleMultipliers(C=cfg["C_multiplier"], M=cfg["M_multiplier"], p=1)
     n_grid = sorted(int(n) for n in cfg["n_grid"])
     reps = int(cfg["repetitions"])
@@ -588,7 +615,7 @@ def cmd_rates(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
                           "schedule": sched.to_dict(),
                           "cell_seed": int(cell_seeds[k].generate_state(1)[0])})
             k += 1
-    rows = _pmap(_rates_cell, cells, jobs, size=lambda cell: cell["n"])
+    rows = _pmap(_rates_cell, cells, flags.jobs, size=lambda cell: cell["n"])
 
     per_n = []
     for n in n_grid:
@@ -622,7 +649,7 @@ def _broken_filter() -> spectral.SpectralFilter:
     )
 
 
-def cmd_verify(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
+def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     n_pts = int(cfg["grid_points"])
     t_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
     lam_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
@@ -712,12 +739,12 @@ def _ntk_cell_inner(args: dict) -> dict:
                                  cfg["alpha"], int(cfg["T"]), tau=cfg["tau"])
 
 
-def cmd_ntk_compare(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
+def cmd_ntk_compare(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(cfg["seed"]).spawn(int(cfg["repetitions"]))]
     cells = [{"cfg": cfg, "M": m, "seed": seed}
              for m in sorted(int(m) for m in cfg["M_grid"]) for seed in seeds]
-    rows = _pmap(_ntk_cell, cells, jobs, size=lambda cell: cell["M"])
+    rows = _pmap(_ntk_cell, cells, flags.jobs, size=lambda cell: cell["M"])
     medians = neuralop.median_discrepancies(rows)
     summary = [{"M": m, "median_discrepancy": med, "seeds": len(seeds)}
                for m, med in medians.items()]
@@ -729,10 +756,31 @@ def cmd_ntk_compare(cfg: dict, out: Path, jobs: int) -> tuple[int, list, dict]:
 
 
 # ---------------------------------------------------------------------------
+# paper
+
+def cmd_paper(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
+    """Every selected preset, in table order, as its own run of `main` into
+    `out/<name>/` (so each keeps its subcommand's config checks and writes its
+    own manifest), with this run's seed, --jobs and --paper-scale.  Exits with
+    the first nonzero preset code; the manifest records every preset's code."""
+    codes = {}
+    for name, (command, overrides) in PRESETS.items():
+        if name in cfg["experiments"]:
+            argv = [command, "--config", json.dumps(overrides), "--out", str(out / name),
+                    "--seed", str(cfg["seed"]), "--jobs", str(flags.jobs)]
+            codes[name] = main(argv + (["--paper-scale"] if flags.paper_scale else []))
+    code = next((c for c in codes.values() if c != EXIT_OK), EXIT_OK)
+    # the presets' outputs share file names (both rate cases write rates.csv),
+    # so their hashes stay in the presets' own manifests
+    return code, [], {"exit_codes": codes}
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
-# Each command writes its outputs into `out` and returns (exit code, output
-# paths, extra manifest entries); `main` writes the manifest.
+# Each command takes its config, the output directory and the parsed flags,
+# writes its outputs into `out` and returns (exit code, output paths, extra
+# manifest entries); `main` writes the manifest.
 COMMANDS = {
     "gen": cmd_gen,
     "fit": cmd_fit,
@@ -740,6 +788,7 @@ COMMANDS = {
     "rates": cmd_rates,
     "verify": cmd_verify,
     "ntk-compare": cmd_ntk_compare,
+    "paper": cmd_paper,
 }
 
 
@@ -755,7 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the cells of sweep-heatmap, "
                              "rates and ntk-compare (default: CPU count), each "
                              "with one BLAS thread; outputs do not depend on it. "
-                             "gen, fit and verify run serially and ignore it")
+                             "gen, fit and verify run serially and ignore it; "
+                             "paper passes it on to each preset")
     parser.add_argument("--paper-scale", action="store_true",
                         help="use the paper's sample sizes and repetition counts")
     return parser
@@ -777,7 +827,7 @@ def main(argv=None) -> int:
         loaded = time.perf_counter()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        code, outputs, extra = COMMANDS[args.command](cfg, out, args.jobs)
+        code, outputs, extra = COMMANDS[args.command](cfg, out, args)
         done = time.perf_counter()
         timings = _timings(("load_config_s", loaded - start), ("run_s", done - loaded),
                            ("total_s", done - start))

@@ -2,7 +2,7 @@
 the measured values (run with `pytest -v -s tests/test_acceptance.py`).
 
 The rate-recovery and plateau experiments use frozen, calibrated constants for
-the free multipliers of the parameter schedules; see the comments on RATE_CASES.
+the free multipliers of the parameter schedules; see the comment on cli.PRESETS.
 """
 import json
 import math
@@ -75,30 +75,15 @@ def test_acceptance_2_oracle_equivalence():
 
 # -------------------------------------------------------------------- 3
 
-# Frozen calibrated constants.  Theorem constants C, C~ are unspecified; the
-# lambda multiplier cancels the log^3(2/delta) factor (1/log^3(20) ~ 0.037) and
-# d_max / R / noise are chosen so the statistical error dominates truncation
-# and feature-coverage effects at desk scale (see notes in the repo README).
-RATE_CASES = [
-    ("r=0.5 b=1.0", {"r": 0.5, "b": 1.0, "d_max": 512, "R": 1.2,
-                     "noise_half_width": 1.0, "C_multiplier": 0.037,
-                     "M_multiplier": 2.0}),
-    ("r=1.0 b=0.5", {"r": 1.0, "b": 0.5, "d_max": 32, "R": 0.5,
-                     "noise_half_width": 1.0, "C_multiplier": 0.037,
-                     "M_multiplier": 1.0}),
-]
+RATE_CASES = {f"r={cfg['r']} b={cfg['b']}": cfg
+              for command, cfg in cli.PRESETS.values() if command == "rates"}
 
 
-@pytest.mark.parametrize("label,overrides", RATE_CASES, ids=[c[0] for c in RATE_CASES])
-def test_acceptance_3_rate_recovery(label, overrides, tmp_path):
+@pytest.mark.parametrize("label", list(RATE_CASES))
+def test_acceptance_3_rate_recovery(label, tmp_path):
     """Schedule-driven excess-risk slope within 0.1 of -r/(2r+b), < 10 min."""
     t0 = time.time()
-    cfg = dict(overrides)
-    cfg.update({"n_grid": [500, 1000, 2000, 4000, 8000], "repetitions": 20,
-                "n_test": 2000, "problem_seed": 0})
-    cfg_path = tmp_path / "rates.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code = cli.main(["rates", "--config", str(cfg_path), "--out", str(tmp_path),
+    code = cli.main(["rates", "--config", json.dumps(RATE_CASES[label]), "--out", str(tmp_path),
                      "--seed", "2024", "--jobs", "4"])
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -284,7 +284,7 @@ class TestCLIContract:
     @pytest.mark.parametrize("command,config,module,name,label", [
         ("sweep-heatmap", TestSweepHeatmap.CFG, estimator, "fit_gd_path",
          "heatmap cell M=8 rep=1"),
-        ("rates", {"n_grid": [100, 200], "repetitions": 1, "d_max": 16, "n_test": 50},
+        ("rates", {"n_grid": [100, 200, 400], "repetitions": 1, "d_max": 16, "n_test": 50},
          estimator, "fit_closed", "rates cell n=200 rep=0"),
         ("ntk-compare", TestNTKCompare.CFG, neuralop, "train_gd",
          f"ntk-compare cell M=8 seed="
@@ -374,6 +374,10 @@ class TestCLIContract:
         ("verify", {"max_landweber_steps": 0}, "max_landweber_steps must be positive"),
         ("fit", {"filter": "tikhonov", "lambda": -0.5}, "lambda must be in (0, 1]"),
         ("fit", {"filter": "cutoff", "lambda": 2.0}, "lambda must be in (0, 1]"),
+        ("rates", {"n_grid": [400, 800], "repetitions": 1, "d_max": 16, "n_test": 50},
+         "rates needs at least 3 distinct n_grid sizes"),
+        ("rates", {"n_grid": [400, 400, 400], "repetitions": 1, "d_max": 16, "n_test": 50},
+         "rates needs at least 3 distinct n_grid sizes"),
     ])
     def test_bad_problem_parameter_exits_3(self, command, config, message, tmp_path,
                                            capsys):
@@ -449,23 +453,61 @@ class TestCLIContract:
                 assert (out1 / name).read_bytes() == (out2_dir / name).read_bytes(), name
 
 
-class TestScripts:
-    ROOT = Path(__file__).resolve().parents[1]
+class TestPaper:
+    @pytest.mark.parametrize("paper_scale", [False, True])
+    @pytest.mark.parametrize("name", list(cli.PRESETS))
+    def test_preset_loads(self, name, paper_scale):
+        command, overrides = cli.PRESETS[name]
+        cli.load_config(command, json.dumps(overrides), None, paper_scale)
 
-    def test_run_verify_leaves_no_temp_files(self, tmp_path):
+    def test_leaves_no_temp_files(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         pythonpath = os.pathsep.join(
-            p for p in (str(self.ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
         env = dict(os.environ, TMPDIR=str(tmp), PYTHONPATH=pythonpath)
         env.pop("SPECRF_SEED", None)
         proc = subprocess.run(
-            [sys.executable, str(self.ROOT / "scripts" / "run_verify.py"),
-             "--trials", "50", "--out", str(tmp_path / "out")],
+            [sys.executable, "-m", "specrf.cli", "paper", "--config",
+             '{"experiments": ["verify"]}', "--out", str(tmp_path / "out"), "--jobs", "1"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "out" / "verify_events.csv").exists()
+        assert (tmp_path / "out" / "verify" / "verify_events.csv").exists()
         assert list(tmp.iterdir()) == []
+
+    @pytest.mark.parametrize("experiments", [["verify", "nope"], ["verify", "verify"], []])
+    def test_bad_experiments_exit_3(self, experiments, tmp_path, capsys):
+        code, out = run("paper", tmp_path, {"experiments": experiments})
+        assert code == 3
+        assert "config error: experiments must name distinct presets" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_preset_runs_and_the_first_failure_in_the_table_sets_the_code(
+            self, tmp_path, monkeypatch):
+        heat = dict(TestSweepHeatmap.CFG, M_grid=[8],
+                    paper_scale={"n_train": 40, "n_test": 40, "repetitions": 1})
+        monkeypatch.setattr(cli, "PRESETS", {
+            "gen": ("gen", {"n": 10, "d_max": 16}),
+            "heat": ("sweep-heatmap", heat),
+            "broken": ("verify", dict(TestVerify.CFG, broken_filter=True)),
+            "bad": ("rates", {"n_grid": [100, 200]}),
+        })
+        out = tmp_path / "paper"
+        code = cli.main(["paper", "--out", str(out), "--seed", "5", "--jobs", "2",
+                         "--paper-scale", "--config",
+                         json.dumps({"experiments": ["bad", "broken", "heat", "gen"]})])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["exit_codes"] == {"gen": 0, "heat": 0, "broken": 2, "bad": 3}
+        assert manifest["exit_code"] == 2 and manifest["outputs"] == {}
+        # each preset ran with this run's seed, --jobs and --paper-scale
+        gen = json.loads((out / "gen" / "manifest.json").read_text())
+        assert gen["seed"] == 5 and gen["environment"]["jobs"] == 2
+        heat_cfg = json.loads((out / "heat" / "manifest.json").read_text())["config"]
+        assert heat_cfg["repetitions"] == 1 and heat_cfg["n_train"] == 40
+        assert (out / "broken" / "verify_filters.csv").exists()
+        assert not (out / "bad").exists()
 
 
 CHURN = """
