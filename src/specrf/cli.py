@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 invariant violation, 3 config error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -211,25 +212,24 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
                 cfg[key].update(value)
             else:
                 cfg[key] = value
-        _check_types(cfg, DEFAULTS[command])
-    if paper_scale:
-        cfg.update(cfg.get("paper_scale", {}))
-    cfg.pop("paper_scale", None)
+    override = {}
     if seed_flag is not None:
-        cfg["seed"] = seed_flag
+        override["seed"] = seed_flag
     env_seed = os.environ.get("SPECRF_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
+            override["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"SPECRF_SEED must be an integer: {env_seed!r}") from exc
+    cfg.update(override)
+    _check(cfg, DEFAULTS[command])
+    scale = cfg.pop("paper_scale", {})
+    if paper_scale:
+        cfg.update(scale, **override)   # --seed and SPECRF_SEED outrank paper_scale too
     validate_config(command, cfg)
     return cfg
 
 
-# value types of the keys whose default is None, so the default cannot show them
-_NULLABLE_EXAMPLES = {"csv": "", "feature_columns": [], "row_limit": 0,
-                      "lambda": 0.0, "input_bound": 0.0}
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
 
@@ -243,95 +243,82 @@ def _same_type(value, example) -> bool:
     return isinstance(value, type(example))
 
 
-def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Raise ConfigError for a value whose JSON type differs from its default's."""
-    for key, default in defaults.items():
-        if key not in cfg or default is None and cfg[key] is None:
-            continue
-        value = cfg[key]
-        if default is None:
-            default = _NULLABLE_EXAMPLES[key]
-        name = prefix + key
-        if not _same_type(value, default):
+# key -> (holds, requirement): the rule for that key's value in every
+# subcommand, under "problem" and "paper_scale" too.  `_check` compares the
+# value's JSON type with its default's first; where the default is None, the
+# rule alone checks the type.
+CHECKS: dict[str, tuple] = {
+    **dict.fromkeys(("seed", "problem_seed", "label_column", "noise_half_width"),
+                    (lambda v: v >= 0, "must be nonnegative")),
+    **dict.fromkeys(("n", "n_train", "n_test", "M", "T", "r", "R", "rff_lengthscale",
+                     "C_multiplier", "M_multiplier", "grid_points", "max_landweber_steps",
+                     "event_n", "event_M", "event_lambda", "trials"),
+                    (lambda v: v > 0, "must be positive")),
+    **dict.fromkeys(("repetitions", "grid_size"), (lambda v: v >= 1, "must be >= 1")),
+    # the decay exponent b, and step sizes that keep every GD run inside the
+    # design's unit-norm contract
+    **dict.fromkeys(("b", "alpha", "landweber_alpha"),
+                    (lambda v: 0 < v <= 1, "must be in (0, 1]")),
+    **dict.fromkeys(("M_grid", "T_grid", "n_grid"),
+                    (lambda v: len(v) > 0 and all(g >= 1 for g in v),
+                     "must be a nonempty list of entries >= 1")),
+    "d_max": (lambda v: v >= 2, "must be >= 2"),
+    "delta": (lambda v: 0 < v < 1, "must be in (0, 1)"),
+    "q_grid": (lambda v: all(q >= 0 for q in v), "entries must be nonnegative"),
+    "kind": (lambda v: v in ("synthetic", "susy-fixture"),
+             "must be 'synthetic' or 'susy-fixture'"),
+    "activation": (lambda v: v in ("tanh", "identity"), "must be 'tanh' or 'identity'"),
+    "events": (lambda v: len(v) > 0 and set(v) <= set(conclab.ALL_EVENTS),
+               f"must be a nonempty list of {list(conclab.ALL_EVENTS)}"),
+    "experiments": (lambda v: len(v) > 0 and len(set(v)) == len(v) and set(v) <= set(PRESETS),
+                    f"must name distinct presets of {list(PRESETS)}"),
+    "csv": (lambda v: v is None or isinstance(v, str), "must be a file path or null"),
+    "feature_columns": (lambda v: v is None or isinstance(v, list) and len(v) > 0
+                        and all(_same_type(c, 0) and c >= 0 for c in v),
+                        "must be a nonempty list of column indices >= 0, or null"),
+    "row_limit": (lambda v: v is None or _same_type(v, 0) and v >= 1,
+                  "must be a positive integer or null"),
+    # the filters are defined for lambda in (0, 1], the design's spectral range
+    "lambda": (lambda v: v is None or _same_type(v, 0.0) and 0 < v <= 1,
+               "must be in (0, 1] or null"),
+    "input_bound": (lambda v: v is None or _same_type(v, 0.0) and v > 0,
+                    "must be positive or null"),
+}
+
+
+def _check(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Raise ConfigError for a value whose JSON type differs from its
+    default's or that breaks its CHECKS rule."""
+    for key, value in cfg.items():
+        default, name = defaults[key], prefix + key
+        if default is not None and not _same_type(value, default):
             raise ConfigError(f"{name} must be {_TYPE_NAMES[type(default)]}, got {value!r}")
+        if isinstance(default, list) and default and not all(
+                _same_type(item, default[0]) for item in value):
+            raise ConfigError(f"{name} entries must each be "
+                              f"{_TYPE_NAMES[type(default[0])]}, got {value!r}")
         if isinstance(default, dict):
             # paper_scale entries override top-level keys, so check them as such
-            _check_types(value, defaults if key == "paper_scale" else default, name + ".")
-        elif isinstance(default, list) and default:
-            if not all(_same_type(item, default[0]) for item in value):
-                raise ConfigError(f"{name} entries must each be "
-                                  f"{_TYPE_NAMES[type(default[0])]}, got {value!r}")
+            _check(value, defaults if key == "paper_scale" else default, name + ".")
+        elif key in CHECKS:
+            holds, requirement = CHECKS[key]
+            if not holds(value):
+                raise ConfigError(f"{name} {requirement}, got {value!r}")
 
 
 def validate_config(command: str, cfg: dict) -> None:
-    def positive(name):
-        if cfg[name] is not None and cfg[name] <= 0:
-            raise ConfigError(f"{name} must be positive")
-
-    for grid_key in ("M_grid", "T_grid", "n_grid"):
-        if grid_key in cfg:
-            grid = cfg[grid_key]
-            if not isinstance(grid, list) or not grid:
-                raise ConfigError(f"{grid_key} must be a nonempty list")
-            if any(g < 1 for g in grid):
-                raise ConfigError(f"{grid_key} entries must be >= 1")
-    if "repetitions" in cfg and cfg["repetitions"] < 1:
-        raise ConfigError("repetitions must be >= 1")
-    for name in ("n", "n_train", "n_test", "M", "T", "trials",
-                 "event_n", "event_M", "event_lambda", "grid_points",
-                 "max_landweber_steps"):
-        if name in cfg:
-            positive(name)
-    # every GD run keeps the step inside the design's unit-norm contract
-    if "alpha" in cfg and not 0.0 < cfg["alpha"] <= 1.0:
-        raise ConfigError("alpha must be in (0, 1]")
-    if "delta" in cfg and not 0.0 < cfg["delta"] < 1.0:
-        raise ConfigError("delta must be in (0, 1)")
-    # synthetic-problem parameters sit under "problem" or, for gen and rates,
-    # at the top level; ntk-compare has only the noise width
-    problem, prefix = (cfg["problem"], "problem.") if "problem" in cfg else (cfg, "")
-    if "d_max" in problem:
-        if problem["d_max"] < 2:
-            raise ConfigError(f"{prefix}d_max must be >= 2")
-        if not 0.0 < problem["b"] <= 1.0:
-            raise ConfigError(f"{prefix}b must be in (0, 1]")
-        for name in ("r", "R"):
-            if problem[name] <= 0:
-                raise ConfigError(f"{prefix}{name} must be positive")
-    if problem.get("noise_half_width", 0.0) < 0:
-        raise ConfigError(f"{prefix}noise_half_width must be nonnegative")
+    """The rules that read more than one key or depend on the subcommand."""
     if command == "rates" and 2.0 * cfg["r"] + cfg["b"] <= 1.0:
         raise ConfigError(f"rates needs 2r + b > 1, got {2.0 * cfg['r'] + cfg['b']}")
     if command == "rates" and len(set(cfg["n_grid"])) < 3:
         raise ConfigError("rates needs at least 3 distinct n_grid sizes to fit a rate")
-    if command == "verify":
-        unknown = [e for e in cfg["events"] if e not in conclab.ALL_EVENTS]
-        if unknown:
-            raise ConfigError(f"unknown events: {unknown}")
-        if not 0.0 < cfg["landweber_alpha"] <= 1.0:
-            raise ConfigError("landweber_alpha must be in (0, 1]")
-        if any(q < 0 for q in cfg["q_grid"]):
-            raise ConfigError("q_grid entries must be nonnegative")
-    # the filters are defined for lambda in (0, 1], the design's spectral range
-    if command == "fit" and cfg["lambda"] is not None and not 0.0 < cfg["lambda"] <= 1.0:
-        raise ConfigError("lambda must be in (0, 1]")
-    if command == "ntk-compare":
-        if cfg["activation"] not in ("tanh", "identity"):
-            raise ConfigError("activation must be 'tanh' or 'identity'")
-        # symmetric initialization pairs the hidden units
-        if any(m < 2 or m % 2 for m in cfg["M_grid"]):
-            raise ConfigError("ntk-compare M_grid entries must be even and >= 2")
-        if cfg["grid_size"] < 1:
-            raise ConfigError("grid_size must be >= 1")
+    # symmetric initialization pairs the hidden units
+    if command == "ntk-compare" and any(m % 2 for m in cfg["M_grid"]):
+        raise ConfigError("ntk-compare M_grid entries must be even and >= 2")
     if command == "rates" and cfg["filter"] not in ("tikhonov", "landweber"):
         raise ConfigError("rates filter must be 'tikhonov' or 'landweber'")
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
         raise ConfigError("fit filter must be tikhonov, landweber, or cutoff")
-    if command == "paper":
-        names = cfg["experiments"]
-        if not names or len(set(names)) < len(names) or not set(names) <= set(PRESETS):
-            raise ConfigError(f"experiments must name distinct presets of "
-                              f"{list(PRESETS)}, got {names}")
 
 
 def _activation(name: str) -> features.Activation:
@@ -373,12 +360,12 @@ def _failure(label: str, exc: Exception) -> Exception:
     return kind(f"{label} failed: {exc}")
 
 
-def _run_cell(fn, args: dict, label: str):
-    """fn(args), naming the cell `label` in the error if it fails."""
+def _run_cell(fn, cell: dict):
+    """fn(cell), naming the cell by its "label" in the error if it fails."""
     try:
-        return fn(args)
+        return fn(cell)
     except Exception as exc:
-        raise _failure(label, exc) from exc
+        raise _failure(cell["label"], exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -388,29 +375,17 @@ def cmd_gen(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
     path = out / cfg["filename"]
     if cfg["kind"] == "susy-fixture":
         dataio.make_susy_fixture(path, n=int(cfg["n"]), seed=cfg["seed"])
-    elif cfg["kind"] == "synthetic":
+    else:
         problem, noise = _build_problem(cfg, cfg["seed"])
         U, V = synthetic.sample_dataset(problem, int(cfg["n"]), noise,
                                         seed=cfg["seed"] + 1)
         rows = [{"u": float(u), "v": float(v)} for u, v in zip(U, V)]
         dataio.save_results(rows, path)
-    else:
-        raise ConfigError(f"unknown gen kind {cfg['kind']!r}")
     return EXIT_OK, [path], {}
 
 
 # ---------------------------------------------------------------------------
 # fit
-
-def _make_filter(name: str, alpha: float) -> spectral.SpectralFilter:
-    if name == "tikhonov":
-        return spectral.tikhonov()
-    if name == "landweber":
-        return spectral.landweber(alpha)
-    if name == "cutoff":
-        return spectral.cutoff()
-    raise ConfigError(f"unknown filter {name!r}")
-
 
 def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     seed = cfg["seed"]
@@ -449,7 +424,8 @@ def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
         model = estimator.fit_gd(design, V_tr, cfg["alpha"], int(cfg["T"]))
     else:
         lam = cfg["lambda"] if cfg["lambda"] is not None else 1.0 / math.sqrt(len(U_tr))
-        model = estimator.fit_closed(design, V_tr, _make_filter(name, cfg["alpha"]), lam)
+        filt = spectral.tikhonov() if name == "tikhonov" else spectral.cutoff()
+        model = estimator.fit_closed(design, V_tr, filt, lam)
     report = estimator.evaluate(model, U_te, V_te, oracle=oracle)
     train_report = estimator.evaluate(model, U_tr, V_tr, oracle=oracle)
     rows = [{
@@ -472,11 +448,6 @@ def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
 
 def _heatmap_cell(args: dict) -> list[dict]:
     """All T-grid errors for one (M, repetition): a single GD trajectory."""
-    return _run_cell(_heatmap_cell_inner, args,
-                     f"heatmap cell M={args['M']} rep={args['rep']}")
-
-
-def _heatmap_cell_inner(args: dict) -> list[dict]:
     cfg = args["cfg"]
     problem, noise = _build_problem(cfg["problem"], cfg["seed"])
     data_seed, test_seed, feat_seed = [
@@ -498,8 +469,7 @@ def _heatmap_cell_inner(args: dict) -> list[dict]:
     fs = features.sample_features(fmap, args["M"], feat_seed)
     design = features.build_design(fs, U_tr.reshape(-1, 1))
 
-    t_grid = sorted(int(t) for t in cfg["T_grid"])
-    models = estimator.fit_gd_path(design, V_tr, cfg["alpha"], t_grid)
+    models = estimator.fit_gd_path(design, V_tr, cfg["alpha"], args["T_grid"])
     del design   # frees Z and its Gram matrix before the test rows are built
     reports = estimator.evaluate_path(models, U_te.reshape(-1, 1), V_te)
     return [{"M": args["M"], "T": round(1.0 / (cfg["alpha"] * model.lam)),
@@ -510,21 +480,23 @@ def _heatmap_cell_inner(args: dict) -> list[dict]:
 def cmd_sweep_heatmap(cfg: dict, out: Path,
                       flags: argparse.Namespace) -> tuple[int, list, dict]:
     reps = int(cfg["repetitions"])
-    m_grid = sorted(int(m) for m in cfg["M_grid"])
+    m_grid, t_grid = sorted(set(cfg["M_grid"])), sorted(set(cfg["T_grid"]))
     cells = []
     root = np.random.SeedSequence(cfg["seed"])
     cell_seeds = root.spawn(len(m_grid) * reps)
     k = 0
     for m in m_grid:
         for rep in range(reps):
-            cells.append({"cfg": cfg, "M": m, "rep": rep,
-                          "cell_seed": int(cell_seeds[k].generate_state(1)[0])})
+            cells.append({"cfg": cfg, "M": m, "rep": rep, "T_grid": t_grid,
+                          "cell_seed": int(cell_seeds[k].generate_state(1)[0]),
+                          "label": f"heatmap cell M={m} rep={rep}"})
             k += 1
-    nested = _pmap(_heatmap_cell, cells, flags.jobs, size=lambda cell: cell["M"])
+    nested = _pmap(functools.partial(_run_cell, _heatmap_cell), cells, flags.jobs,
+                   size=lambda cell: cell["M"])
     flat = [row for rows in nested for row in rows]
     summary = []
     for m in m_grid:
-        for t in sorted(int(t) for t in cfg["T_grid"]):
+        for t in t_grid:
             errs = np.array([r["error"] for r in flat if r["M"] == m and r["T"] == t])
             summary.append({"M": m, "T": t, "mean_error": float(errs.mean()),
                             "std_error": float(errs.std(ddof=1)) if errs.size > 1 else 0.0})
@@ -569,10 +541,6 @@ def _write_svg_heatmap(rows: list[dict], path: Path, cell: int = 28) -> None:
 
 def _rates_cell(args: dict) -> dict:
     """Excess risk of one (n, repetition) fit at the rate schedule for n."""
-    return _run_cell(_rates_cell_inner, args, f"rates cell n={args['n']} rep={args['rep']}")
-
-
-def _rates_cell_inner(args: dict) -> dict:
     cfg = args["cfg"]
     problem, noise = _build_problem(cfg, cfg["problem_seed"])
     sched: dict = args["schedule"]
@@ -602,7 +570,7 @@ def _rates_cell_inner(args: dict) -> dict:
 
 def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     mult = synthetic.ScheduleMultipliers(C=cfg["C_multiplier"], M=cfg["M_multiplier"], p=1)
-    n_grid = sorted(int(n) for n in cfg["n_grid"])
+    n_grid = sorted(set(cfg["n_grid"]))
     reps = int(cfg["repetitions"])
     cells = []
     root = np.random.SeedSequence(cfg["seed"])
@@ -613,9 +581,11 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
         for rep in range(reps):
             cells.append({"cfg": cfg, "n": n, "rep": rep,
                           "schedule": sched.to_dict(),
-                          "cell_seed": int(cell_seeds[k].generate_state(1)[0])})
+                          "cell_seed": int(cell_seeds[k].generate_state(1)[0]),
+                          "label": f"rates cell n={n} rep={rep}"})
             k += 1
-    rows = _pmap(_rates_cell, cells, flags.jobs, size=lambda cell: cell["n"])
+    rows = _pmap(functools.partial(_run_cell, _rates_cell), cells, flags.jobs,
+                 size=lambda cell: cell["n"])
 
     per_n = []
     for n in n_grid:
@@ -723,11 +693,6 @@ def _operator_dataset(n: int, n_x: int, noise_half_width: float, seed: int):
 def _ntk_cell(args: dict) -> dict:
     """The operator-vs-kernel discrepancy of one (width, seed) cell, with the
     architecture and data rebuilt from the config where the cell runs."""
-    return _run_cell(_ntk_cell_inner, args,
-                     f"ntk-compare cell M={args['M']} seed={args['seed']}")
-
-
-def _ntk_cell_inner(args: dict) -> dict:
     cfg = args["cfg"]
     n_x = int(cfg["grid_size"])
     grid, U_tr, V_tr = _operator_dataset(
@@ -742,9 +707,11 @@ def _ntk_cell_inner(args: dict) -> dict:
 def cmd_ntk_compare(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     seeds = [int(s.generate_state(1)[0])
              for s in np.random.SeedSequence(cfg["seed"]).spawn(int(cfg["repetitions"]))]
-    cells = [{"cfg": cfg, "M": m, "seed": seed}
-             for m in sorted(int(m) for m in cfg["M_grid"]) for seed in seeds]
-    rows = _pmap(_ntk_cell, cells, flags.jobs, size=lambda cell: cell["M"])
+    cells = [{"cfg": cfg, "M": m, "seed": seed,
+              "label": f"ntk-compare cell M={m} seed={seed}"}
+             for m in sorted(set(cfg["M_grid"])) for seed in seeds]
+    rows = _pmap(functools.partial(_run_cell, _ntk_cell), cells, flags.jobs,
+                 size=lambda cell: cell["M"])
     medians = neuralop.median_discrepancies(rows)
     summary = [{"M": m, "median_discrepancy": med, "seeds": len(seeds)}
                for m, med in medians.items()]

@@ -55,13 +55,13 @@ def load_csv(
     label_column: int = 0,
     feature_columns: Sequence[int] | None = None,
     row_limit: int | None = None,
-    skip_header: bool = False,
 ) -> Dataset:
     """Parse a numeric CSV into a Dataset.
 
-    `feature_columns` defaults to the first 14 columns after the label.  A
-    malformed cell raises ParseError naming the row and column; row_limit = 0
-    is rejected.
+    A first row in which no cell is a finite number is a header and is
+    skipped.  `feature_columns` defaults to the first 14 columns after the
+    label.  A malformed cell raises ParseError naming the row and column;
+    row_limit = 0 is rejected.
     """
     path = Path(path)
     if row_limit is not None and row_limit < 1:
@@ -72,19 +72,20 @@ def load_csv(
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         for i, raw in enumerate(reader):
-            if skip_header and i == 0:
-                continue
             if not raw:
                 continue
             parsed = []
-            for j, cell in enumerate(raw):
+            for cell in raw:
                 try:
-                    value = float(cell)
+                    parsed.append(float(cell))
                 except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(f"malformed cell at row {i}, column {j}: {cell!r}")
-                parsed.append(value)
+                    parsed.append(math.nan)
+            finite = [math.isfinite(value) for value in parsed]
+            if i == 0 and not any(finite):
+                continue
+            if not all(finite):
+                j = finite.index(False)
+                raise ParseError(f"malformed cell at row {i}, column {j}: {raw[j]!r}")
             rows.append(parsed)
             if row_limit is not None and len(rows) >= row_limit:
                 break

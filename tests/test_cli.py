@@ -50,7 +50,7 @@ class TestGen:
     def test_susy_fixture(self, tmp_path):
         code, out = run("gen", tmp_path, {"kind": "susy-fixture", "n": 30})
         assert code == 0
-        ds = dataio.load_csv(out / "dataset.csv", skip_header=True)
+        ds = dataio.load_csv(out / "dataset.csv")
         assert ds.n == 30
 
 
@@ -77,6 +77,14 @@ class TestFit:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert "inputs_sha256" in manifest
+
+    def test_fit_reads_the_csv_gen_writes(self, tmp_path):
+        code, out = run("gen", tmp_path, {"kind": "susy-fixture", "n": 120})
+        assert code == 0
+        cfg = {"csv": str(out / "dataset.csv"), "n_train": 60, "n_test": 40, "M": 30,
+               "filter": "tikhonov", "lambda": 0.3}
+        code, _ = run("fit", tmp_path, cfg)
+        assert code == 0
 
 
 class TestSweepHeatmap:
@@ -378,13 +386,71 @@ class TestCLIContract:
          "rates needs at least 3 distinct n_grid sizes"),
         ("rates", {"n_grid": [400, 400, 400], "repetitions": 1, "d_max": 16, "n_test": 50},
          "rates needs at least 3 distinct n_grid sizes"),
+        ("verify", {"events": []}, "events must be a nonempty list"),
+        ("fit", {"row_limit": 0}, "row_limit must be a positive integer"),
+        ("fit", {"label_column": -1}, "label_column must be nonnegative"),
+        ("fit", {"rff_lengthscale": 0.0}, "rff_lengthscale must be positive"),
+        ("fit", {"feature_columns": [1.5]}, "feature_columns must be a nonempty list"),
+        ("fit", {"feature_columns": ["a"]}, "feature_columns must be a nonempty list"),
+        ("sweep-heatmap", {"input_bound": -1.0}, "input_bound must be positive"),
+        ("gen", {"kind": "bogus"}, "kind must be 'synthetic' or 'susy-fixture'"),
+        ("sweep-heatmap", {"paper_scale": {"n_train": 0}}, "paper_scale.n_train must be positive"),
     ])
     def test_bad_problem_parameter_exits_3(self, command, config, message, tmp_path,
                                            capsys):
-        code, out = run(command, tmp_path, config)
+        # a paper_scale entry is checked as the top-level key it overrides
+        flags = ("--paper-scale",) if "paper_scale" in config else ()
+        code, out = run(command, tmp_path, config, extra_args=flags)
         assert code == 3
         assert f"config error: {message}" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,flags,env", [
+        ({"seed": -3}, [], None),
+        ({}, ["--seed", "-1"], None),
+        ({}, [], "-5"),
+    ])
+    def test_negative_seed_exits_3(self, config, flags, env, tmp_path, monkeypatch, capsys):
+        """The seed from the config, from --seed and from SPECRF_SEED."""
+        monkeypatch.delenv("SPECRF_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SPECRF_SEED", env)
+        out = tmp_path / "gen"
+        code = cli.main(["gen", "--out", str(out), "--jobs", "1", "--config",
+                         json.dumps(dict(config, n=10, d_max=16))] + flags)
+        assert code == 3
+        assert "config error: seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_key_has_a_type_and_every_rule_a_key(self):
+        """A key whose default is None has a CHECKS rule (its only type
+        check), and every rule names a key of some DEFAULTS block."""
+        keys, nullable, blocks = set(), set(), list(cli.DEFAULTS.values())
+        while blocks:
+            block = blocks.pop()
+            for key, default in block.items():
+                keys.add(key)
+                if default is None:
+                    nullable.add(key)
+                elif isinstance(default, dict):
+                    blocks.append(default)
+        assert nullable <= set(cli.CHECKS)
+        assert set(cli.CHECKS) <= keys
+
+    @pytest.mark.parametrize("command,key,repeated,distinct,name", [
+        ("sweep-heatmap", "M_grid", [8, 16, 8], [8, 16], "heatmap.csv"),
+        ("rates", "n_grid", [100, 200, 200, 400], [100, 200, 400], "rates.csv"),
+    ])
+    def test_grids_are_sets(self, command, key, repeated, distinct, name, tmp_path):
+        base = {"sweep-heatmap": TestSweepHeatmap.CFG,
+                "rates": {"repetitions": 1, "d_max": 16, "n_test": 50}}[command]
+        outputs = []
+        for i, grid in enumerate((repeated, distinct)):
+            (tmp_path / str(i)).mkdir()
+            code, out = run(command, tmp_path / str(i), dict(base, **{key: grid}))
+            assert code == 0
+            outputs.append((out / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_invalid_grid_exits_3(self, tmp_path):
         code, _ = run("rates", tmp_path, {"n_grid": []})
@@ -422,7 +488,7 @@ class TestCLIContract:
         code = cli.main(["gen", "--out", str(out), "--config",
                          '{"kind": "susy-fixture", "n": 20}'])
         assert code == 0
-        assert dataio.load_csv(out / "dataset.csv", skip_header=True).n == 20
+        assert dataio.load_csv(out / "dataset.csv").n == 20
         assert cli.main(["gen", "--out", str(out), "--config", '{"n": ']) == 3
 
     def test_env_seed_overrides(self, tmp_path, monkeypatch):

@@ -169,7 +169,7 @@ class TestFixture:
     def test_susy_fixture_loads(self, tmp_path):
         path = tmp_path / "susy.csv"
         make_susy_fixture(path, n=50, seed=1)
-        ds = load_csv(path, label_column=0, skip_header=True)
+        ds = load_csv(path, label_column=0)
         assert ds.n == 50
         assert ds.inputs.shape == (50, 14)
         assert set(np.unique(ds.outputs)) <= {0.0, 1.0}

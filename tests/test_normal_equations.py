@@ -70,8 +70,8 @@ def rates_case():
     real = estimator.fit_closed
     estimator.fit_closed = recording
     try:
-        cli._rates_cell_inner({"cfg": cfg, "n": 8000, "rep": 0,
-                               "schedule": sched.to_dict(), "cell_seed": 11})
+        cli._rates_cell({"cfg": cfg, "n": 8000, "rep": 0,
+                         "schedule": sched.to_dict(), "cell_seed": 11})
     finally:
         estimator.fit_closed = real
     (design, V, filt, lam), = fits
