@@ -206,9 +206,12 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
                 # paper_scale overrides top-level keys; other objects merge their own
                 known = cfg if key == "paper_scale" else cfg[key]
                 for sub in value:
-                    if sub not in known or sub == "paper_scale":
+                    if sub not in known:
                         raise ConfigError(
                             f"unknown config key '{key}.{sub}' for {command}")
+                    if isinstance(known[sub], dict):   # replacing it would drop its other keys
+                        raise ConfigError(f"{key}.{sub} cannot be set: paper_scale "
+                                          f"overrides plain values, not objects")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -235,11 +238,12 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
 
 
 def _same_type(value, example) -> bool:
-    """JSON type check against a default: integers are numbers, booleans are not."""
+    """JSON type check against a default: integers are numbers, booleans are
+    not, and neither are Infinity and NaN, which json.loads accepts."""
     if isinstance(example, bool) or isinstance(value, bool):
         return isinstance(value, bool) and isinstance(example, bool)
     if isinstance(example, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     return isinstance(value, type(example))
 
 

@@ -20,7 +20,9 @@ So the descent runs on whichever square operator is smaller: the primal
 covariance Sigma_hat (M_distinct*p wide) when it is cached already or no
 wider than the n*d_v rows, else the dual Gram matrix G, mapping c back to
 theta only at the requested stopping times.  Both give the same iterates up
-to rounding.
+to rounding.  Neither route holds Z: Sigma_hat is summed over chunks of its
+rows, G over blocks of its columns, and theta = Z^T c / n comes from a second
+pass over those column blocks (`DesignMatrix.gram`, `embed_adjoints`).
 
 Either operator is exactly symmetric, so each step reads one triangle of it:
 one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
@@ -201,9 +203,11 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     Iterates on cov() when it is cached or dim <= rows, else on gram() in the
     dual coordinates c (theta = Z^T c / n), where the gradient G c - v is
     itself the residual Z theta - v.  The primal side takes Sigma_hat and
-    S_hat^* v from one pass over the design's rows (`normal_equations`), so
-    Z is built only for gram() or to track the risk.  Both operators are
-    formed by symmetric rank-k updates, so they are exactly symmetric.
+    S_hat^* v from one pass over the design's rows (`normal_equations`), the
+    dual side G from one pass over its column blocks and the iterates at the
+    stops from a second (`embed_adjoints`), so Z is built only to track the
+    primal risk.  Both operators are summed by in-place symmetric rank-k
+    updates on one triangle, mirrored once, so they are exactly symmetric.
 
     A trajectory at least as long as the operator is wide
     (`tridiagonal_route`), without `track_risk` and where LAPACK is found
@@ -248,7 +252,7 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
         if track_risk:
             risks.append(risk(op @ x - v if dual else design.Z @ x - v))
     if dual:
-        snapshots = [design.embed_adjoint(c) for c in snapshots]
+        snapshots = design.embed_adjoints(snapshots)
     return snapshots, risks
 
 

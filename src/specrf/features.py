@@ -8,9 +8,10 @@ the Monte Carlo kernel
     K_M(u, u') = (1/M) sum_m sum_i phi_i(u, omega_m) phi_i(u', omega_m)^T.
 
 Design matrices carry the empirical operators of a dataset: Sigma_hat =
-(1/n) Z^T Z and the embedding adjoint (1/n) Z^T v, with features rescaled so
-the spectrum of Sigma_hat lies in [0, 1]; both are summed over chunks of rows,
-so Z itself is built only where a caller needs it.
+(1/n) Z^T Z, the Gram matrix (1/n) Z Z^T and the embedding adjoint
+(1/n) Z^T v, with features rescaled so their spectra lie in [0, 1].  Each is
+summed over blocks of Z's rows or columns, so Z itself is built only where a
+caller asks for it.
 
 Output spaces are finite dimensional: either plain vectors (Euclidean inner
 product) or functions sampled on a grid of n_X points with the empirical
@@ -24,6 +25,8 @@ from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from . import runtime
 
 __all__ = [
     "Activation",
@@ -217,8 +220,8 @@ def kernel_exact(fmap: FeatureMap, u: Any, u2: Any) -> np.ndarray:
 # design matrices
 
 def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1.0,
-                 summands: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 summands: np.ndarray | None = None, out: np.ndarray | None = None,
+                 draws: slice | None = None) -> np.ndarray:
     """Feature rows for a batch of inputs, shape (len(U)*d_v, M_distinct*p).
 
     Row j*d_v + k holds component k of phi_i(u_j, omega) for each distinct
@@ -229,9 +232,12 @@ def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1
     and predictions both build their rows here, so coefficients fitted on a
     design always meet rows in the same coordinates.  The map writes the
     values straight into `out` (a C-contiguous array of that shape, allocated
-    when None) and the weights are applied there in place.
+    when None) and the weights are applied there in place.  `draws` (a slice
+    of the distinct draws, all when None) builds only those draws' columns.
     """
     omegas, counts = fs.distinct
+    if draws is not None:
+        omegas, counts = omegas[draws], counts[draws]
     fmap = fs.map
     n, m, p, d_v = len(U), len(counts), fmap.p, fmap.d_v
     if out is None:
@@ -300,15 +306,20 @@ class DesignMatrix:
     Sigma_hat = cov() = (1/n) Z^T Z has spectral norm at most 1, and so has
     the Gram matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum.
 
-    The primal side needs only Sigma_hat and S_hat^* v = (1/n) Z^T v, so
-    these are summed in one pass over the rows of `chunk` inputs at a time
-    (`normal_equations`): views of Z where it is held, else rows built into
-    one reused buffer, so a fit holds one chunk of rows, not Z.  Z is built
-    on first access only (the Gram matrix, risk tracking).  Both routes sum
-    the same rows in the same order, so the operators are bit-identical
-    whether or not Z was built.  cov() and gram() are cached when formed;
-    `summands` (boolean, length p) freezes the feature functions it leaves
-    out: their columns are zero.
+    No fit holds Z.  The primal side needs only Sigma_hat and
+    S_hat^* v = (1/n) Z^T v, summed in one pass over the rows of `chunk`
+    inputs at a time (`normal_equations`): views of Z where it is held, else
+    rows built into one reused buffer.  Both sum the same rows in the same
+    order, so the operators are bit-identical whether or not Z was built.
+    The dual side sums gram() over blocks of Z's columns, those of a
+    contiguous range of distinct draws, built into one buffer of about
+    PREDICT_CHUNK_BYTES (`_column_blocks`); `embed_adjoints` maps dual
+    coefficients back over the same blocks.  Each block or chunk is added
+    into one triangle of its operator in place (`runtime.symmetric_update`),
+    which is mirrored once, so both operators are exactly symmetric.  Z is
+    built on first access only (risk tracking on the primal side, tests).
+    cov() and gram() are cached when formed; `summands` (boolean, length p)
+    freezes the feature functions it leaves out: their columns are zero.
     """
 
     def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True,
@@ -374,22 +385,37 @@ class DesignMatrix:
                 buffer = np.empty((min(self.chunk, self.n) * self.d_v, self.shape[1]))
             yield lo, self._feature_rows(self.inputs[start:stop], out=buffer[:hi - lo])
 
+    def _column_blocks(self):
+        """(first column, columns) of Z for each block of contiguous distinct
+        draws, built into one buffer of about PREDICT_CHUNK_BYTES (at least
+        one draw's columns) reused for every block.  Samples that are not a
+        numeric array (rff_map's dict) cannot be sliced: they form one block."""
+        omegas, _ = self.feature_set.distinct
+        rows, m = self.shape[0], self.M_distinct
+        per_block = m
+        if isinstance(omegas, np.ndarray) and omegas.dtype != object:
+            per_block = min(m, max(1, PREDICT_CHUNK_BYTES // (8 * rows * self.p)))
+        buffer = np.empty(rows * per_block * self.p)
+        for lo in range(0, m, per_block):
+            hi = min(lo + per_block, m)
+            out = buffer[:rows * (hi - lo) * self.p].reshape(rows, -1)
+            draws = None if hi - lo == m else slice(lo, hi)
+            yield lo * self.p, feature_rows(self.feature_set, self.inputs, self.kappa_scale,
+                                            self.v_weight, self.summands, out, draws)
+
     def _accumulate(self, v: np.ndarray | None,
                     with_cov: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
         """One pass over the rows: ((1/n) Z^T Z if `with_cov`, (1/n) Z^T v if
-        `v` is given).  Each chunk's Z_c^T Z_c is one symmetric rank-k update,
-        so Sigma_hat is exactly symmetric.  Records whether some row had a
-        nonzero entry (`is_zero`)."""
-        cov = rhs = None
+        `v` is given).  Each chunk's Z_c^T Z_c is added into the upper
+        triangle of Sigma_hat in place, which is mirrored once at the end.
+        Records whether some row had a nonzero entry (`is_zero`)."""
+        cov = np.zeros((self.shape[1],) * 2) if with_cov else None
+        rhs = None
         nonzero = False
         for lo, rows in self._row_chunks():
             nonzero = nonzero or bool(rows.any())
             if with_cov:
-                # the chunk's product is freed before the next rows are built
-                if cov is None:
-                    cov = rows.T @ rows
-                else:
-                    cov += rows.T @ rows
+                runtime.symmetric_update(cov, rows, transpose=True)
             if v is not None:
                 part = rows.T @ v[lo:lo + rows.shape[0]]
                 if rhs is None:
@@ -397,6 +423,8 @@ class DesignMatrix:
                 else:
                     rhs += part
         self._zero = not nonzero
+        if cov is not None:
+            runtime.mirror_upper(cov)
         for op in (cov, rhs):
             if op is not None:
                 op /= self.n       # in place: no second temporary of the operator's size
@@ -440,12 +468,20 @@ class DesignMatrix:
         return self._normal(None, fresh)[0]
 
     def gram(self, fresh: bool = False) -> np.ndarray:
-        """Gram matrix (1/n) Z Z^T of shape (n*d_v, n*d_v), cached; `fresh`
-        as for cov().  Z Z^T is one symmetric rank-k update, so it is exactly
-        symmetric."""
+        """Gram matrix (1/n) sum_b Z_b Z_b^T of shape (n*d_v, n*d_v) over the
+        column blocks Z_b of Z (`_column_blocks`), cached; `fresh` as for
+        cov().  Each block is added into the upper triangle in place, which is
+        mirrored once, so G is exactly symmetric.  Records whether some
+        column had a nonzero entry (`is_zero`)."""
         if self._gram is not None:
             return self._gram.copy() if fresh else self._gram
-        gram = self.Z @ self.Z.T
+        gram = np.zeros((self.shape[0],) * 2)
+        nonzero = False
+        for _, block in self._column_blocks():
+            nonzero = nonzero or bool(block.any())
+            runtime.symmetric_update(gram, block)
+        self._zero = not nonzero
+        runtime.mirror_upper(gram)
         gram /= self.n
         if not fresh:
             self._gram = gram
@@ -454,15 +490,26 @@ class DesignMatrix:
     @property
     def is_zero(self) -> bool:
         """Whether every entry of Z is zero: read off the last pass over the
-        rows, or found by one."""
+        rows or the column blocks that formed an operator, or found by a pass
+        over the rows."""
         if self._zero is None:
             self._accumulate(None, False)
         return self._zero
 
-    def embed_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """S_hat^* v = (1/n) Z^T v for stacked v of length n*d_v, summed over
-        the rows as in `normal_equations`."""
-        return self._accumulate(self._stacked(v), False)[1]
+    def embed_adjoints(self, vs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """S_hat^* v = (1/n) Z^T v for each stacked v of length n*d_v, from
+        one pass over the column blocks of Z as gram() takes it (dual
+        coefficients back to theta; `normal_equations` sums S_hat^* v over the
+        rows, with Sigma_hat).  Each v takes one matrix-vector product per
+        block, so its bits do not depend on how many vectors share the pass."""
+        vs = [self._stacked(v) for v in vs]
+        thetas = [np.empty(self.shape[1]) for _ in vs]
+        for lo, block in self._column_blocks():
+            for v, theta in zip(vs, thetas):
+                np.matmul(block.T, v, out=theta[lo:lo + block.shape[1]])
+        for theta in thetas:
+            theta /= self.n
+        return thetas
 
     def stack_outputs(self, outputs: np.ndarray) -> np.ndarray:
         """Stack raw outputs (n, d_v) into the scaled coordinates Z acts in."""
@@ -683,9 +730,11 @@ def ntk_feature_map(
             out = np.empty((n, n_x, M, 1 + d_tilde))
         # sigma(z) straight into the psi column, sigma'(z) over z
         _, dpsi = act.f_and_df(z, out=(out[..., 0], z))
-        # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j), one broadcast product
+        # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j), one product per j: a
+        # broadcast over all d_tilde summands at once loops only 2-3 deep
         deriv = out[..., 1:]
-        np.multiply(dpsi[..., None], J[:, :, None, :], out=deriv)
+        for j in range(d_tilde):
+            np.multiply(dpsi, J[:, :, j:j + 1], out=deriv[..., j])
         if deriv_scale != 1.0:     # a product with 1.0 is exact: skip the pass
             deriv *= deriv_scale
         return out.transpose(0, 2, 3, 1)

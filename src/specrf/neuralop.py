@@ -99,7 +99,7 @@ def forward(no: ShallowNO, u) -> np.ndarray:
     single = arr.ndim < 2 or (arr.ndim == 2 and arr.shape == (no.arch.n_x, no.arch.d_y))
     U = arr[None, ...] if single else arr
     _, z1 = no.arch.preactivations(U, no.B)
-    out = no.arch.activation.f(z1) @ no.a / math.sqrt(no.M)
+    out = no.arch.activation.f(z1, out=z1) @ no.a / math.sqrt(no.M)
     return out[0] if single else out
 
 
@@ -236,7 +236,7 @@ def compare_cell(
         design = features.build_design(fs, U_tr, normalize=False,
                                        summands=summands)
         model = estimator.fit_gd(design, V_tr, alpha, n_steps)
-        del design   # frees Z and its Gram matrix before the test rows are built
+        del design   # frees its Gram matrix before the test rows are built
         rf_preds = estimator.predict_batch(model, U_te)
 
     diff = no_preds - rf_preds

@@ -12,7 +12,13 @@ into this process (/proc/self/maps).  The symbols used:
   product from one triangle, half the bytes of a general product.
   `symmetric_step` uses it for every gradient-descent step; where the symbol
   is missing the step is `np.matmul`.  The two sum in different orders, so
-  the environment block records which kernel ran.
+  the environment block records which kernel ran (`gd_kernel`).
+- `scipy_cblas_dsyrk64_` adds a block's A A^T or A^T A into one triangle of
+  an operator in place (`symmetric_update`), so a covariance or Gram matrix
+  summed over blocks of rows or columns needs no operator-sized temporary
+  and is mirrored once (`mirror_upper`).  Where the symbol is missing the
+  update is `np.matmul` plus an addition; the environment block records which
+  (`operator_kernel`).
 - `scipy_dsytrd_64_` and `scipy_dormtr_64_` (ILP64 Fortran LAPACK) reduce a
   symmetric matrix in place to A = Q T Q^T, T tridiagonal, and apply Q or Q^T
   to a vector (`tridiagonalize`), so that a long gradient descent runs on T
@@ -34,7 +40,9 @@ import numpy as np
 
 _PREFIXES = ("scipy_openblas", "openblas")
 _SUFFIXES = ("64_", "")
-_ROW_MAJOR, _UPPER = 101, 121   # CBLAS_ORDER, CBLAS_UPLO (C int enums)
+# CBLAS_ORDER, CBLAS_UPLO and CBLAS_TRANSPOSE (C int enums)
+_ROW_MAJOR, _UPPER, _NO_TRANS, _TRANS = 101, 121, 111, 112
+_ENUM, _I64, _DBL, _PTR = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 @functools.cache
@@ -69,18 +77,26 @@ def _openblas_threads() -> tuple:
     return None, None
 
 
-@functools.cache
-def _dsymv():
-    """cblas_dsymv of the loaded ILP64 OpenBLAS, or None."""
+def _cblas(name: str, argtypes: list):
+    """The ILP64 CBLAS routine `name` of the loaded OpenBLAS, or None."""
     for lib in _openblas_libs():
-        fn = getattr(lib, "scipy_cblas_dsymv64_", None)
+        fn = getattr(lib, f"scipy_cblas_{name}64_", None)
         if fn is not None:
-            i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-            fn.argtypes = [ctypes.c_int, ctypes.c_int, i64, dbl, ptr, i64,
-                           ptr, i64, dbl, ptr, i64]
-            fn.restype = None
+            fn.argtypes, fn.restype = argtypes, None
             return fn
     return None
+
+
+@functools.cache
+def _dsymv():
+    """cblas_dsymv(Order, Uplo, N, alpha, A, lda, X, incX, beta, Y, incY), or None."""
+    return _cblas("dsymv", [_ENUM, _ENUM, _I64, _DBL, _PTR, _I64, _PTR, _I64, _DBL, _PTR, _I64])
+
+
+@functools.cache
+def _dsyrk():
+    """cblas_dsyrk(Order, Uplo, Trans, N, K, alpha, A, lda, beta, C, ldc), or None."""
+    return _cblas("dsyrk", [_ENUM, _ENUM, _ENUM, _I64, _I64, _DBL, _PTR, _I64, _DBL, _PTR, _I64])
 
 
 @functools.cache
@@ -159,6 +175,11 @@ def gd_kernel() -> str:
     return "matmul" if _dsymv() is None else "dsymv"
 
 
+def operator_kernel() -> str:
+    """The kernel `symmetric_update` runs: 'dsyrk' or 'matmul'."""
+    return "matmul" if _dsyrk() is None else "dsyrk"
+
+
 def gd_reduction() -> str | None:
     """The reduction `tridiagonalize` runs: 'dsytrd', or None where the
     LAPACK symbols are missing."""
@@ -197,6 +218,35 @@ def symmetric_step(a: np.ndarray, x: np.ndarray, target: np.ndarray,
         np.copyto(out, target)
         call()
     return step
+
+
+def symmetric_update(c: np.ndarray, a: np.ndarray, transpose: bool = False) -> None:
+    """c += a @ a.T, or a.T @ a with `transpose`, on the upper triangle of c.
+
+    `c` must be a C-contiguous float64 square array and `a` a C-contiguous
+    float64 array of matching width.  dsyrk (beta = 1) writes only the upper
+    triangle, in place; the np.matmul fallback adds the whole product, through
+    a temporary of c's size.  Either way `mirror_upper` makes c symmetric once
+    every block is in.
+    """
+    d = a.shape[1] if transpose else a.shape[0]
+    if c.dtype != np.float64 or c.shape != (d, d) or not c.flags.c_contiguous:
+        raise ValueError(f"symmetric_update needs a C-contiguous float64 ({d}, {d}) array")
+    if a.dtype != np.float64 or a.ndim != 2 or not a.flags.c_contiguous:
+        raise ValueError("symmetric_update needs a C-contiguous float64 matrix")
+    dsyrk = _dsyrk()
+    if dsyrk is None:
+        c += a.T @ a if transpose else a @ a.T
+        return
+    k = a.shape[0] if transpose else a.shape[1]
+    dsyrk(_ROW_MAJOR, _UPPER, _TRANS if transpose else _NO_TRANS, d, k, 1.0,
+          a.ctypes.data, max(1, a.shape[1]), 1.0, c.ctypes.data, d)
+
+
+def mirror_upper(c: np.ndarray) -> None:
+    """Copy the upper triangle of the square array c onto its lower one."""
+    for i in range(1, c.shape[0]):
+        c[i, :i] = c[:i, i]
 
 
 def _lapack_call(fn, chars: tuple, *args) -> None:
@@ -254,11 +304,11 @@ def tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def environment(jobs: int) -> dict:
-    """What produced a run's bytes: versions, BLAS threads, the GD step
-    kernel and reduction, --jobs and cores."""
+    """What produced a run's bytes: versions, BLAS threads, the kernel that
+    formed the operators, the GD step kernel and reduction, --jobs and cores."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "blas_threads": blas_threads(), "gd_kernel": gd_kernel(),
-            "gd_reduction": gd_reduction(),
+            "blas_threads": blas_threads(), "operator_kernel": operator_kernel(),
+            "gd_kernel": gd_kernel(), "gd_reduction": gd_reduction(),
             "jobs": jobs, "nproc": os.cpu_count()}

@@ -254,7 +254,8 @@ class TestCLIContract:
         assert env["numpy"] == np.__version__
         assert env["jobs"] == 1 and env["nproc"] == os.cpu_count()
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
-                            "gd_kernel", "gd_reduction", "jobs", "nproc"}
+                            "operator_kernel", "gd_kernel", "gd_reduction", "jobs", "nproc"}
+        assert env["operator_kernel"] == runtime.operator_kernel() in ("dsyrk", "matmul")
         assert env["gd_kernel"] == runtime.gd_kernel() in ("dsymv", "matmul")
         assert env["gd_reduction"] == runtime.gd_reduction() in ("dsytrd", None)
         if runtime.blas_threads() is None:
@@ -395,6 +396,10 @@ class TestCLIContract:
         ("sweep-heatmap", {"input_bound": -1.0}, "input_bound must be positive"),
         ("gen", {"kind": "bogus"}, "kind must be 'synthetic' or 'susy-fixture'"),
         ("sweep-heatmap", {"paper_scale": {"n_train": 0}}, "paper_scale.n_train must be positive"),
+        # json.dumps writes Infinity, which json.loads reads back
+        ("gen", {"R": float("inf"), "n": 5, "d_max": 16}, "R must be a number, got inf"),
+        ("sweep-heatmap", {"paper_scale": {"problem": {"r": 2.0}}},
+         "paper_scale.problem cannot be set"),
     ])
     def test_bad_problem_parameter_exits_3(self, command, config, message, tmp_path,
                                            capsys):

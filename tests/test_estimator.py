@@ -80,7 +80,7 @@ class TestFitGD:
     def test_single_step_is_scaled_adjoint(self):
         _, design, _, V = problem_design()
         model = fit_gd(design, V, alpha=0.5, n_steps=1)
-        rhs = design.embed_adjoint(design.stack_outputs(V))
+        _, rhs = design.normal_equations(design.stack_outputs(V))
         np.testing.assert_allclose(model.theta, 0.5 * rhs, atol=1e-14)
 
     def test_rejects_zero_steps_and_bad_alpha(self):

@@ -90,7 +90,7 @@ def test_tikhonov_solve_matches_the_eigh_route(name, monkeypatch):
     rows, dim = design.shape
     assert (dim > rows) == (name == "wide")
     v = design.stack_outputs(V)
-    cov, rhs = design.cov(fresh=True), design.embed_adjoint(v)
+    cov, rhs = design.normal_equations(v, fresh=True)
     expected = spectral.apply_filter(spectral.tikhonov(), lam, spectral.eigensystem(cov), rhs)
 
     def no_eigh(*args, **kwargs):
@@ -107,7 +107,7 @@ def test_tikhonov_solve_matches_the_eigh_route(name, monkeypatch):
 def test_streamed_operators_match_the_whole_design(name):
     """Sigma_hat and S_hat^* v summed over chunks equal Z^T Z / n and
     Z^T v / n, and are bit-identical whether or not Z was built first; cov(),
-    embed_adjoint and normal_equations give the same bits."""
+    and normal_equations with and without a cached cov() give the same bits."""
     make, V, _ = STREAM_CASES[name]()
     streamed = make()
     v = streamed.stack_outputs(V)
@@ -126,8 +126,11 @@ def test_streamed_operators_match_the_whole_design(name):
     np.testing.assert_array_equal(held_cov, cov)
     np.testing.assert_array_equal(held_rhs, rhs)
     np.testing.assert_array_equal(held.cov(), cov)
-    np.testing.assert_array_equal(held.embed_adjoint(v), rhs)
-    np.testing.assert_array_equal(make().embed_adjoint(v), rhs)
+    np.testing.assert_array_equal(held.normal_equations(v)[1], rhs)   # S_hat^* v alone
+    fresh = make()
+    fresh.cov()
+    np.testing.assert_array_equal(fresh.normal_equations(v)[1], rhs)
+    assert "Z" not in vars(fresh)
 
 
 def test_primal_descent_does_not_build_the_design():
