@@ -163,16 +163,14 @@ class FeatureSet:
 
         c identical draws give c identical feature columns, which span the same
         kernel as one column scaled by sqrt(c), so designs evaluate each
-        distinct draw once.  Draws merge on exact equality of their rows;
-        samples that are not a numeric array (rff_map's dict) pass through
-        with unit counts.
+        distinct draw once.  Draws are the rows of `samples` (every map draws
+        a numeric array with one row per draw) and merge on exact equality.
         """
         s = self.samples
-        if isinstance(s, np.ndarray) and s.dtype != object:
-            _, first, counts = np.unique(s, axis=0, return_index=True, return_counts=True)
-            if first.size < s.shape[0]:
-                order = np.argsort(first)
-                return s[first[order]], counts[order].astype(float)
+        _, first, counts = np.unique(s, axis=0, return_index=True, return_counts=True)
+        if first.size < s.shape[0]:
+            order = np.argsort(first)
+            return s[first[order]], counts[order].astype(float)
         return s, np.ones(self.M)
 
 
@@ -258,10 +256,6 @@ def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1
     return out
 
 
-#: bytes of feature rows a prediction builds at a time (at least one input's)
-PREDICT_CHUNK_BYTES = 4 << 20
-
-
 def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float,
                    summands: np.ndarray | None = None,
                    chunk: int | None = None) -> np.ndarray:
@@ -271,7 +265,7 @@ def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float
     A (dim, k) theta holds k coefficient vectors side by side; each chunk's
     rows are then built once for all of them and the result has shape
     (len(U), d_v, k).  The rows of `chunk` inputs at a time (by default as
-    many as fit in PREDICT_CHUNK_BYTES, and at least one) are written into
+    many as fit in runtime.BLOCK_BYTES, and at least one) are written into
     one buffer.  Each prediction is one dot product of a row with a
     coefficient vector, taken by np.einsum in an order fixed by the row alone,
     so the bytes do not depend on `chunk` or on how many vectors are stacked
@@ -282,7 +276,7 @@ def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float
     d_v = fs.map.d_v
     width = len(fs.distinct[1]) * fs.map.p
     if chunk is None:
-        chunk = max(1, PREDICT_CHUNK_BYTES // (8 * d_v * width))
+        chunk = runtime.per_block(8 * d_v * width)
     coefs = np.ascontiguousarray(theta.reshape(width, -1).T)     # (k, width)
     n, k = U.shape[0], coefs.shape[0]
     out = np.empty((n, d_v, k))
@@ -308,22 +302,23 @@ class DesignMatrix:
 
     No fit holds Z.  The primal side needs only Sigma_hat and
     S_hat^* v = (1/n) Z^T v, summed in one pass over the rows of `chunk`
-    inputs at a time (`normal_equations`): views of Z where it is held, else
-    rows built into one reused buffer.  Both sum the same rows in the same
-    order, so the operators are bit-identical whether or not Z was built.
-    The dual side sums gram() over blocks of Z's columns, those of a
-    contiguous range of distinct draws, built into one buffer of about
-    PREDICT_CHUNK_BYTES (`_column_blocks`); `embed_adjoints` maps dual
-    coefficients back over the same blocks.  Each block or chunk is added
-    into one triangle of its operator in place (`runtime.symmetric_update`),
-    which is mirrored once, so both operators are exactly symmetric.  Z is
-    built on first access only (risk tracking on the primal side, tests).
+    inputs at a time (`normal_equations`), as many as fit in
+    runtime.BLOCK_BYTES: views of Z where it is held, else rows built into
+    one reused buffer.  Both sum the same rows in the same order, so the
+    operators are bit-identical whether or not Z was built.  The dual side
+    sums gram() over blocks of Z's columns, those of a contiguous range of
+    distinct draws, built into one buffer of about runtime.BLOCK_BYTES
+    (`_column_blocks`); `embed_adjoints` maps dual coefficients back over the
+    same blocks.  Each block or chunk is added into one triangle of its
+    operator in place (`runtime.symmetric_update`), which is mirrored once,
+    so both operators are exactly symmetric.  Z is built on first access
+    only (risk tracking on the primal side, tests).
     cov() and gram() are cached when formed; `summands` (boolean, length p)
     freezes the feature functions it leaves out: their columns are zero.
     """
 
     def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True,
-                 chunk: int = 512, summands: np.ndarray | None = None):
+                 summands: np.ndarray | None = None):
         fmap = feature_set.map
         inputs = np.asarray(inputs, dtype=float)
         n = inputs.shape[0]
@@ -341,7 +336,6 @@ class DesignMatrix:
         self.v_weight = fmap.v_weight
         self.kappa_scale = float(fmap.kappa) if normalize else 1.0
         self.summands = summands
-        self.chunk = chunk
         self._cov: np.ndarray | None = None
         self._gram: np.ndarray | None = None
         self._zero: bool | None = None
@@ -357,10 +351,16 @@ class DesignMatrix:
         return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight,
                             self.summands, out)
 
+    @property
+    def chunk(self) -> int:
+        """Inputs per row chunk: as many as fit in runtime.BLOCK_BYTES."""
+        return runtime.per_block(8 * self.d_v * self.shape[1])
+
     def _chunks(self):
         """(first input, stop input) of each chunk of `chunk` inputs."""
-        for start in range(0, self.n, self.chunk):
-            yield start, min(start + self.chunk, self.n)
+        chunk = self.chunk
+        for start in range(0, self.n, chunk):
+            yield start, min(start + chunk, self.n)
 
     @cached_property
     def Z(self) -> np.ndarray:
@@ -382,26 +382,21 @@ class DesignMatrix:
                 yield lo, held[lo:hi]
                 continue
             if buffer is None:
-                buffer = np.empty((min(self.chunk, self.n) * self.d_v, self.shape[1]))
+                buffer = np.empty((hi - lo, self.shape[1]))   # the first chunk is the largest
             yield lo, self._feature_rows(self.inputs[start:stop], out=buffer[:hi - lo])
 
     def _column_blocks(self):
         """(first column, columns) of Z for each block of contiguous distinct
-        draws, built into one buffer of about PREDICT_CHUNK_BYTES (at least
-        one draw's columns) reused for every block.  Samples that are not a
-        numeric array (rff_map's dict) cannot be sliced: they form one block."""
-        omegas, _ = self.feature_set.distinct
+        draws, built into one buffer of about runtime.BLOCK_BYTES (at least
+        one draw's columns) reused for every block."""
         rows, m = self.shape[0], self.M_distinct
-        per_block = m
-        if isinstance(omegas, np.ndarray) and omegas.dtype != object:
-            per_block = min(m, max(1, PREDICT_CHUNK_BYTES // (8 * rows * self.p)))
+        per_block = min(m, runtime.per_block(8 * rows * self.p))
         buffer = np.empty(rows * per_block * self.p)
         for lo in range(0, m, per_block):
             hi = min(lo + per_block, m)
             out = buffer[:rows * (hi - lo) * self.p].reshape(rows, -1)
-            draws = None if hi - lo == m else slice(lo, hi)
             yield lo * self.p, feature_rows(self.feature_set, self.inputs, self.kappa_scale,
-                                            self.v_weight, self.summands, out, draws)
+                                            self.v_weight, self.summands, out, slice(lo, hi))
 
     def _accumulate(self, v: np.ndarray | None,
                     with_cov: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -577,15 +572,16 @@ def rff_map(dim: int, lengthscale: float = 1.0) -> FeatureMap:
         raise FeatureError("rff_map needs dim >= 1 and positive lengthscale")
 
     def draw(rng: np.random.Generator, M: int):
+        """One (M, dim + 1) array: a draw's w, then its b."""
         w = rng.normal(size=(M, dim)) / lengthscale
         b = rng.uniform(0.0, 2.0 * np.pi, size=M)
-        return {"w": w, "b": b}
+        return np.column_stack([w, b])
 
-    def evaluate(U: np.ndarray, omegas, out=None) -> np.ndarray:
+    def evaluate(U: np.ndarray, omegas: np.ndarray, out=None) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if out is None:
-            out = np.empty((U.shape[0], 1, len(omegas["b"]), 1))
-        np.multiply(np.sqrt(2.0), np.cos(U @ omegas["w"].T + omegas["b"]),
+            out = np.empty((U.shape[0], 1, len(omegas), 1))
+        np.multiply(np.sqrt(2.0), np.cos(U @ omegas[:, :dim].T + omegas[:, dim]),
                     out=out[:, 0, :, 0])
         return out.transpose(0, 2, 3, 1)
 
@@ -678,17 +674,8 @@ class OperatorArchitecture:
         preactivations Z = <w_m, J(u)(x)> of shape (n, n_X, M) for the M weight
         rows of W (M, d_tilde), as one 2-D matmul over all (u, x) pairs."""
         J = self.j_features(U)
-        return J, self.project(J, W)
-
-    @staticmethod
-    def project(J: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Preactivations <w_m, J(u)(x)> of shape (n, n_X, M) from J of shape
-        (n, n_X, d_tilde), written into the C-contiguous `out` when given."""
         n, n_x, d_tilde = J.shape
-        if out is None:
-            out = np.empty((n, n_x, W.shape[0]))
-        np.matmul(J.reshape(-1, d_tilde), W.T, out=out.reshape(n * n_x, -1))
-        return out
+        return J, (J.reshape(-1, d_tilde) @ W.T).reshape(n, n_x, -1)
 
 
 def ntk_feature_map(

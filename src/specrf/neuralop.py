@@ -7,8 +7,11 @@ The operator is G_theta(u)(x) = (1/sqrt(M)) <a, sigma(B J(u)(x))> with
 J(u)(x) = (A(u)(x), u(x), c(x)) shared with `features.OperatorArchitecture`.
 Symmetric initialization pairs output weights +tau/-tau with duplicated input
 weights so that G_theta0 is identically zero.  Training runs one forward pass
-per gradient step: the step's risk and both gradients come from that pass,
-written into work arrays allocated once per training run.
+per gradient step: the step's risk and both gradients come from that pass.
+Both the step and `forward` go over the n * n_X (input, grid point) pairs in
+blocks whose (pairs, M) preactivations fit in runtime.BLOCK_BYTES
+(`_row_blocks`), so the work arrays stay that size at any width or batch, and
+a step's risk equals `_risk` bit for bit.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import estimator, features
+from . import estimator, features, runtime
 from .features import FeatureSet, OperatorArchitecture
 
 __all__ = [
@@ -93,13 +96,34 @@ def init_symmetric(
     return ShallowNO(arch=arch, a=a, B=B, tau=float(tau))
 
 
+def _work_array(no: ShallowNO, pairs: int) -> np.ndarray:
+    """A (rows, M) work array for `_row_blocks`: as many of the `pairs`
+    (input, grid point) pairs as fit in runtime.BLOCK_BYTES, at least one."""
+    return np.empty((min(pairs, runtime.per_block(8 * no.M)), no.M))
+
+
+def _row_blocks(no: ShallowNO, J: np.ndarray, z: np.ndarray):
+    """(rows, preactivations) for each block of the (input, grid point) pairs
+    of J (n, n_X, d_tilde): `rows` a slice of the n * n_X pairs and their
+    preactivations <b_m, J(u)(x)>, written into the work array z."""
+    pairs = J.reshape(-1, J.shape[2])
+    for lo in range(0, pairs.shape[0], z.shape[0]):
+        hi = min(lo + z.shape[0], pairs.shape[0])
+        block = z[:hi - lo]
+        np.matmul(pairs[lo:hi], no.B.T, out=block)
+        yield slice(lo, hi), block
+
+
 def forward(no: ShallowNO, u) -> np.ndarray:
     """G_theta(u) on the grid; single input -> (n_X,), batch -> (n, n_X)."""
     arr = np.asarray(u, dtype=float)
     single = arr.ndim < 2 or (arr.ndim == 2 and arr.shape == (no.arch.n_x, no.arch.d_y))
-    U = arr[None, ...] if single else arr
-    _, z1 = no.arch.preactivations(U, no.B)
-    out = no.arch.activation.f(z1, out=z1) @ no.a / math.sqrt(no.M)
+    J = no.arch.j_features(arr[None, ...] if single else arr)
+    out = np.empty(J.shape[:2])
+    flat = out.reshape(-1)
+    for rows, z in _row_blocks(no, J, _work_array(no, flat.size)):
+        np.matmul(no.arch.activation.f(z, out=z), no.a, out=flat[rows])
+    out /= math.sqrt(no.M)
     return out[0] if single else out
 
 
@@ -112,31 +136,40 @@ def _risk(no: ShallowNO, U: np.ndarray, V: np.ndarray) -> float:
 
 
 def _step_buffers(no: ShallowNO, U: np.ndarray):
-    """(J, z, s) for `_risk_and_gradients`: J(U) and two (n, n_X, M) work
-    arrays, allocated once and reused by every step of a training run."""
+    """(J, z, s) for `_risk_and_gradients`: J(U) and two work arrays of one
+    row block each (`_work_array`), allocated once and reused by every step
+    of a training run."""
     J = no.arch.j_features(U)
-    n, n_x, _ = J.shape
-    return J, np.empty((n, n_x, no.M)), np.empty((n, n_x, no.M))
+    pairs = J.shape[0] * J.shape[1]
+    return J, _work_array(no, pairs), _work_array(no, pairs)
 
 
 def _risk_and_gradients(no: ShallowNO, U: np.ndarray, V: np.ndarray, buffers=None):
     """Empirical risk (equal to `_risk`) and its full-batch gradients dE/da_m
-    and dE/dB_mj with the grid-mean inner product, all from one forward pass.
-    Every contraction is a 2-D matmul over the n * n_X (input, grid point)
-    pairs.  `buffers` from `_step_buffers(no, U)` are filled in place: z takes
-    the preactivations, then sigma'(z) weighted by the residual, and s takes
-    sigma(z)."""
+    and dE/dB_mj with the grid-mean inner product, all from one forward pass
+    over the row blocks of `forward`.  Per block, z takes the preactivations,
+    then sigma'(z) weighted by the residual, and s takes sigma(z); both
+    gradients are summed over the blocks.  `buffers` come from
+    `_step_buffers(no, U)`."""
     J, z, s = _step_buffers(no, U) if buffers is None else buffers
-    OperatorArchitecture.project(J, no.B, out=z)
-    s, ds = no.arch.activation.f_and_df(z, out=(s, z))
-    resid = s @ no.a / math.sqrt(no.M) - V      # (n, n_X), as in forward
     n, n_x, d_tilde = J.shape
-    r = resid.reshape(-1)
-    scale = 1.0 / (n * n_x * math.sqrt(no.M))
-    grad_a = scale * (r @ s.reshape(-1, no.M))
-    weighted = np.multiply(ds.reshape(-1, no.M), r[:, None], out=ds.reshape(-1, no.M))
-    grad_b = scale * no.a[:, None] * (weighted.T @ J.reshape(-1, d_tilde))
-    return _half_mean_square(resid), grad_a, grad_b
+    pairs, targets = J.reshape(-1, d_tilde), np.asarray(V).reshape(-1)
+    resid = np.empty(n * n_x)
+    grad_a, grad_b = np.zeros(no.M), np.zeros((no.M, d_tilde))
+    root_m = math.sqrt(no.M)
+    for rows, zb in _row_blocks(no, J, z):
+        sb, ds = no.arch.activation.f_and_df(zb, out=(s[:zb.shape[0]], zb))
+        r = resid[rows]
+        np.matmul(sb, no.a, out=r)                   # as in forward
+        r /= root_m
+        r -= targets[rows]
+        grad_a += r @ sb
+        ds *= r[:, None]
+        grad_b += ds.T @ pairs[rows]
+    scale = 1.0 / (n * n_x * root_m)
+    grad_a *= scale
+    grad_b *= scale * no.a[:, None]
+    return _half_mean_square(resid.reshape(n, n_x)), grad_a, grad_b
 
 
 def train_gd(

@@ -1,6 +1,6 @@
 """The process the experiments run in: one BLAS thread, a raised heap mmap
-threshold, the gradient-descent kernels, and a record of the environment that
-produced an output.
+threshold, the byte budget of every streamed buffer, the gradient-descent
+kernels, and a record of the environment that produced an output.
 
 numpy's bundled OpenBLAS is found once with ctypes among the libraries mapped
 into this process (/proc/self/maps).  The symbols used:
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import platform
 from typing import Callable
@@ -123,6 +124,20 @@ def _lapack() -> tuple | None:
 
 #: the block `init_process` allocates and frees to raise glibc's mmap threshold
 HEAP_PRIME_BYTES = 1 << 20
+
+#: bytes of every streamed buffer: a design's row chunks and column blocks,
+#: prediction rows, cosine tables with their scratch rows, the neural
+#: operator's row blocks and the tiles of `mirror_upper`.  Half the 2 MiB L2
+#: cache of the cores it was measured on, so a block and what it is
+#: multiplied with stay in that cache while two workers share the memory bus.
+#: No buffer exceeds it (unless one input's rows or one draw's columns do), so
+#: none reaches the mmap threshold `init_process` sets.
+BLOCK_BYTES = 1 << 20
+
+
+def per_block(item_bytes: int) -> int:
+    """How many items of `item_bytes` each fit in BLOCK_BYTES, and at least one."""
+    return max(1, BLOCK_BYTES // item_bytes)
 
 
 @functools.cache
@@ -244,9 +259,21 @@ def symmetric_update(c: np.ndarray, a: np.ndarray, transpose: bool = False) -> N
 
 
 def mirror_upper(c: np.ndarray) -> None:
-    """Copy the upper triangle of the square array c onto its lower one."""
-    for i in range(1, c.shape[0]):
-        c[i, :i] = c[:i, i]
+    """Copy the upper triangle of the square array c onto its lower one.
+
+    Square tiles, a source and its transposed destination together about
+    BLOCK_BYTES, are copied whole; only the tiles on the diagonal go row by
+    row.  One strided row copy per row of c reads a column of c each time,
+    which at d = 4554 took twice as long."""
+    d = c.shape[0]
+    t = math.isqrt(per_block(16))
+    for lo in range(0, d, t):
+        hi = min(lo + t, d)
+        for j in range(0, lo, t):
+            c[lo:hi, j:j + t] = c[j:j + t, lo:hi].T
+        tile = c[lo:hi, lo:hi]
+        for i in range(1, hi - lo):
+            tile[i, :i] = tile[:i, i]
 
 
 def _lapack_call(fn, chars: tuple, *args) -> None:

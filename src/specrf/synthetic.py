@@ -9,8 +9,8 @@ expectation kernel is exactly the truncated kernel.
 
 The basis, the target and the feature map all evaluate cos(pi k u) through one
 kernel, `_cos_table`: it evaluates cos(pi u) and sin(pi u) directly and fills
-the higher frequencies by angle-addition doubling, on blocks of inputs small
-enough for the table to stay in the L2 cache.
+the higher frequencies by angle-addition doubling, on blocks of inputs whose
+table and scratch rows fit in runtime.BLOCK_BYTES.
 
 Also provides the parameter schedules (lambda_n, T_n, M_n, n_0) of the
 minimax rate statement and a log-log slope fitter for rate experiments.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import features
+from . import features, runtime
 from .features import FeatureMap, FeatureSet
 
 __all__ = [
@@ -191,12 +191,6 @@ class SyntheticProblem:
         return json.dumps(self.to_manifest(), sort_keys=True)
 
 
-#: inputs per block of `_cos_table`: at d_max = 512 a block's cosines take
-#: 1 MiB and its sine and scratch rows another 1 MiB, so the table stays in a
-#: 2 MiB L2 cache
-_COS_BLOCK = 256
-
-
 def _cos_table(u: np.ndarray, K: int) -> np.ndarray:
     """cos(pi k u_j) for k = 1..K, shape (K, len(u)): row k-1 holds frequency k.
 
@@ -234,9 +228,14 @@ def _cos_table(u: np.ndarray, K: int) -> np.ndarray:
 
 
 def _cos_blocks(U: np.ndarray, K: int):
-    """(rows, `_cos_table(U[rows], K)`) for consecutive blocks of the inputs."""
-    for start in range(0, U.size, _COS_BLOCK):
-        rows = slice(start, min(start + _COS_BLOCK, U.size))
+    """(rows, `_cos_table(U[rows], K)`) for consecutive blocks of the inputs,
+    each table with its sine and scratch rows (about 2K rows in all) at most
+    runtime.BLOCK_BYTES: 128 inputs at K = 512.  Each column of a table is
+    computed from its input alone, so the tables do not depend on the block
+    size."""
+    block = runtime.per_block(16 * K)
+    for start in range(0, U.size, block):
+        rows = slice(start, min(start + block, U.size))
         yield rows, _cos_table(U[rows], K)
 
 

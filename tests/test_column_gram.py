@@ -44,22 +44,28 @@ def ntk_design():
 
 
 def rff_design():
-    """Random Fourier features, whose dict of samples forms one block."""
+    """Random Fourier features, 200 draws on 50 rows."""
     rng = np.random.default_rng(5)
     fs = features.sample_features(features.rff_map(2, lengthscale=0.6), 200, seed=6)
     U = rng.normal(size=(50, 2))
     return features.build_design(fs, U), np.sin(U[:, 0])
 
 
-DESIGNS = {"heatmap": (heatmap_design, 3), "ntk": (ntk_design, 2), "rff": (rff_design, 1)}
+DESIGNS = {"heatmap": heatmap_design, "ntk": ntk_design, "rff": rff_design}
+
+
+def column_blocks(design):
+    """How many column blocks the budget makes: each holds as many distinct
+    draws' columns as fit in runtime.BLOCK_BYTES, and at least one draw's."""
+    per_block = max(1, runtime.BLOCK_BYTES // (8 * design.shape[0] * design.p))
+    return math.ceil(design.M_distinct / per_block)
 
 
 @pytest.mark.parametrize("name", DESIGNS)
 def test_column_block_gram_matches_the_whole_design(name, monkeypatch):
-    make, blocks = DESIGNS[name]
-    design, _ = make()
+    design, _ = DESIGNS[name]()
     assert design.shape[1] > design.shape[0]
-    assert len(list(design._column_blocks())) == blocks
+    assert len(list(design._column_blocks())) == column_blocks(design)
     gram = design.gram()
     assert "Z" not in vars(design)                  # summed without building Z
     assert gram.flags.c_contiguous
@@ -79,7 +85,7 @@ def test_column_block_gram_matches_the_whole_design(name, monkeypatch):
 
 @pytest.mark.parametrize("name", DESIGNS)
 def test_embed_adjoints_match_the_whole_design(name):
-    design, _ = DESIGNS[name][0]()
+    design, _ = DESIGNS[name]()
     rng = np.random.default_rng(7)
     cs = [rng.normal(size=design.shape[0]) for _ in range(3)]
     thetas = design.embed_adjoints(cs)
@@ -114,9 +120,13 @@ def test_symmetric_update_adds_to_the_upper_triangle(transpose, fallback, monkey
 @pytest.mark.parametrize("route", ["primal", "dual"])
 def test_dsyrk_matches_matmul_fallback(route, monkeypatch):
     """cov() over row chunks and gram() over column blocks, by dsyrk and by
-    the np.matmul fallback, on the heatmap design (3 column blocks) and a
+    the np.matmul fallback, on the heatmap design (12 column blocks) and a
     narrower one (2 row chunks); both exactly symmetric."""
     design = heatmap_design(M=64, n=1000)[0] if route == "primal" else heatmap_design()[0]
+    if route == "primal":
+        assert math.ceil(design.n / design.chunk) == 2
+    else:
+        assert column_blocks(design) == 12
     form = design.cov if route == "primal" else design.gram
     assert runtime.operator_kernel() == "dsyrk"
     fast = form(fresh=True)
@@ -132,7 +142,7 @@ def test_dsyrk_matches_matmul_fallback(route, monkeypatch):
 def test_dual_fit_never_holds_the_design():
     """A dual fit_gd_path on the 1000 x 1536 heatmap design, from building the
     design to the last snapshot, holds the Gram matrix and less than 3/4 of
-    Z's bytes besides (one column block of about PREDICT_CHUNK_BYTES and the
+    Z's bytes besides (one column block of about runtime.BLOCK_BYTES and the
     map's work arrays), so never Z itself."""
     design, V = heatmap_design()
     fs = design.feature_set
@@ -150,3 +160,22 @@ def test_dual_fit_never_holds_the_design():
     assert len(models) == 6
     gram_bytes, z_bytes = rows * rows * 8, rows * dim * 8
     assert peak < gram_bytes + 0.75 * z_bytes, (peak, gram_bytes, z_bytes)
+
+
+@pytest.mark.parametrize("name", DESIGNS)
+def test_operators_agree_at_two_budgets(name, monkeypatch):
+    """Sigma_hat and G summed at the budget and at a budget of 3 draws'
+    columns or 3 inputs' rows (more blocks, summed in another order) agree to
+    1e-14 relative; the smaller budget's blocks are Z's columns bit for bit,
+    also rff's, whose samples form one array like every other map's."""
+    design, _ = DESIGNS[name]()
+    rows, dim = design.shape
+    cov, gram, Z = design.cov(fresh=True), design.gram(fresh=True), design.Z
+    monkeypatch.setattr(runtime, "BLOCK_BYTES", 3 * 8 * rows * design.p)
+    assert len(list(design._column_blocks())) == math.ceil(design.M_distinct / 3) > 2
+    assert rel(design.gram(fresh=True), gram) < 1e-14
+    np.testing.assert_array_equal(
+        np.concatenate([block.copy() for _, block in design._column_blocks()], axis=1), Z)
+    monkeypatch.setattr(runtime, "BLOCK_BYTES", 3 * 8 * design.d_v * dim)
+    assert design.chunk == 3
+    assert rel(design.cov(fresh=True), cov) < 1e-14

@@ -13,8 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specrf import cli, features, neuralop, synthetic
+from specrf import cli, features, neuralop, runtime, synthetic
 from test_merged_design import vector_omega_case
+from test_normal_equations import chunk_inputs
 
 
 def copied_rows(fs, U, kappa_scale, v_weight=1.0, summands=None):
@@ -109,7 +110,7 @@ def test_ntk_values_match_the_einsum_construction(n_x):
         np.testing.assert_array_equal(phi, einsum_values(arch, U, omegas, deriv_scale))
 
 
-def test_design_across_the_chunk_boundary():
+def test_design_across_the_chunk_boundary(monkeypatch):
     """1100 inputs take three assembly chunks (512, 512, 76) of Z and, at
     chunk 512, three prediction chunks through one row buffer; the
     predictions are the row-by-row dot products of the rows built at once."""
@@ -118,6 +119,7 @@ def test_design_across_the_chunk_boundary():
                                   40, seed=7)
     U = np.random.default_rng(8).uniform(-1.0, 1.0, size=(1100, 1))
     design = features.build_design(fs, U)
+    chunk_inputs(monkeypatch, design, 512)
     np.testing.assert_array_equal(design.Z, copied_rows(fs, U, design.kappa_scale))
     theta = np.random.default_rng(9).normal(size=(design.Z.shape[1], 3))
     expected = np.einsum("ij,kj->ik", copied_rows(fs, U, design.kappa_scale),
@@ -145,14 +147,14 @@ def rates_test_batch():
 @pytest.mark.parametrize("batch", [ntk_test_batch, rates_test_batch])
 def test_predictions_do_not_depend_on_the_chunk(batch):
     """Predictions are byte-identical at chunks of 1, 7 and 512 inputs and
-    at the default chunk of PREDICT_CHUNK_BYTES of rows (16 inputs of the
-    ntk batch, over 500 of the synthetic one), for one coefficient vector
-    and for the stacked vectors of `evaluate_path`; a stacked column
-    predicts what the vector alone does."""
+    at the default chunk of runtime.BLOCK_BYTES of rows (4 inputs of the ntk
+    batch, over 300 of the synthetic one), for one coefficient vector and for
+    the stacked vectors of `evaluate_path`; a stacked column predicts what
+    the vector alone does."""
     fs, U = batch()
     width = len(fs.distinct[1]) * fs.map.p
-    default = features.PREDICT_CHUNK_BYTES // (8 * fs.map.d_v * width)
-    assert 7 < default < len(U) and default != 512
+    default = runtime.BLOCK_BYTES // (8 * fs.map.d_v * width)
+    assert 1 < default < len(U) and default not in (7, 512)
     stacked = np.random.default_rng(12).normal(size=(width, 4))
     single = stacked[:, 0].copy()
     predictions = {}

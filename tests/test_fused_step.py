@@ -2,15 +2,17 @@
 
 The reference below is the two-pass formulation: einsum preactivations, a
 three-operand einsum for dE/dB, and a separate forward pass for the risk after
-every update.  The fused step sums in another order, so agreement is required
-to 1e-12 relative rather than bit for bit.
+every update.  The fused step sums in another order, and over row blocks of
+(input, grid point) pairs sized by runtime.BLOCK_BYTES, so agreement is
+required to 1e-12 relative rather than bit for bit; its risk equals that of
+`forward`, which takes the same blocks, bit for bit.
 """
 import math
 
 import numpy as np
 import pytest
 
-from specrf import neuralop
+from specrf import neuralop, runtime
 from specrf.features import OperatorArchitecture, identity_act, tanh_act
 
 RTOL = 1e-12
@@ -141,3 +143,31 @@ def test_train_gd_equals_fresh_steps_bit_for_bit(activation):
         cur = neuralop.replace(cur, a=cur.a - 0.25 * grad_a, B=cur.B - 0.25 * grad_b)
     np.testing.assert_array_equal(record.model.a, cur.a)
     np.testing.assert_array_equal(record.model.B, cur.B)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 7])
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+def test_blocked_step_matches_two_pass(activation, blocks, monkeypatch):
+    """With the budget set to 1, 2 and 7 row blocks of the 7 x 6 (input,
+    grid point) pairs, the step matches the two-pass gradients, its risk
+    equals `_risk` bit for bit, and train_gd follows the two-pass
+    trajectory."""
+    no, U, V, rng = _problem(activation, seed=blocks, width=16, n=7)
+    pairs = U.shape[0] * U.shape[1]
+    monkeypatch.setattr(runtime, "BLOCK_BYTES", 8 * no.M * math.ceil(pairs / blocks))
+    J = no.arch.j_features(U)
+    assert len(list(neuralop._row_blocks(no, J, neuralop._work_array(no, pairs)))) == blocks
+    moved = neuralop.replace(no, a=no.a + 0.3 * rng.normal(size=no.M),
+                             B=no.B + 0.3 * rng.normal(size=no.B.shape))
+    risk, grad_a, grad_b = neuralop._risk_and_gradients(moved, U, V)
+    ref_a, ref_b = _two_pass_gradients(moved, U, V)
+    assert risk == neuralop._risk(moved, U, V)
+    _assert_close(risk, _two_pass_risk(moved, U, V))
+    _assert_close(grad_a, ref_a)
+    _assert_close(grad_b, ref_b)
+    record = neuralop.train_gd(no, U, V, alpha=0.25, n_steps=12)
+    risks, drifts, model = _two_pass_train(no, U, V, 0.25, 12, True, True)
+    _assert_close(record.risks, risks)
+    _assert_close(record.drifts, drifts)
+    _assert_close(record.model.a, model.a)
+    _assert_close(record.model.B, model.B)

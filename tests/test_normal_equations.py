@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specrf import cli, estimator, features, neuralop, spectral, synthetic
+from specrf import cli, estimator, features, neuralop, runtime, spectral, synthetic
 from specrf.estimator import EstimatorError, fit_closed
 from specrf.spectral import FilterDomainError
 
@@ -23,9 +23,14 @@ def rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def chunk_inputs(monkeypatch, design, k):
+    """Size runtime.BLOCK_BYTES so that the design's row chunks hold k inputs."""
+    monkeypatch.setattr(runtime, "BLOCK_BYTES", k * 8 * design.d_v * design.shape[1])
+    assert design.chunk == k
+
+
 def synthetic_case(n=1100, M=60, d_max=32):
-    """Synthetic basis map on n inputs: three 512-input chunks at n = 1100,
-    fewer columns than rows."""
+    """Synthetic basis map on n inputs, fewer columns than rows."""
     problem = synthetic.make_problem(synthetic.spectrum_spec(b=1.0, d_max=d_max),
                                      r=0.5, R=1.0, seed=0)
     noise = synthetic.noise_model(problem, 0.3)
@@ -45,13 +50,13 @@ def wide_case():
 
 def tangent_case():
     """Unnormalized tangent design on a 4-point grid (d_v = 4) with the
-    psi'_1 summand frozen, in chunks of 16 of its 70 inputs."""
+    psi'_1 summand frozen, 70 inputs."""
     arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 32, tau=0.5, seed=3))
     rng = np.random.default_rng(4)
     U, V = 0.5 * rng.normal(size=(70, 4, 1)), rng.normal(size=(70, 4))
     summands = np.array([True, False, True, True])
-    return (lambda: features.DesignMatrix(fs, U, normalize=False, chunk=16,
+    return (lambda: features.DesignMatrix(fs, U, normalize=False,
                                           summands=summands)), V, 1e-3
 
 
@@ -81,6 +86,10 @@ def rates_case():
 
 ROUTE_CASES = {"primal": synthetic_case, "wide": wide_case, "rates-n8000": rates_case}
 STREAM_CASES = {"synthetic": synthetic_case, "wide": wide_case, "tangent": tangent_case}
+#: inputs per row chunk of the streamed cases: three chunks of the synthetic
+#: case's 1100 inputs, five of the tangent case's 70; the wide case's 50
+#: inputs fit in one chunk of the budget
+CHUNK_INPUTS = {"synthetic": 512, "tangent": 16}
 
 
 @pytest.mark.parametrize("name", ROUTE_CASES)
@@ -104,12 +113,14 @@ def test_tikhonov_solve_matches_the_eigh_route(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", STREAM_CASES)
-def test_streamed_operators_match_the_whole_design(name):
+def test_streamed_operators_match_the_whole_design(name, monkeypatch):
     """Sigma_hat and S_hat^* v summed over chunks equal Z^T Z / n and
     Z^T v / n, and are bit-identical whether or not Z was built first; cov(),
     and normal_equations with and without a cached cov() give the same bits."""
     make, V, _ = STREAM_CASES[name]()
     streamed = make()
+    if name in CHUNK_INPUTS:
+        chunk_inputs(monkeypatch, streamed, CHUNK_INPUTS[name])
     v = streamed.stack_outputs(V)
     cov, rhs = streamed.normal_equations(v)
     assert "Z" not in vars(streamed)            # summed without building Z
@@ -148,8 +159,7 @@ def test_primal_descent_does_not_build_the_design():
 
 
 def input_design(U):
-    """The feature phi(u) = u (p = d_v = 1, kappa = 1) on scalar inputs U,
-    in chunks of 4 inputs."""
+    """The feature phi(u) = u (p = d_v = 1, kappa = 1) on scalar inputs U."""
     def evaluate(U, om, out=None):
         if out is None:
             out = np.empty((len(U), 1, len(om), 1))
@@ -158,12 +168,12 @@ def input_design(U):
 
     fmap = features.discrete_map([0.0], [1.0], evaluate, p=1, d_v=1, kappa=1.0)
     return features.DesignMatrix(features.sample_features(fmap, 2, seed=0),
-                                 np.asarray(U, dtype=float), chunk=4)
+                                 np.asarray(U, dtype=float))
 
 
 @pytest.mark.parametrize("filt", [spectral.tikhonov(), spectral.cutoff()],
                          ids=["tikhonov", "cutoff"])
-def test_fit_closed_rejects_what_the_eigh_route_rejects(filt):
+def test_fit_closed_rejects_what_the_eigh_route_rejects(filt, monkeypatch):
     # tangent features of the identity activation are unbounded, so the
     # design is unnormalized; its spectrum reaches above 1
     arch = features.OperatorArchitecture(features.identity_act(), np.zeros(1), d_y=1,
@@ -174,11 +184,14 @@ def test_fit_closed_rejects_what_the_eigh_route_rejects(filt):
     assert np.linalg.eigvalsh(design.cov()).max() > 1.0 + spectral.POS_EIG_TOL
     with pytest.raises(FilterDomainError, match="above 1; rescale the design"):
         fit_closed(design, np.ones(40), filt, 0.1)
-    # an all-zero design, over two chunks of rows
+    # an all-zero design, over two chunks of 4 rows
+    zero = input_design(np.zeros(7))
+    chunk_inputs(monkeypatch, zero, 4)
     with pytest.raises(EstimatorError, match="identically zero"):
-        fit_closed(input_design(np.zeros(7)), np.ones(7), filt, 0.5)
+        fit_closed(zero, np.ones(7), filt, 0.5)
     # one nonzero entry in the last row of the last chunk is enough
     last = input_design(np.append(np.zeros(6), 1.0))
+    assert last.chunk == 4
     assert fit_closed(last, np.ones(7), filt, 0.1).theta[0] > 0.0   # Sigma_hat = 1/7
     assert not last.is_zero
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrf import features, synthetic
+from specrf import features, runtime, synthetic
 from specrf.synthetic import (
     ScheduleMultipliers,
     SyntheticError,
@@ -82,7 +82,9 @@ class TestProblemConstruction:
         assert doc["d_max"] == 16 and doc["seed"] == 5
 
 
-BLOCK = synthetic._COS_BLOCK
+#: inputs per `_cos_table` block at K = 512, the largest K tested, with the
+#: budget TestCosineKernel sets
+BLOCK = 256
 LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
@@ -108,6 +110,11 @@ def direct_table(U, K):
 
 
 class TestCosineKernel:
+    @pytest.fixture(autouse=True)
+    def blocks_of_block_inputs(self, monkeypatch):
+        """Size runtime.BLOCK_BYTES so that a K = 512 table takes BLOCK inputs."""
+        monkeypatch.setattr(runtime, "BLOCK_BYTES", 16 * 512 * BLOCK)
+
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
     @pytest.mark.parametrize("K", [1, 2, 100, 512])
     def test_table_matches_direct_cosines(self, n, K):
@@ -128,6 +135,25 @@ class TestCosineKernel:
         # single rounding, while cos^2 - sin^2 adds two roundings of products
         # of size <= 1; from K = 3 on the direct route's error is the larger
         assert kernel_err <= direct_err + 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("K", [2, 100, 512])
+    def test_tables_do_not_depend_on_the_block(self, K, monkeypatch):
+        """The table and the basis of 1000 inputs are bit-identical in blocks
+        of 37, 128, 256 and 1000 inputs.  The target is a BLAS product over
+        each block, which may sum a column in another order."""
+        U = kernel_inputs(1000)
+        problem = make_problem(spectrum_spec(b=1.0, d_max=K), r=0.5, R=1.2, seed=0)
+        results = []
+        for block in (37, 128, 256, 1000):
+            monkeypatch.setattr(runtime, "BLOCK_BYTES", 16 * K * block)
+            assert len(list(synthetic._cos_blocks(U, K))) == math.ceil(1000 / block)
+            results.append((kernel_table(U, K), problem.basis(U), problem.target(U)))
+        (table, basis, target), *others = results
+        for other_table, other_basis, other_target in others:
+            np.testing.assert_array_equal(other_table, table)
+            np.testing.assert_array_equal(other_basis, basis)
+            np.testing.assert_allclose(other_target, target, rtol=0,
+                                       atol=1e-14 * np.abs(target).max())
 
     def test_feature_map_on_unsorted_distinct_indices(self):
         spec = spectrum_spec(b=1.0, d_max=512)
