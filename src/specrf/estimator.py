@@ -30,11 +30,23 @@ where that symbol is missing), writing into work arrays reused for the whole
 descent; only the iterates at the stopping times are copied out.
 
 A trajectory at least as long as the operator is wide (and the operator at
-least REDUCTION_MIN_WIDTH wide) instead reduces it once to Q T Q^T, T
-tridiagonal (LAPACK dsytrd, `runtime.tridiagonalize`), and runs the same
-recursion on T in the rotated coordinates Q^T theta at O(d) per step, rotating
-the stopping-time iterates back by Q (LAPACK dormtr).  That costs one O(d^3)
-reduction in place of T O(d^2) steps and no second operator-sized array.
+least REDUCTION_MIN_WIDTH wide) first tries a certified low-rank closed form.
+A randomized range finder (Halko, Martinsson & Tropp 2011) with a Gaussian
+test matrix of SKETCH_RANK columns, drawn from one fixed seed, gives Z = Q B
+up to a residual from two passes over Z's column blocks
+(`DesignMatrix.range_factor`).  Where ||Z - Q B||_F <= SKETCH_TOL ||Z||_F, as
+for the NTK designs of a scalar input, the SVD of the k x width matrix B gives
+Sigma_hat = V Lambda V^T and every stop is the landweber filter in closed form,
+
+    theta_T = V phi_T(Lambda) V^T r + alpha T (r - V V^T r),    r = S_hat^* v,
+
+with no operator formed.  Otherwise the trajectory reduces the operator once
+to Q T Q^T, T tridiagonal (LAPACK dsytrd, `runtime.tridiagonalize`), and runs
+the same recursion on T in the rotated coordinates Q^T theta at O(d) per step,
+rotating the stopping-time iterates back by Q (LAPACK dormtr).  That costs one
+O(d^3) reduction in place of T O(d^2) steps and no second operator-sized
+array.  The three routes agree to rounding; one route gives the same bits for
+a stop whichever other stops share the trajectory.
 """
 from __future__ import annotations
 
@@ -151,6 +163,15 @@ def fit_closed(
 #: The narrowest operator a descent runs on in tridiagonal form (see
 #: `tridiagonal_route`).
 REDUCTION_MIN_WIDTH = 384
+#: Columns k of the Gaussian test matrix of the low-rank route
+#: (`_low_rank_descent`), drawn from SKETCH_SEED for every fit, so that the
+#: bytes of a fit depend on its design alone.
+SKETCH_RANK = 64
+SKETCH_SEED = 0
+#: The largest relative residual ||Z - Q B||_F / ||Z||_F at which the
+#: low-rank route is taken: about a hundred times the rounding of the
+#: residual itself, which reads 5e-16 to 8e-16 on designs that Q captures.
+SKETCH_TOL = 1e-13
 
 
 def tridiagonal_route(width: int, steps: int) -> bool:
@@ -194,6 +215,49 @@ def _tridiagonal_descent(op: np.ndarray, target: np.ndarray, alpha: float,
     return snapshots
 
 
+def _low_rank_descent(design: DesignMatrix, v: np.ndarray, alpha: float,
+                      stops: list[int]) -> list[np.ndarray] | None:
+    """The iterates of gradient descent at `stops` in closed form, or None
+    where Z is not of numerically low rank.
+
+    `design.range_factor` gives Z = Q B up to a residual, from two passes
+    over Z's column blocks with a fixed Gaussian test matrix of SKETCH_RANK
+    columns.  Where the residual is at most SKETCH_TOL ||Z||_F, the SVD
+    B = U S V^T gives Sigma_hat = V Lambda V^T, Lambda = S^2 / n, up to the
+    residual, and the T-th iterate is the landweber filter of Sigma_hat
+    applied to r = S_hat^* v:
+
+        theta_T = V phi_T(Lambda) V^T r + alpha T (r - V V^T r),
+
+    with phi_T(lambda) = (1 - (1 - alpha lambda)^T) / lambda
+    (`_landweber_iterates`).  No operator is formed."""
+    omega = np.random.default_rng(SKETCH_SEED).standard_normal(
+        (design.shape[1], SKETCH_RANK))
+    coef, rhs, residual, norm = design.range_factor(v, omega)
+    _reject_degenerate(design)
+    if residual > SKETCH_TOL * norm:
+        return None
+    _, s, vt = np.linalg.svd(coef, full_matrices=False)
+    return _landweber_iterates(vt, s * s / design.n, rhs, alpha, stops)
+
+
+def _landweber_iterates(vt: np.ndarray, lam: np.ndarray, target: np.ndarray,
+                        alpha: float, stops: list[int]) -> list[np.ndarray]:
+    """The iterates at `stops` of x <- x - alpha (A x - target) from x = 0,
+    for A = V diag(lam) V^T given by the orthonormal rows vt = V^T:
+
+        x_T = V phi_T(lam) V^T target + alpha T (target - V V^T target).
+
+    phi_T is the landweber filter (`spectral.landweber_values`); the second
+    term is the part of the target outside the range of V, where A is zero
+    and each step adds alpha times it.  Each stop is formed on its own, so
+    its bits do not depend on the others."""
+    proj = vt @ target
+    null = target - vt.T @ proj
+    return [vt.T @ (spectral.landweber_values(alpha, step, lam) * proj) + (alpha * step) * null
+            for step in stops]
+
+
 def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: list[int],
              track_risk: bool = False) -> tuple[list[np.ndarray], list[float]]:
     """Gradient descent from theta = 0 up to the last of the ascending
@@ -210,11 +274,12 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     updates on one triangle, mirrored once, so they are exactly symmetric.
 
     A trajectory at least as long as the operator is wide
-    (`tridiagonal_route`), without `track_risk` and where LAPACK is found
-    (`runtime.gd_reduction`), runs on the operator's tridiagonal form
-    (`_tridiagonal_descent`).  The operator is then an array the fit owns: a
-    copy where the design caches it, else formed without caching it, since
-    the reduction overwrites it.  Otherwise each step is one symmetric
+    (`tridiagonal_route`), without `track_risk`, first tries the low-rank
+    closed form (`_low_rank_descent`), which forms no operator.  Where the
+    certificate fails and LAPACK is found (`runtime.gd_reduction`), it runs
+    on the operator's tridiagonal form (`_tridiagonal_descent`).  The
+    operator is then an array the fit owns: a copy where the design caches
+    it, else formed without caching it, since the reduction overwrites it.  Otherwise each step is one symmetric
     matrix-vector product reading one triangle (`runtime.symmetric_step`),
     into an iterate and a gradient allocated once per fit and updated in
     place, and the iterate is copied at each stop."""
@@ -223,8 +288,12 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     v = _stacked_outputs(design, outputs)
     rows, dim = design.shape
     dual = not (design.cov_cached or dim <= rows)
-    reduce = (not track_risk and runtime.gd_reduction() is not None
-              and tridiagonal_route(rows if dual else dim, stops[-1]))
+    long = not track_risk and tridiagonal_route(rows if dual else dim, stops[-1])
+    if long:
+        snapshots = _low_rank_descent(design, v, alpha, stops)
+        if snapshots is not None:
+            return snapshots, []
+    reduce = long and runtime.gd_reduction() is not None
     if dual:
         op, target = design.gram(fresh=reduce), v
     else:
@@ -268,7 +337,8 @@ def fit_gd(
     Requires alpha in (0, 1] (the design contract keeps ||Sigma_hat|| <= 1).
     The recorded lambda is 1/(alpha * n_steps).  Runs on Sigma_hat or, when
     the design has more columns than rows and no cached covariance, on the
-    Gram matrix (see the module docstring).  With `track_risk` the model's
+    Gram matrix, and a long trajectory in closed form on a certified low-rank
+    factor of Z (see the module docstring).  With `track_risk` the model's
     train_risks holds the empirical risk at each of the n_steps + 1 iterates.
     """
     if n_steps < 1:
@@ -286,9 +356,13 @@ def fit_gd_path(
 ) -> list[RFModel]:
     """One gradient-descent trajectory snapshotted at several stopping times.
 
-    Returns a model per checkpoint (ascending iteration counts); each is
-    identical to fit_gd run to that count, since the iterates are nested.
-    In the dual (Gram) coordinates, theta is formed only at the checkpoints.
+    Returns a model per checkpoint (ascending iteration counts).  The route
+    follows the last checkpoint, so a model's bytes equal those of fit_gd run
+    to its count where both fits take one route (the iterates are nested),
+    and agree with them to 1e-12 relative where they do not: a path that
+    ends on a long trajectory forms its early checkpoints in closed form,
+    which fit_gd to an early count runs on the dense loop.  In the dual
+    (Gram) coordinates, theta is formed only at the checkpoints.
     """
     stops = sorted(int(t) for t in checkpoints)
     if not stops or stops[0] < 1:

@@ -309,9 +309,10 @@ class DesignMatrix:
     sums gram() over blocks of Z's columns, those of a contiguous range of
     distinct draws, built into one buffer of about runtime.BLOCK_BYTES
     (`_column_blocks`); `embed_adjoints` maps dual coefficients back over the
-    same blocks.  Each block or chunk is added into one triangle of its
-    operator in place (`runtime.symmetric_update`), which is mirrored once,
-    so both operators are exactly symmetric.  Z is built on first access
+    same blocks, and `range_factor` sketches the range of Z over them in two
+    passes, with no operator formed.  Each block or chunk is added into one
+    triangle of its operator in place (`runtime.symmetric_update`), which is
+    mirrored once, so both operators are exactly symmetric.  Z is built on first access
     only (risk tracking on the primal side, tests).
     cov() and gram() are cached when formed; `summands` (boolean, length p)
     freezes the feature functions it leaves out: their columns are zero.
@@ -506,6 +507,47 @@ class DesignMatrix:
             theta /= self.n
         return thetas
 
+    def range_factor(self, v: np.ndarray,
+                     omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """A randomized range finder for Z (Halko, Martinsson & Tropp 2011)
+        in two passes over its column blocks, for stacked v of length n*d_v
+        and a (M_distinct*p, k) test matrix omega.
+
+        The first pass sums Y = Z omega and forms S_hat^* v = (1/n) Z^T v
+        (one matrix-vector product per block, as `embed_adjoints` takes it)
+        and ||Z||_F; Q is the orthonormal factor of Y.  The second forms
+        B = Q^T Z and the residual ||Z - Q B||_F, each block's Z_b - Q B_b
+        written into one work buffer.  Returns (B, S_hat^* v, ||Z - Q B||_F,
+        ||Z||_F) and records `is_zero`."""
+        v = self._stacked(v)
+        rows, dim = self.shape
+        sketch = np.zeros((rows, omega.shape[1]))
+        rhs = np.empty(dim)
+        norm_sq = 0.0
+        nonzero = False
+        for lo, block in self._column_blocks():
+            hi = lo + block.shape[1]
+            nonzero = nonzero or bool(block.any())
+            sketch += block @ omega[lo:hi]
+            np.matmul(block.T, v, out=rhs[lo:hi])
+            norm_sq += float(np.vdot(block, block))
+        self._zero = not nonzero
+        rhs /= self.n
+        q = np.linalg.qr(sketch)[0]
+        coef = np.empty((q.shape[1], dim))
+        work = None
+        resid_sq = 0.0
+        for lo, block in self._column_blocks():
+            part = coef[:, lo:lo + block.shape[1]]
+            np.matmul(q.T, block, out=part)
+            if work is None:
+                work = np.empty(block.size)        # the first block is the largest
+            diff = work[:block.size].reshape(block.shape)
+            np.matmul(q, part, out=diff)
+            diff -= block
+            resid_sq += float(np.vdot(diff, diff))
+        return coef, rhs, math.sqrt(resid_sq), math.sqrt(norm_sq)
+
     def stack_outputs(self, outputs: np.ndarray) -> np.ndarray:
         """Stack raw outputs (n, d_v) into the scaled coordinates Z acts in."""
         outputs = np.asarray(outputs, dtype=float).reshape(self.n, self.d_v)
@@ -578,11 +620,15 @@ def rff_map(dim: int, lengthscale: float = 1.0) -> FeatureMap:
         return np.column_stack([w, b])
 
     def evaluate(U: np.ndarray, omegas: np.ndarray, out=None) -> np.ndarray:
+        """w.u is one np.einsum dot product per (input, draw) pair, in an
+        order fixed by the pair alone, so a row's bits do not depend on the
+        batch it is evaluated in (a BLAS product sums it differently)."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if out is None:
             out = np.empty((U.shape[0], 1, len(omegas), 1))
-        np.multiply(np.sqrt(2.0), np.cos(U @ omegas[:, :dim].T + omegas[:, dim]),
-                    out=out[:, 0, :, 0])
+        phase = np.einsum("nd,md->nm", U, omegas[:, :dim])
+        phase += omegas[:, dim]
+        np.multiply(np.sqrt(2.0), np.cos(phase, out=phase), out=out[:, 0, :, 0])
         return out.transpose(0, 2, 3, 1)
 
     return FeatureMap(

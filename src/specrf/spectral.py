@@ -30,6 +30,7 @@ __all__ = [
     "landweber",
     "cutoff",
     "filter_value",
+    "landweber_values",
     "residual_value",
     "apply_filter",
     "tikhonov_solve",
@@ -116,6 +117,21 @@ def _landweber_steps(filt: SpectralFilter, lam: float) -> int:
     return steps
 
 
+def landweber_values(alpha: float, steps: int, t: np.ndarray) -> np.ndarray:
+    """The landweber filter of `steps` steps of size alpha over nonnegative t:
+    alpha sum_{i<T} (1 - alpha t)^i = (1 - (1 - alpha t)^T) / t, alpha T at
+    t = 0.  Below alpha t = 1 it is -expm1(T log1p(-alpha t)) / t, which
+    keeps its digits when alpha t << 1/T, where the power form cancels."""
+    t = np.asarray(t, dtype=float)
+    out = np.full_like(t, alpha * steps)
+    at = alpha * t
+    small = (t != 0.0) & (at < 1.0)
+    out[small] = -np.expm1(steps * np.log1p(-at[small])) / t[small]
+    big = at >= 1.0
+    out[big] = (1.0 - (1.0 - at[big]) ** steps) / t[big]
+    return out
+
+
 def _phi_array(filt: SpectralFilter, lam: float, t: np.ndarray) -> np.ndarray:
     """Vectorized phi_lambda over nonnegative t.
 
@@ -128,18 +144,7 @@ def _phi_array(filt: SpectralFilter, lam: float, t: np.ndarray) -> np.ndarray:
     if filt.kind == "tikhonov":
         return 1.0 / (t + lam)
     if filt.kind == "landweber":
-        steps = _landweber_steps(filt, lam)
-        alpha = filt.step_size
-        out = np.full_like(t, alpha * steps)
-        at = alpha * t
-        # alpha * geometric sum = (1 - (1 - alpha t)^T) / t; below alpha t = 1
-        # it is -expm1(T log1p(-alpha t)) / t, which keeps its digits when
-        # alpha t << 1/T, where the power form cancels
-        small = (t != 0.0) & (at < 1.0)
-        out[small] = -np.expm1(steps * np.log1p(-at[small])) / t[small]
-        big = at >= 1.0
-        out[big] = (1.0 - (1.0 - at[big]) ** steps) / t[big]
-        return out
+        return landweber_values(filt.step_size, _landweber_steps(filt, lam), t)
     if filt.kind == "cutoff":
         out = np.zeros_like(t)
         keep = t >= lam

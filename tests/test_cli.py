@@ -116,6 +116,21 @@ class TestSweepHeatmap:
         assert_jobs_do_not_change_the_bytes("sweep-heatmap", self.CFG, ["heatmap.csv"],
                                             tmp_path)
 
+    def test_jobs_do_not_change_the_bytes_on_the_low_rank_route(self, tmp_path, monkeypatch):
+        """400 training inputs at M = 160 (400 x 480 designs) and T = 512 take
+        the low-rank route (estimator._low_rank_descent) in every cell."""
+        taken, real = [], estimator._low_rank_descent
+
+        def spy(*args):
+            out = real(*args)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(estimator, "_low_rank_descent", spy)
+        cfg = dict(self.CFG, n_train=400, n_test=100, M_grid=[160], T_grid=[1, 64, 512])
+        assert_jobs_do_not_change_the_bytes("sweep-heatmap", cfg, ["heatmap.csv"], tmp_path)
+        assert taken == [True, True]      # the serial run's two cells
+
 
 class TestRates:
     def test_small_run_emits_slope(self, tmp_path):

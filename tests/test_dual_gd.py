@@ -7,9 +7,11 @@ primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
 written out here, and checks the iterates and risks against it.  Each step,
 on either route, is one symmetric matrix-vector product
 (`runtime.symmetric_step`); it is checked against its np.matmul fallback.
-A trajectory at least as long as a wide operator instead runs on its
-tridiagonal form (`estimator.tridiagonal_route`); it is checked against the
-dense loop and the oracle on one primal and one dual design.  The last test
+A trajectory at least as long as a wide operator on a design of full rank
+instead runs on its tridiagonal form (`estimator.tridiagonal_route`); it is
+checked against the dense loop and the oracle on one primal and one dual
+random Fourier design (the low-rank route, which long trajectories on the NTK
+designs take, is checked in test_low_rank_gd.py).  The last test
 checks the one-pass checkpoint evaluation against per-model `evaluate`.
 """
 import math
@@ -70,6 +72,17 @@ def tangent_case():
     # ||Sigma_hat|| is not bounded by 1 without normalization; step inside 1/||Sigma_hat||
     alpha = min(1.0, 0.9 * design.n / np.linalg.norm(design.Z, 2) ** 2)
     return design, V, U_te, V_te, alpha
+
+
+def rff_case(M, n):
+    """Normalized random Fourier design of a 3-dimensional input at lengthscale
+    0.3: M draws on n rows, of full numerical rank, so a long trajectory on it
+    fails the certificate of the low-rank route and is reduced instead."""
+    fs = features.sample_features(features.rff_map(3, 0.3), M, seed=1)
+    rng = np.random.default_rng(2)
+    U, U_te = rng.uniform(0.0, 1.0, (n, 3)), rng.uniform(0.0, 1.0, (300, 3))
+    V = np.sin(U.sum(axis=1)) + 0.1 * rng.normal(size=n)
+    return features.build_design(fs, U), V, U_te, np.sin(U_te.sum(axis=1)), 0.5
 
 
 CASES = {"ntk-normalized": ntk_case, "tangent-unnormalized": tangent_case}
@@ -165,15 +178,16 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
         assert rel(f.theta, s.theta) < 1e-12, step
 
 
-# wide enough for the tridiagonal route: 136 draws x 3 on 450 rows descends on
-# the 408-wide cov(), 160 draws x 3 on 400 rows on the 400-wide gram()
-REDUCED_CASES = {"primal": (136, 450), "dual": (160, 400)}
+# wide enough for the tridiagonal route and of full rank, so the low-rank route
+# declines them: 408 draws on 450 rows descend on the 408-wide cov(), 480
+# draws on 400 rows on the 400-wide gram()
+REDUCED_CASES = {"primal": (408, 450), "dual": (480, 400)}
 REDUCED_STOPS = [1, 4, 16, 64, 256, 1024]
 
 
 @pytest.mark.parametrize("route", REDUCED_CASES)
 def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
-    design, V, _, _, alpha = ntk_case(*REDUCED_CASES[route])
+    design, V, _, _, alpha = rff_case(*REDUCED_CASES[route])
     rows, dim = design.Z.shape
     assert (dim > rows) == (route == "dual")
     assert estimator.tridiagonal_route(operator_width(design), REDUCED_STOPS[-1])
@@ -198,7 +212,7 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
     closed = estimator.fit_closed(design, V, spectral.landweber(alpha),
                                   1.0 / (alpha * REDUCED_STOPS[-1]))
     assert rel(reduced[-1].theta, closed.theta) < 1e-9
-    design = ntk_case(*REDUCED_CASES[route])[0]   # without the cov() fit_closed cached
+    design = rff_case(*REDUCED_CASES[route])[0]   # without the cov() fit_closed cached
 
     def no_reduction(a):
         raise AssertionError("the fit reduced the operator without LAPACK")
@@ -216,7 +230,7 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
 def test_reduced_route_leaves_cached_operators_intact(route):
     """The reduction overwrites the operator it runs on, so it reduces a copy
     of a cached one; the cache and the iterates are unchanged."""
-    design, V, _, _, alpha = ntk_case(*REDUCED_CASES[route])
+    design, V, _, _, alpha = rff_case(*REDUCED_CASES[route])
     expected = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
     # a cached cov() would move the dual design to the primal route
     cached = [design.gram()] + ([design.cov()] if route == "primal" else [])

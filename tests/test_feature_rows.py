@@ -144,11 +144,17 @@ def rates_test_batch():
     return fs, synthetic.sample_inputs(2500, seed=2)
 
 
-@pytest.mark.parametrize("batch", [ntk_test_batch, rates_test_batch])
+def rff_test_batch():
+    """1000 inputs of `fit --csv`'s random Fourier map on 3 columns, 300 draws."""
+    fs = features.sample_features(features.rff_map(3), 300, seed=10)
+    return fs, np.random.default_rng(11).normal(size=(1000, 3))
+
+
+@pytest.mark.parametrize("batch", [ntk_test_batch, rates_test_batch, rff_test_batch])
 def test_predictions_do_not_depend_on_the_chunk(batch):
     """Predictions are byte-identical at chunks of 1, 7 and 512 inputs and
     at the default chunk of runtime.BLOCK_BYTES of rows (4 inputs of the ntk
-    batch, over 300 of the synthetic one), for one coefficient vector and for
+    batch, over 300 of the synthetic and rff ones), for one coefficient vector and for
     the stacked vectors of `evaluate_path`; a stacked column predicts what
     the vector alone does."""
     fs, U = batch()
