@@ -771,9 +771,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "such as '{\"n\": 100}'")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--jobs", type=int, default=runtime.usable_cpus(),
                         help="worker processes for the cells of sweep-heatmap, "
-                             "rates and ntk-compare (default: CPU count), each "
+                             "rates and ntk-compare (default: the CPUs this "
+                             "process may run on), each "
                              "with one BLAS thread; outputs do not depend on it. "
                              "gen, fit and verify run serially and ignore it; "
                              "paper passes it on to each preset")

@@ -29,24 +29,22 @@ one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
 where that symbol is missing), writing into work arrays reused for the whole
 descent; only the iterates at the stopping times are copied out.
 
-A trajectory at least as long as the operator is wide (and the operator at
-least REDUCTION_MIN_WIDTH wide) first tries a certified low-rank closed form.
-A randomized range finder (Halko, Martinsson & Tropp 2011) with a Gaussian
-test matrix of SKETCH_RANK columns, drawn from one fixed seed, gives Z = Q B
-up to a residual from two passes over Z's column blocks
+A long trajectory on an operator at least CLOSED_FORM_MIN_WIDTH wide takes
+the landweber filter in closed form instead of the loop.  It first tries a
+certified low-rank form: a randomized range finder (Halko, Martinsson & Tropp
+2011) with a Gaussian test matrix of SKETCH_RANK columns, drawn from one fixed
+seed, gives Z = Q B up to a residual from two passes over Z's column blocks
 (`DesignMatrix.range_factor`).  Where ||Z - Q B||_F <= SKETCH_TOL ||Z||_F, as
 for the NTK designs of a scalar input, the SVD of the k x width matrix B gives
-Sigma_hat = V Lambda V^T and every stop is the landweber filter in closed form,
+Sigma_hat = V Lambda V^T and every stop is
 
     theta_T = V phi_T(Lambda) V^T r + alpha T (r - V V^T r),    r = S_hat^* v,
 
-with no operator formed.  Otherwise the trajectory reduces the operator once
-to Q T Q^T, T tridiagonal (LAPACK dsytrd, `runtime.tridiagonalize`), and runs
-the same recursion on T in the rotated coordinates Q^T theta at O(d) per step,
-rotating the stopping-time iterates back by Q (LAPACK dormtr).  That costs one
-O(d^3) reduction in place of T O(d^2) steps and no second operator-sized
-array.  The three routes agree to rounding; one route gives the same bits for
-a stop whichever other stops share the trajectory.
+with no operator formed.  Where the certificate fails and the trajectory is at
+least as long as the operator is wide, the same closed form runs on the
+operator's eigendecomposition (np.linalg.eigh); a shorter one runs the loop.
+The routes agree to rounding; one route gives the same bits for a stop
+whichever other stops share the trajectory.
 """
 from __future__ import annotations
 
@@ -160,9 +158,6 @@ def fit_closed(
     return _model(design, theta, filt.kind, lam)
 
 
-#: The narrowest operator a descent runs on in tridiagonal form (see
-#: `tridiagonal_route`).
-REDUCTION_MIN_WIDTH = 384
 #: Columns k of the Gaussian test matrix of the low-rank route
 #: (`_low_rank_descent`), drawn from SKETCH_SEED for every fit, so that the
 #: bytes of a fit depend on its design alone.
@@ -172,47 +167,16 @@ SKETCH_SEED = 0
 #: low-rank route is taken: about a hundred times the rounding of the
 #: residual itself, which reads 5e-16 to 8e-16 on designs that Q captures.
 SKETCH_TOL = 1e-13
-
-
-def tridiagonal_route(width: int, steps: int) -> bool:
-    """Whether `steps` descent steps on a (width, width) operator run on its
-    tridiagonal form.  The O(width^3) reduction pays for itself once it
-    replaces enough O(width^2) steps; each reduced step is a few vector
-    operations, whose fixed cost is about that of a dense step below
-    REDUCTION_MIN_WIDTH.  Measured on one BLAS thread, the two routes tie at
-    about width steps at width 384 and at about width/2 steps at widths 768
-    and 1000, so the rule is conservative for wide operators."""
-    return steps >= width >= REDUCTION_MIN_WIDTH
-
-
-def _tridiagonal_descent(op: np.ndarray, target: np.ndarray, alpha: float,
-                         stops: list[int]) -> list[np.ndarray]:
-    """The iterates of x <- x - alpha (op x - target) from x = 0 at `stops`.
-    op = Q T Q^T is reduced in place (`runtime.tridiagonalize`), so op is
-    overwritten.  y = Q^T x follows the same recursion on T and
-    c = Q^T target, y <- y - alpha (T y - c), at O(d) per step; y is rotated
-    back by Q at each stop."""
-    diag, off, rotate = runtime.tridiagonalize(op)
-    c = target.copy()
-    rotate(c, True)
-    y = np.zeros_like(c)
-    grad = np.empty_like(c)
-    work = np.empty_like(off)
-    snapshots = []
-    for step in range(1, stops[-1] + 1):
-        np.multiply(diag, y, out=grad)        # grad = T y - c
-        np.multiply(off, y[1:], out=work)
-        grad[:-1] += work
-        np.multiply(off, y[:-1], out=work)
-        grad[1:] += work
-        grad -= c
-        grad *= alpha
-        y -= grad
-        while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
-            snapshots.append(y.copy())
-    for x in snapshots:
-        rotate(x, False)
-    return snapshots
+#: The narrowest operator whose descent may take a closed form (see
+#: `_descend`).  Below it the loop is cheap: at width 192 and T = 1024 it
+#: takes 18 ms on one BLAS thread, against 14 ms (low-rank) and 9 ms (eigh).
+CLOSED_FORM_MIN_WIDTH = 384
+#: The fewest steps that try the low-rank route.  Its two passes over Z cost
+#: about 3 SKETCH_RANK products of Z with a vector.  Measured on one BLAS
+#: thread on the heatmap designs 1000 x 768 and 1000 x 1536, the route ties
+#: the loop at 32-64 steps and takes 0.57-0.67 of its time at 128, so a
+#: shorter trajectory (the T = 32 of ntk-compare) stays on the loop.
+LOW_RANK_MIN_STEPS = 2 * SKETCH_RANK
 
 
 def _low_rank_descent(design: DesignMatrix, v: np.ndarray, alpha: float,
@@ -273,35 +237,35 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     primal risk.  Both operators are summed by in-place symmetric rank-k
     updates on one triangle, mirrored once, so they are exactly symmetric.
 
-    A trajectory at least as long as the operator is wide
-    (`tridiagonal_route`), without `track_risk`, first tries the low-rank
+    Without `track_risk`, a trajectory of at least LOW_RANK_MIN_STEPS on an
+    operator at least CLOSED_FORM_MIN_WIDTH wide first tries the low-rank
     closed form (`_low_rank_descent`), which forms no operator.  Where the
-    certificate fails and LAPACK is found (`runtime.gd_reduction`), it runs
-    on the operator's tridiagonal form (`_tridiagonal_descent`).  The
-    operator is then an array the fit owns: a copy where the design caches
-    it, else formed without caching it, since the reduction overwrites it.  Otherwise each step is one symmetric
-    matrix-vector product reading one triangle (`runtime.symmetric_step`),
-    into an iterate and a gradient allocated once per fit and updated in
-    place, and the iterate is copied at each stop."""
+    certificate fails and the trajectory is at least as long as the operator
+    is wide, every stop is the same closed form on the operator's
+    eigendecomposition (np.linalg.eigh, `_landweber_iterates`).  Otherwise
+    each step is one symmetric matrix-vector product reading one triangle
+    (`runtime.symmetric_step`), into an iterate and a gradient allocated once
+    per fit and updated in place, and the iterate is copied at each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     v = _stacked_outputs(design, outputs)
     rows, dim = design.shape
     dual = not (design.cov_cached or dim <= rows)
-    long = not track_risk and tridiagonal_route(rows if dual else dim, stops[-1])
-    if long:
+    width = rows if dual else dim
+    closed = not track_risk and width >= CLOSED_FORM_MIN_WIDTH
+    if closed and stops[-1] >= LOW_RANK_MIN_STEPS:
         snapshots = _low_rank_descent(design, v, alpha, stops)
         if snapshots is not None:
             return snapshots, []
-    reduce = long and runtime.gd_reduction() is not None
     if dual:
-        op, target = design.gram(fresh=reduce), v
+        op, target = design.gram(), v
     else:
-        op, target = design.normal_equations(v, fresh=reduce)
+        op, target = design.normal_equations(v)
     _reject_degenerate(design)
     risks = []
-    if reduce:
-        snapshots = _tridiagonal_descent(op, target, alpha, stops)
+    if closed and stops[-1] >= width:
+        lam, vecs = np.linalg.eigh(op)
+        snapshots = _landweber_iterates(vecs.T, lam, target, alpha, stops)
     else:
         def risk(resid: np.ndarray) -> float:
             return 0.5 * float(resid @ resid) / design.n
@@ -337,8 +301,10 @@ def fit_gd(
     Requires alpha in (0, 1] (the design contract keeps ||Sigma_hat|| <= 1).
     The recorded lambda is 1/(alpha * n_steps).  Runs on Sigma_hat or, when
     the design has more columns than rows and no cached covariance, on the
-    Gram matrix, and a long trajectory in closed form on a certified low-rank
-    factor of Z (see the module docstring).  With `track_risk` the model's
+    Gram matrix.  A long trajectory on a wide operator takes the closed form
+    instead: on a certified low-rank factor of Z, or, where the certificate
+    fails and n_steps is at least the operator's width, on the operator's
+    eigendecomposition (see `_descend`).  With `track_risk` the model's
     train_risks holds the empirical risk at each of the n_steps + 1 iterates.
     """
     if n_steps < 1:
@@ -357,11 +323,11 @@ def fit_gd_path(
     """One gradient-descent trajectory snapshotted at several stopping times.
 
     Returns a model per checkpoint (ascending iteration counts).  The route
-    follows the last checkpoint, so a model's bytes equal those of fit_gd run
-    to its count where both fits take one route (the iterates are nested),
-    and agree with them to 1e-12 relative where they do not: a path that
-    ends on a long trajectory forms its early checkpoints in closed form,
-    which fit_gd to an early count runs on the dense loop.  In the dual
+    (see `_descend`) follows the last checkpoint, so a model's bytes equal
+    those of fit_gd run to its count where both fits take one route, and
+    agree with them to 1e-12 relative where they do not: a path that ends on
+    a long trajectory forms its early checkpoints in closed form, which
+    fit_gd to an early count runs on the dense loop.  In the dual
     (Gram) coordinates, theta is formed only at the checkpoints.
     """
     stops = sorted(int(t) for t in checkpoints)

@@ -1,6 +1,7 @@
 """The process the experiments run in: one BLAS thread, a raised heap mmap
-threshold, the byte budget of every streamed buffer, the gradient-descent
-kernels, and a record of the environment that produced an output.
+threshold, the byte budget of every streamed buffer, the symmetric BLAS
+kernels, the CPUs a process may use, and a record of the environment that
+produced an output.
 
 numpy's bundled OpenBLAS is found once with ctypes among the libraries mapped
 into this process (/proc/self/maps).  The symbols used:
@@ -19,14 +20,6 @@ into this process (/proc/self/maps).  The symbols used:
   and is mirrored once (`mirror_upper`).  Where the symbol is missing the
   update is `np.matmul` plus an addition; the environment block records which
   (`operator_kernel`).
-- `scipy_dsytrd_64_` and `scipy_dormtr_64_` (ILP64 Fortran LAPACK) reduce a
-  symmetric matrix in place to A = Q T Q^T, T tridiagonal, and apply Q or Q^T
-  to a vector (`tridiagonalize`), so that a long gradient descent runs on T
-  at O(d) per step.  The Fortran symbols take column-major arrays, and a
-  C-contiguous symmetric array is its own column-major transpose, so nothing
-  is copied (the row-major LAPACKE wrappers would copy it).  Where either
-  symbol is missing every descent stays on the dense step; the environment
-  block records which (`gd_reduction`), since the two round differently.
 """
 from __future__ import annotations
 
@@ -100,28 +93,6 @@ def _dsyrk():
     return _cblas("dsyrk", [_ENUM, _ENUM, _ENUM, _I64, _I64, _DBL, _PTR, _I64, _DBL, _PTR, _I64])
 
 
-@functools.cache
-def _lapack() -> tuple | None:
-    """(dsytrd, dormtr) of the loaded ILP64 OpenBLAS as Fortran calls, or None.
-
-    Integers are passed by reference as int64; each character argument adds a
-    hidden trailing length argument (size_t)."""
-    for lib in _openblas_libs():
-        sytrd = getattr(lib, "scipy_dsytrd_64_", None)
-        ormtr = getattr(lib, "scipy_dormtr_64_", None)
-        if sytrd is not None and ormtr is not None:
-            ref, ptr, char, length = (ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p,
-                                      ctypes.c_char_p, ctypes.c_size_t)
-            # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO
-            sytrd.argtypes = [char, ref, ptr, ref, ptr, ptr, ptr, ptr, ref, ref, length]
-            # SIDE, UPLO, TRANS, M, N, A, LDA, TAU, C, LDC, WORK, LWORK, INFO
-            ormtr.argtypes = [char, char, char, ref, ref, ptr, ref, ptr, ptr, ref, ptr,
-                              ref, ref, length, length, length]
-            sytrd.restype = ormtr.restype = None
-            return sytrd, ormtr
-    return None
-
-
 #: the block `init_process` allocates and frees to raise glibc's mmap threshold
 HEAP_PRIME_BYTES = 1 << 20
 
@@ -193,12 +164,6 @@ def gd_kernel() -> str:
 def operator_kernel() -> str:
     """The kernel `symmetric_update` runs: 'dsyrk' or 'matmul'."""
     return "matmul" if _dsyrk() is None else "dsyrk"
-
-
-def gd_reduction() -> str | None:
-    """The reduction `tridiagonalize` runs: 'dsytrd', or None where the
-    LAPACK symbols are missing."""
-    return None if _lapack() is None else "dsytrd"
 
 
 def symmetric_step(a: np.ndarray, x: np.ndarray, target: np.ndarray,
@@ -276,66 +241,19 @@ def mirror_upper(c: np.ndarray) -> None:
             tile[i, :i] = tile[:i, i]
 
 
-def _lapack_call(fn, chars: tuple, *args) -> None:
-    """fn(*chars, *args, work, lwork, info) with the workspace that a first,
-    querying call asks for.  Integers are passed by reference and arrays as
-    pointers; each character argument gets its hidden length."""
-    ptr = ctypes.c_void_p
-    refs = [ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int) else a.ctypes.data_as(ptr)
-            for a in args]
-    info = ctypes.c_int64(0)
-
-    def call(work: np.ndarray, lwork: int) -> None:
-        fn(*chars, *refs, work.ctypes.data_as(ptr), ctypes.byref(ctypes.c_int64(lwork)),
-           ctypes.byref(info), *[1] * len(chars))
-        if info.value != 0:
-            raise RuntimeError(f"{fn.__name__} failed with info {info.value}")
-
-    query = np.empty(1)
-    call(query, -1)
-    lwork = max(1, int(query[0]))
-    call(np.empty(lwork), lwork)
-
-
-def tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                           Callable[[np.ndarray, bool], None]]:
-    """Reduce the symmetric `a` in place to a = Q T Q^T (LAPACK dsytrd).
-
-    `a` must be a C-contiguous float64 (d, d) array, exactly symmetric, that
-    the caller owns: it is overwritten with T and the Householder reflectors
-    of Q.  Returns the diagonal (d,) and off-diagonal (d - 1,) of T, and a
-    callable `rotate(x, transpose)` that overwrites a contiguous float64
-    vector x of length d with Q x, or with Q^T x when `transpose` (LAPACK
-    dormtr).  One vector per call: the blocked product LAPACK applies to a
-    block of vectors rounds each differently from a single one, and a
-    vector's bits should not depend on what it was rotated with.  `rotate`
-    reads the reflectors from `a`, so `a` must stay untouched while it is
-    used.
-    """
-    d = a.shape[0]
-    if a.dtype != np.float64 or a.shape != (d, d) or not a.flags.c_contiguous:
-        raise ValueError("tridiagonalize needs a C-contiguous float64 square matrix")
-    kernels = _lapack()
-    if kernels is None:
-        raise RuntimeError("no LAPACK dsytrd/dormtr in the loaded BLAS")
-    sytrd, ormtr = kernels
-    diag, off, tau = np.empty(d), np.empty(d - 1), np.empty(d - 1)
-    _lapack_call(sytrd, (b"L",), d, a, d, diag, off, tau)
-
-    def rotate(x: np.ndarray, transpose: bool) -> None:
-        if x.dtype != np.float64 or x.shape != (d,) or not x.flags.c_contiguous:
-            raise ValueError(f"rotate needs a contiguous float64 vector of length {d}")
-        _lapack_call(ormtr, (b"L", b"L", b"T" if transpose else b"N"), d, 1,
-                     a, d, tau, x, d)
-    return diag, off, rotate
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (os.cpu_count() also counts CPUs outside it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def environment(jobs: int) -> dict:
     """What produced a run's bytes: versions, BLAS threads, the kernel that
-    formed the operators, the GD step kernel and reduction, --jobs and cores."""
+    formed the operators, the GD step kernel, --jobs and usable cores."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
             "blas_threads": blas_threads(), "operator_kernel": operator_kernel(),
-            "gd_kernel": gd_kernel(), "gd_reduction": gd_reduction(),
-            "jobs": jobs, "nproc": os.cpu_count()}
+            "gd_kernel": gd_kernel(), "jobs": jobs, "nproc": usable_cpus()}

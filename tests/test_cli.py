@@ -267,15 +267,26 @@ class TestCLIContract:
         assert code == 0
         env = json.loads((out / "manifest.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
-        assert env["jobs"] == 1 and env["nproc"] == os.cpu_count()
+        assert env["jobs"] == 1 and env["nproc"] == runtime.usable_cpus()
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
-                            "operator_kernel", "gd_kernel", "gd_reduction", "jobs", "nproc"}
+                            "operator_kernel", "gd_kernel", "jobs", "nproc"}
         assert env["operator_kernel"] == runtime.operator_kernel() in ("dsyrk", "matmul")
         assert env["gd_kernel"] == runtime.gd_kernel() in ("dsymv", "matmul")
-        assert env["gd_reduction"] == runtime.gd_reduction() in ("dsytrd", None)
         if runtime.blas_threads() is None:
             pytest.skip("no OpenBLAS thread symbol in this numpy build")
         assert env["blas_threads"] == 1
+
+    def test_jobs_default_to_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        """A process pinned to one CPU of a larger machine starts one worker and
+        records one CPU, not os.cpu_count(); without an affinity call it counts
+        every CPU."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert cli.build_parser().parse_args(["gen"]).jobs == 1
+        assert runtime.environment(2)["nproc"] == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli.build_parser().parse_args(["gen"]).jobs == 8
+        assert runtime.environment(2)["nproc"] == 8
 
     def test_manifest_records_timings(self, tmp_path):
         sizes = []

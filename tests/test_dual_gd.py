@@ -7,12 +7,13 @@ primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
 written out here, and checks the iterates and risks against it.  Each step,
 on either route, is one symmetric matrix-vector product
 (`runtime.symmetric_step`); it is checked against its np.matmul fallback.
-A trajectory at least as long as a wide operator on a design of full rank
-instead runs on its tridiagonal form (`estimator.tridiagonal_route`); it is
-checked against the dense loop and the oracle on one primal and one dual
-random Fourier design (the low-rank route, which long trajectories on the NTK
-designs take, is checked in test_low_rank_gd.py).  The last test
-checks the one-pass checkpoint evaluation against per-model `evaluate`.
+A trajectory at least as long as a wide operator (CLOSED_FORM_MIN_WIDTH) on
+a design of full rank instead takes the landweber closed form on the
+operator's eigendecomposition; it is checked against the dense loop and the
+oracle on one primal and one dual random Fourier design (the low-rank route,
+which long trajectories on the NTK designs take, is checked in
+test_low_rank_gd.py).  The last test checks the one-pass checkpoint
+evaluation against per-model `evaluate`.
 """
 import math
 
@@ -77,7 +78,8 @@ def tangent_case():
 def rff_case(M, n):
     """Normalized random Fourier design of a 3-dimensional input at lengthscale
     0.3: M draws on n rows, of full numerical rank, so a long trajectory on it
-    fails the certificate of the low-rank route and is reduced instead."""
+    fails the certificate of the low-rank route and takes the eigendecomposition
+    of its operator instead."""
     fs = features.sample_features(features.rff_map(3, 0.3), M, seed=1)
     rng = np.random.default_rng(2)
     U, U_te = rng.uniform(0.0, 1.0, (n, 3)), rng.uniform(0.0, 1.0, (300, 3))
@@ -160,7 +162,7 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
         design.cov()
     stops = [1, 16, 256, 1024]
     # narrow enough that these 1024 steps stay on the dense loop
-    assert not estimator.tridiagonal_route(operator_width(design), stops[-1])
+    assert operator_width(design) < estimator.CLOSED_FORM_MIN_WIDTH
 
     def fits():
         return (estimator.fit_gd(design, V, alpha, stops[-1], track_risk=True),
@@ -178,11 +180,24 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
         assert rel(f.theta, s.theta) < 1e-12, step
 
 
-# wide enough for the tridiagonal route and of full rank, so the low-rank route
-# declines them: 408 draws on 450 rows descend on the 408-wide cov(), 480
-# draws on 400 rows on the 400-wide gram()
+# wide enough for a closed form and of full rank, so the low-rank route
+# declines them and 1024 steps take the eigendecomposition of the operator:
+# 408 draws on 450 rows descend on the 408-wide cov(), 480 draws on 400 rows
+# on the 400-wide gram()
 REDUCED_CASES = {"primal": (408, 450), "dual": (480, 400)}
 REDUCED_STOPS = [1, 4, 16, 64, 256, 1024]
+
+
+def eigh_spy(monkeypatch):
+    """Records the width of each matrix np.linalg.eigh decomposes."""
+    real, calls = np.linalg.eigh, []
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 @pytest.mark.parametrize("route", REDUCED_CASES)
@@ -190,20 +205,15 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
     design, V, _, _, alpha = rff_case(*REDUCED_CASES[route])
     rows, dim = design.Z.shape
     assert (dim > rows) == (route == "dual")
-    assert estimator.tridiagonal_route(operator_width(design), REDUCED_STOPS[-1])
-    assert runtime.gd_reduction() == "dsytrd"
-    real, calls = runtime.tridiagonalize, []
-
-    def counted(a):
-        calls.append(a.shape[0])
-        return real(a)
-
-    monkeypatch.setattr(runtime, "tridiagonalize", counted)
+    width = operator_width(design)
+    assert width >= estimator.CLOSED_FORM_MIN_WIDTH and REDUCED_STOPS[-1] >= width
+    calls = eigh_spy(monkeypatch)
     reduced = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
     single = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1])
-    assert calls == [operator_width(design)] * 2
+    assert calls == [width] * 2
     np.testing.assert_array_equal(single.theta, reduced[-1].theta)
-    assert not design.cov_cached   # the reduction never caches the operator it overwrites
+    # the exact route caches the operator it decomposes, as the loop does
+    assert design.cov_cached == (route == "primal")
     thetas, risks = primal_oracle(design, V, alpha, REDUCED_STOPS[-1])
     # the risks are taken along the dense loop
     tracked = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1], track_risk=True)
@@ -213,13 +223,7 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
                                   1.0 / (alpha * REDUCED_STOPS[-1]))
     assert rel(reduced[-1].theta, closed.theta) < 1e-9
     design = rff_case(*REDUCED_CASES[route])[0]   # without the cov() fit_closed cached
-
-    def no_reduction(a):
-        raise AssertionError("the fit reduced the operator without LAPACK")
-
-    monkeypatch.setattr(runtime, "_lapack", lambda: None)
-    monkeypatch.setattr(runtime, "tridiagonalize", no_reduction)
-    assert runtime.gd_reduction() is None
+    monkeypatch.setattr(estimator, "CLOSED_FORM_MIN_WIDTH", math.inf)   # the dense loop
     dense = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
     for step, r, d in zip(REDUCED_STOPS, reduced, dense):
         assert rel(r.theta, thetas[step - 1]) < TOL, step
@@ -228,8 +232,8 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
 
 @pytest.mark.parametrize("route", REDUCED_CASES)
 def test_reduced_route_leaves_cached_operators_intact(route):
-    """The reduction overwrites the operator it runs on, so it reduces a copy
-    of a cached one; the cache and the iterates are unchanged."""
+    """The exact route reads the operator it decomposes without writing to
+    it, so a cached one and the iterates are unchanged."""
     design, V, _, _, alpha = rff_case(*REDUCED_CASES[route])
     expected = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
     # a cached cov() would move the dual design to the primal route
@@ -264,31 +268,6 @@ def test_symmetric_step_writes_the_gradient(fallback, monkeypatch):
         runtime.symmetric_step(np.asfortranarray(a), x, target, out)
     with pytest.raises(ValueError):
         runtime.symmetric_step(a, x[:-1], target, out)
-
-
-def test_tridiagonalize_factors_the_operator():
-    """a = Q T Q^T with Q orthogonal, Q built column by column with rotate."""
-    if runtime.gd_reduction() is None:
-        pytest.skip("no LAPACK dsytrd/dormtr in this numpy build")
-    rng = np.random.default_rng(6)
-    Z = rng.normal(size=(70, 50))
-    a = Z.T @ Z / 70
-    work = a.copy()
-    diag, off, rotate = runtime.tridiagonalize(work)
-    q = np.eye(50)
-    for col in q:               # row k of q becomes Q e_k, so q holds Q^T
-        rotate(col, False)
-    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    np.testing.assert_allclose(q.T @ t @ q, a, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(q @ q.T, np.eye(50), rtol=0.0, atol=1e-13)
-    x = rng.normal(size=50)
-    y = x.copy()
-    rotate(y, True)
-    np.testing.assert_allclose(y, q @ x, rtol=0.0, atol=1e-13)
-    with pytest.raises(ValueError):
-        rotate(np.ones(49), True)
-    with pytest.raises(ValueError):
-        runtime.tridiagonalize(np.asfortranarray(a))
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -1,34 +1,38 @@
 """Oracle tests for the certified low-rank route of long gradient descents.
 
-A trajectory long enough for the tridiagonal route (`estimator.tridiagonal_route`)
-first sketches the range of Z with a fixed Gaussian test matrix
-(`DesignMatrix.range_factor`).  Where the residual ||Z - Q B||_F is at most
-SKETCH_TOL ||Z||_F, every stop takes the landweber closed form on the SVD of B
-and no operator is formed; elsewhere the fit falls back to the tridiagonal
-route.  The NTK designs of a scalar input (sweep-heatmap, the plateau of
-acceptance 4) take the route, and their predictions are checked against the
-dense loop.  Full-rank designs (the cosine features of `rates`, the
-`ntk-compare` tangent design) must fall back.  The closed form itself is
-checked against the loop on an operator of exact low rank and a target
-outside its range, where the null-space term carries the iterates.
+A trajectory of at least LOW_RANK_MIN_STEPS on an operator at least
+CLOSED_FORM_MIN_WIDTH wide first sketches the range of Z with a fixed Gaussian
+test matrix (`DesignMatrix.range_factor`).  Where the residual ||Z - Q B||_F
+is at most SKETCH_TOL ||Z||_F, every stop takes the landweber closed form on
+the SVD of B and no operator is formed, also where the trajectory is shorter
+than the operator is wide; elsewhere a trajectory at least that long takes
+the same closed form on the operator's eigendecomposition.  The NTK designs of
+a scalar input (sweep-heatmap, the plateau of acceptance 4) take the route,
+and their predictions are checked against the dense loop.  Full-rank designs
+(the cosine features of `rates`, the `ntk-compare` tangent design) must fall
+back, and ntk-compare's own fits (T = 32) must not try the route.  The closed
+form itself is checked against the loop on an operator of exact low rank and
+a target outside its range, where the null-space term carries the iterates.
+The widest paper-scale heatmap cell is checked under the opt-in `paper`
+marker (`pytest -m paper`).
 """
 import math
 
 import numpy as np
 import pytest
 
-from specrf import cli, estimator, features, neuralop, runtime, synthetic
-from test_dual_gd import ntk_case
+from specrf import cli, estimator, features, neuralop, synthetic
+from test_dual_gd import eigh_spy, ntk_case
 
 STOPS = [1, 4, 16, 64, 256, 1024]
 TOL = 1e-12
 
 
-def ntk_design(M, input_bound, feature_seed=1):
+def ntk_design(M, input_bound, feature_seed=1, n=1000):
     """sweep-heatmap's NTK design at its default problem: M draws x 3 summands
-    on 1000 training inputs, plus 500 test inputs and the step size."""
+    on n training inputs, plus 500 test inputs and the step size."""
     problem, noise = cli._build_problem(cli.DEFAULTS["sweep-heatmap"]["problem"], 0)
-    U, V = synthetic.sample_dataset(problem, 1000, noise, 5)
+    U, V = synthetic.sample_dataset(problem, n, noise, 5)
     U_te, _ = synthetic.sample_dataset(problem, 500, noise, 6)
     arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
                                          use_lift=False)
@@ -45,6 +49,12 @@ def heatmap_primal():
 def heatmap_dual():
     """M = 512: 1000 x 1536, descends on the 1000-wide Gram matrix."""
     return ntk_design(512, math.sqrt(3.0))
+
+
+def heatmap_short():
+    """M = 512 on 1500 inputs: 1500 x 1536, descends on the 1500-wide Gram
+    matrix, wider than the 1024 steps of STOPS."""
+    return ntk_design(512, math.sqrt(3.0), n=1500)
 
 
 def plateau():
@@ -78,7 +88,7 @@ def tangent():
 
 
 LOW_RANK = {"heatmap-primal": heatmap_primal, "heatmap-dual": heatmap_dual,
-            "plateau": plateau}
+            "heatmap-short": heatmap_short, "plateau": plateau}
 FULL_RANK = {"cosine": cosine, "tangent": tangent}
 
 
@@ -103,9 +113,9 @@ def route_spy(monkeypatch):
 
 
 def dense_path(design, V, alpha):
-    """The same trajectory on the dense loop, no route of a long trajectory."""
+    """The same trajectory on the dense loop, no closed form."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "tridiagonal_route", lambda width, steps: False)
+        mp.setattr(estimator, "CLOSED_FORM_MIN_WIDTH", math.inf)
         return estimator.fit_gd_path(design, V, alpha, STOPS)
 
 
@@ -120,12 +130,15 @@ def assert_predictions_agree(models, oracle, U_te):
 
 @pytest.mark.parametrize("name", LOW_RANK)
 def test_low_rank_designs_take_the_route(name, monkeypatch):
-    """The route is taken, forms no operator, predicts what the dense loop
-    does at every stop, and gives the same bytes on every fit."""
+    """The route is taken, whether or not the trajectory is as long as the
+    operator is wide, forms no operator, predicts what the dense loop does at
+    every stop, and gives the same bytes on every fit."""
     design, V, U_te, alpha = LOW_RANK[name]()
     rows, dim = design.shape
     width = dim if dim <= rows else rows
-    assert estimator.tridiagonal_route(width, STOPS[-1])
+    assert width >= estimator.CLOSED_FORM_MIN_WIDTH
+    assert STOPS[-1] >= estimator.LOW_RANK_MIN_STEPS
+    assert (STOPS[-1] < width) == (name == "heatmap-short")
     taken, omegas = route_spy(monkeypatch)
 
     def no_operator(*args, **kwargs):
@@ -134,7 +147,7 @@ def test_low_rank_designs_take_the_route(name, monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         for name_ in ("gram", "normal_equations", "cov"):
             mp.setattr(design, name_, no_operator)
-        mp.setattr(runtime, "tridiagonalize", no_operator)
+        mp.setattr(np.linalg, "eigh", no_operator)
         models = estimator.fit_gd_path(design, V, alpha, STOPS)
         again = estimator.fit_gd_path(design, V, alpha, STOPS)
         single = estimator.fit_gd(design, V, alpha, STOPS[-1])
@@ -162,24 +175,43 @@ def test_designs_of_one_width_share_the_test_matrix(monkeypatch):
 
 @pytest.mark.parametrize("name", FULL_RANK)
 def test_full_rank_designs_fall_back(name, monkeypatch):
-    """The certificate fails, the fit takes the tridiagonal route, and its
-    predictions are the dense loop's."""
+    """The certificate fails, the fit takes the closed form on the operator's
+    eigendecomposition, and its predictions are the dense loop's."""
     design, V, U_te, alpha = FULL_RANK[name]()
-    if runtime.gd_reduction() is None:
-        pytest.skip("no LAPACK dsytrd/dormtr in this numpy build")
     taken, _ = route_spy(monkeypatch)
-    real, calls = runtime.tridiagonalize, []
-
-    def counted(a):
-        calls.append(a.shape[0])
-        return real(a)
-
-    monkeypatch.setattr(runtime, "tridiagonalize", counted)
+    calls = eigh_spy(monkeypatch)
     models = estimator.fit_gd_path(design, V, alpha, STOPS)
     assert taken == [False]
     rows, dim = design.shape
     assert calls == [dim if dim <= rows else rows]
     assert_predictions_agree(models, dense_path(design, V, alpha), U_te)
+
+
+NTK_COMPARE_WIDTHS = sorted(set(cli.DEFAULTS["ntk-compare"]["M_grid"])
+                            | set(cli.PRESETS["ntk-compare"][1]["M_grid"]))
+
+
+@pytest.mark.parametrize("M", NTK_COMPARE_WIDTHS)
+def test_ntk_compare_fits_stay_on_the_loop(M, monkeypatch):
+    """ntk-compare's tangent fits (T = 32, below LOW_RANK_MIN_STEPS) never
+    sketch Z, at every width of its default and paper grids: the two passes
+    would cost more than the 32 steps they replace."""
+    cfg = cli.load_config("ntk-compare", None, None, False)
+    assert cfg["T"] < estimator.LOW_RANK_MIN_STEPS
+    fits = []
+    real_fit = estimator.fit_gd
+
+    def fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    def no_sketch(*args):
+        raise AssertionError("an ntk-compare fit sketched Z")
+
+    monkeypatch.setattr(estimator, "fit_gd", fit)
+    monkeypatch.setattr(features.DesignMatrix, "range_factor", no_sketch)
+    row = cli._ntk_cell({"cfg": cfg, "M": M, "seed": 0})
+    assert len(fits) == 1 and math.isfinite(row["discrepancy"])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -216,3 +248,19 @@ def test_path_models_against_single_fits():
     short = estimator.fit_gd_path(design, V, alpha, stops[:-1])
     for p, s in zip(short, singles):
         np.testing.assert_array_equal(p.theta, s.theta)
+
+
+@pytest.mark.paper
+def test_widest_paper_heatmap_cell_takes_the_route(monkeypatch):
+    """The paper-scale heatmap's widest cell, M = 1518 on 5000 inputs (5000 x
+    4554, primal), certifies, and predicts what 1024 dense steps do at every
+    stop.  Opt-in (`pytest -m paper`): the dense loop forms a 166 MB
+    Sigma_hat and the test takes about 10 s."""
+    n = cli.DEFAULTS["sweep-heatmap"]["paper_scale"]["n_train"]
+    design, V, U_te, alpha = ntk_design(max(cli.PRESETS["heatmap"][1]["M_grid"]),
+                                        math.sqrt(3.0), n=n)
+    assert design.shape == (5000, 4554)
+    taken, _ = route_spy(monkeypatch)
+    models = estimator.fit_gd_path(design, V, alpha, STOPS)
+    assert taken == [True]
+    assert_predictions_agree(models, dense_path(design, V, alpha), U_te)
