@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import synthetic
+from . import runtime, synthetic
 from .features import FeatureSet, feature_rows, sample_features
 from .synthetic import NoiseModel, SyntheticProblem
 
@@ -328,8 +328,8 @@ def simulate_event(
         lhs[t] = _trial_lhs(spec, problem, noise, fixed, rng)
     violations = int(np.sum(lhs > rhs))
     quantiles = {
-        "q50": float(np.quantile(lhs, 0.5)),
-        "q90": float(np.quantile(lhs, 0.9)),
+        "q50": runtime.quantile(lhs, 0.5),
+        "q90": runtime.quantile(lhs, 0.9),
         "max": float(np.max(lhs)),
     }
     return TrialReport(

@@ -29,22 +29,27 @@ one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
 where that symbol is missing), writing into work arrays reused for the whole
 descent; only the iterates at the stopping times are copied out.
 
-A long trajectory on an operator at least CLOSED_FORM_MIN_WIDTH wide takes
-the landweber filter in closed form instead of the loop.  It first tries a
-certified low-rank form: a randomized range finder (Halko, Martinsson & Tropp
-2011) with a Gaussian test matrix of SKETCH_RANK columns, drawn from one fixed
+A long trajectory takes the landweber filter in closed form instead of the
+loop (`closed_forms`):
+
+    operator width          steps T                          route
+    >= LOW_RANK_MIN_WIDTH   >= LOW_RANK_MIN_STEPS            low-rank, if Z certifies
+    >= LOW_RANK_MIN_WIDTH   >= width                         else eigh
+    <  LOW_RANK_MIN_WIDTH   >= EIGH_STEPS_PER_COLUMN width   eigh
+    any other                                                the loop
+
+The low-rank form is a randomized range finder (Halko, Martinsson & Tropp
+2011): a Gaussian test matrix of SKETCH_RANK = k columns, drawn from one fixed
 seed, gives Z = Q B up to a residual from two passes over Z's column blocks
 (`DesignMatrix.range_factor`).  Where ||Z - Q B||_F <= SKETCH_TOL ||Z||_F, as
-for the NTK designs of a scalar input, the SVD of the k x width matrix B gives
-Sigma_hat = V Lambda V^T and every stop is
+for the NTK designs of a scalar input, every stop is
 
-    theta_T = V phi_T(Lambda) V^T r + alpha T (r - V V^T r),    r = S_hat^* v,
+    theta_T = B^T U phi_T(Lambda) U^T w,   B B^T / n = U Lambda U^T,   w = Q^T v / n,
 
-with no operator formed.  Where the certificate fails and the trajectory is at
-least as long as the operator is wide, the same closed form runs on the
-operator's eigendecomposition (np.linalg.eigh); a shorter one runs the loop.
-The routes agree to rounding; one route gives the same bits for a stop
-whichever other stops share the trajectory.
+from the eigendecomposition of a k x k matrix, with no operator formed.  The
+eigh form runs the same filter on the operator's own eigendecomposition
+(np.linalg.eigh).  The routes agree to rounding; one route gives the same
+bits for a stop whichever other stops share the trajectory.
 """
 from __future__ import annotations
 
@@ -160,23 +165,50 @@ def fit_closed(
 
 #: Columns k of the Gaussian test matrix of the low-rank route
 #: (`_low_rank_descent`), drawn from SKETCH_SEED for every fit, so that the
-#: bytes of a fit depend on its design alone.
-SKETCH_RANK = 64
+#: bytes of a fit depend on its design alone.  At k = 40 every heatmap design
+#: that takes the route certifies at 6e-16 to 1e-15 relative, at desk scale
+#: (M = 128-512, n = 1000) and at paper scale (M up to 1518, n = 5000).
+SKETCH_RANK = 40
 SKETCH_SEED = 0
 #: The largest relative residual ||Z - Q B||_F / ||Z||_F at which the
 #: low-rank route is taken: about a hundred times the rounding of the
-#: residual itself, which reads 5e-16 to 8e-16 on designs that Q captures.
+#: residual itself, which reads 5e-16 to 1e-15 on designs that Q captures.
 SKETCH_TOL = 1e-13
-#: The narrowest operator whose descent may take a closed form (see
-#: `_descend`).  Below it the loop is cheap: at width 192 and T = 1024 it
-#: takes 18 ms on one BLAS thread, against 14 ms (low-rank) and 9 ms (eigh).
-CLOSED_FORM_MIN_WIDTH = 384
+#: The narrowest operator whose descent may take the low-rank route; a
+#: wider one whose certificate fails takes eigh once the trajectory is at
+#: least as long as the operator is wide (see `closed_forms`).
+LOW_RANK_MIN_WIDTH = 384
 #: The fewest steps that try the low-rank route.  Its two passes over Z cost
-#: about 3 SKETCH_RANK products of Z with a vector.  Measured on one BLAS
-#: thread on the heatmap designs 1000 x 768 and 1000 x 1536, the route ties
-#: the loop at 32-64 steps and takes 0.57-0.67 of its time at 128, so a
-#: shorter trajectory (the T = 32 of ntk-compare) stays on the loop.
+#: about 3 SKETCH_RANK products of Z with a vector, so a shorter trajectory
+#: (the T = 32 of ntk-compare, the T = 34 of acceptance 4) stays on the loop.
 LOW_RANK_MIN_STEPS = 2 * SKETCH_RANK
+#: Below LOW_RANK_MIN_WIDTH, eigh of the operator replaces the loop from
+#: this many steps per column.  Measured on one BLAS thread of a 2-vCPU VM,
+#: numpy 2.4.6 (loop / eigh, ms, six stops):
+#:
+#:     width   T = 128        T = 512        T = 1024
+#:        16   0.51 / 0.11    2.32 / 0.12    4.15 / 0.12
+#:        48   0.54 / 0.31    2.15 / 0.37    4.32 / 0.32
+#:        96   0.66 / 0.88    2.65 / 0.90    5.24 / 0.92
+#:       192   0.95 / 3.53    3.71 / 3.56    7.84 / 3.93
+#:       256   1.14 / 6.27    4.85 / 6.52    9.58 / 6.42
+#:       320   1.53 / 10.5    6.18 / 10.1    11.7 / 10.2
+#:
+#: eigh wins from 1.1-3 steps per column, the most at the widest (at
+#: 320-383 columns the two tie near three), so three keeps the gate on the
+#: winning or tying side at every width.
+EIGH_STEPS_PER_COLUMN = 3
+
+
+def closed_forms(width: int, steps: int) -> tuple[str, ...]:
+    """The closed forms that a trajectory of `steps` on an operator `width`
+    wide tries, in order, before the dense loop: "low-rank"
+    (`_low_rank_descent`, which may decline) and "eigh" (the operator's
+    eigendecomposition)."""
+    if width < LOW_RANK_MIN_WIDTH:
+        return ("eigh",) if steps >= EIGH_STEPS_PER_COLUMN * width else ()
+    return (("low-rank",) if steps >= LOW_RANK_MIN_STEPS else ()) + \
+        (("eigh",) if steps >= width else ())
 
 
 def _low_rank_descent(design: DesignMatrix, v: np.ndarray, alpha: float,
@@ -186,40 +218,37 @@ def _low_rank_descent(design: DesignMatrix, v: np.ndarray, alpha: float,
 
     `design.range_factor` gives Z = Q B up to a residual, from two passes
     over Z's column blocks with a fixed Gaussian test matrix of SKETCH_RANK
-    columns.  Where the residual is at most SKETCH_TOL ||Z||_F, the SVD
-    B = U S V^T gives Sigma_hat = V Lambda V^T, Lambda = S^2 / n, up to the
-    residual, and the T-th iterate is the landweber filter of Sigma_hat
-    applied to r = S_hat^* v:
+    columns.  Where the residual is at most SKETCH_TOL ||Z||_F, Sigma_hat is
+    B^T B / n up to the residual and S_hat^* v is B^T w, w = Q^T v / n.  The
+    T-th iterate phi_T(Sigma_hat) S_hat^* v is then, by the identity
+    phi(B^T B / n) B^T = B^T phi(B B^T / n),
 
-        theta_T = V phi_T(Lambda) V^T r + alpha T (r - V V^T r),
+        theta_T = B^T U phi_T(Lambda) U^T w,    B B^T / n = U Lambda U^T,
 
     with phi_T(lambda) = (1 - (1 - alpha lambda)^T) / lambda
-    (`_landweber_iterates`).  No operator is formed."""
+    (`_landweber_iterates`): one eigh of a k x k matrix, no operator formed."""
     omega = np.random.default_rng(SKETCH_SEED).standard_normal(
         (design.shape[1], SKETCH_RANK))
-    coef, rhs, residual, norm = design.range_factor(v, omega)
+    q, coef, residual, norm = design.range_factor(omega)
     _reject_degenerate(design)
     if residual > SKETCH_TOL * norm:
         return None
-    _, s, vt = np.linalg.svd(coef, full_matrices=False)
-    return _landweber_iterates(vt, s * s / design.n, rhs, alpha, stops)
+    lam, vecs = np.linalg.eigh(coef @ coef.T / design.n)
+    return [coef.T @ x for x in
+            _landweber_iterates(vecs, lam, q.T @ v / design.n, alpha, stops)]
 
 
-def _landweber_iterates(vt: np.ndarray, lam: np.ndarray, target: np.ndarray,
+def _landweber_iterates(vecs: np.ndarray, lam: np.ndarray, target: np.ndarray,
                         alpha: float, stops: list[int]) -> list[np.ndarray]:
     """The iterates at `stops` of x <- x - alpha (A x - target) from x = 0,
-    for A = V diag(lam) V^T given by the orthonormal rows vt = V^T:
+    for A = V diag(lam) V^T given by a square orthonormal V = vecs:
 
-        x_T = V phi_T(lam) V^T target + alpha T (target - V V^T target).
+        x_T = V phi_T(lam) V^T target.
 
-    phi_T is the landweber filter (`spectral.landweber_values`); the second
-    term is the part of the target outside the range of V, where A is zero
-    and each step adds alpha times it.  Each stop is formed on its own, so
-    its bits do not depend on the others."""
-    proj = vt @ target
-    null = target - vt.T @ proj
-    return [vt.T @ (spectral.landweber_values(alpha, step, lam) * proj) + (alpha * step) * null
-            for step in stops]
+    phi_T is the landweber filter (`spectral.landweber_values`).  Each stop
+    is formed on its own, so its bits do not depend on the others."""
+    proj = vecs.T @ target
+    return [vecs @ (spectral.landweber_values(alpha, step, lam) * proj) for step in stops]
 
 
 def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: list[int],
@@ -237,23 +266,22 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
     primal risk.  Both operators are summed by in-place symmetric rank-k
     updates on one triangle, mirrored once, so they are exactly symmetric.
 
-    Without `track_risk`, a trajectory of at least LOW_RANK_MIN_STEPS on an
-    operator at least CLOSED_FORM_MIN_WIDTH wide first tries the low-rank
-    closed form (`_low_rank_descent`), which forms no operator.  Where the
-    certificate fails and the trajectory is at least as long as the operator
-    is wide, every stop is the same closed form on the operator's
-    eigendecomposition (np.linalg.eigh, `_landweber_iterates`).  Otherwise
-    each step is one symmetric matrix-vector product reading one triangle
-    (`runtime.symmetric_step`), into an iterate and a gradient allocated once
-    per fit and updated in place, and the iterate is copied at each stop."""
+    Without `track_risk`, a long trajectory takes a closed form
+    (`closed_forms`): the low-rank one (`_low_rank_descent`), which forms no
+    operator, where Z certifies as of low rank, else the landweber filter on
+    the operator's eigendecomposition (np.linalg.eigh, `_landweber_iterates`).
+    Otherwise each step is one symmetric matrix-vector product reading one
+    triangle (`runtime.symmetric_step`), into an iterate and a gradient
+    allocated once per fit and updated in place, and the iterate is copied at
+    each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     v = _stacked_outputs(design, outputs)
     rows, dim = design.shape
     dual = not (design.cov_cached or dim <= rows)
     width = rows if dual else dim
-    closed = not track_risk and width >= CLOSED_FORM_MIN_WIDTH
-    if closed and stops[-1] >= LOW_RANK_MIN_STEPS:
+    routes = () if track_risk else closed_forms(width, stops[-1])
+    if "low-rank" in routes:
         snapshots = _low_rank_descent(design, v, alpha, stops)
         if snapshots is not None:
             return snapshots, []
@@ -263,9 +291,9 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: lis
         op, target = design.normal_equations(v)
     _reject_degenerate(design)
     risks = []
-    if closed and stops[-1] >= width:
+    if "eigh" in routes:
         lam, vecs = np.linalg.eigh(op)
-        snapshots = _landweber_iterates(vecs.T, lam, target, alpha, stops)
+        snapshots = _landweber_iterates(vecs, lam, target, alpha, stops)
     else:
         def risk(resid: np.ndarray) -> float:
             return 0.5 * float(resid @ resid) / design.n
@@ -301,10 +329,9 @@ def fit_gd(
     Requires alpha in (0, 1] (the design contract keeps ||Sigma_hat|| <= 1).
     The recorded lambda is 1/(alpha * n_steps).  Runs on Sigma_hat or, when
     the design has more columns than rows and no cached covariance, on the
-    Gram matrix.  A long trajectory on a wide operator takes the closed form
-    instead: on a certified low-rank factor of Z, or, where the certificate
-    fails and n_steps is at least the operator's width, on the operator's
-    eigendecomposition (see `_descend`).  With `track_risk` the model's
+    Gram matrix.  A long trajectory takes the closed form instead: on a
+    certified low-rank factor of Z or on the operator's eigendecomposition
+    (see `closed_forms`).  With `track_risk` the model's
     train_risks holds the empirical risk at each of the n_steps + 1 iterates.
     """
     if n_steps < 1:

@@ -507,34 +507,25 @@ class DesignMatrix:
             theta /= self.n
         return thetas
 
-    def range_factor(self, v: np.ndarray,
-                     omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    def range_factor(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
         """A randomized range finder for Z (Halko, Martinsson & Tropp 2011)
-        in two passes over its column blocks, for stacked v of length n*d_v
-        and a (M_distinct*p, k) test matrix omega.
+        in two passes over its column blocks, for a (M_distinct*p, k) test
+        matrix omega.
 
-        The first pass sums Y = Z omega and forms S_hat^* v = (1/n) Z^T v
-        (one matrix-vector product per block, as `embed_adjoints` takes it)
-        and ||Z||_F; Q is the orthonormal factor of Y.  The second forms
-        B = Q^T Z and the residual ||Z - Q B||_F, each block's Z_b - Q B_b
-        written into one work buffer.  Returns (B, S_hat^* v, ||Z - Q B||_F,
-        ||Z||_F) and records `is_zero`."""
-        v = self._stacked(v)
-        rows, dim = self.shape
-        sketch = np.zeros((rows, omega.shape[1]))
-        rhs = np.empty(dim)
+        The first pass sums Y = Z omega and ||Z||_F; Q is the orthonormal
+        factor of Y.  The second forms B = Q^T Z and the residual
+        ||Z - Q B||_F, each block's Z_b - Q B_b written into one work buffer.
+        Returns (Q, B, ||Z - Q B||_F, ||Z||_F) and records `is_zero`."""
+        sketch = np.zeros((self.shape[0], omega.shape[1]))
         norm_sq = 0.0
         nonzero = False
         for lo, block in self._column_blocks():
-            hi = lo + block.shape[1]
             nonzero = nonzero or bool(block.any())
-            sketch += block @ omega[lo:hi]
-            np.matmul(block.T, v, out=rhs[lo:hi])
+            sketch += block @ omega[lo:lo + block.shape[1]]
             norm_sq += float(np.vdot(block, block))
         self._zero = not nonzero
-        rhs /= self.n
         q = np.linalg.qr(sketch)[0]
-        coef = np.empty((q.shape[1], dim))
+        coef = np.empty((q.shape[1], self.shape[1]))
         work = None
         resid_sq = 0.0
         for lo, block in self._column_blocks():
@@ -546,7 +537,7 @@ class DesignMatrix:
             np.matmul(q, part, out=diff)
             diff -= block
             resid_sq += float(np.vdot(diff, diff))
-        return coef, rhs, math.sqrt(resid_sq), math.sqrt(norm_sq)
+        return q, coef, math.sqrt(resid_sq), math.sqrt(norm_sq)
 
     def stack_outputs(self, outputs: np.ndarray) -> np.ndarray:
         """Stack raw outputs (n, d_v) into the scaled coordinates Z acts in."""

@@ -305,4 +305,4 @@ def median_discrepancies(rows: list[dict]) -> dict[int, float]:
     by_width: dict[int, list[float]] = {}
     for row in rows:
         by_width.setdefault(row["M"], []).append(row["discrepancy"])
-    return {m: float(np.median(v)) for m, v in sorted(by_width.items())}
+    return {m: runtime.median(np.asarray(v)) for m, v in sorted(by_width.items())}

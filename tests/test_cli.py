@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -652,3 +653,39 @@ def test_serial_import_leaves_out_the_process_pool():
                           env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify", {k: v for k, v in TestVerify.CFG.items() if k != "events"}),
+    ("ntk-compare", TestNTKCompare.CFG),
+])
+def test_runs_leave_out_numpy_ma(command, config, tmp_path):
+    """A `verify` run (every event) and an `ntk-compare` run never import
+    numpy.ma: the event quantiles and the width medians come from
+    `runtime.quantile` and `runtime.median`, not np.quantile and np.median."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    argv = [command, "--out", str(tmp_path / "out"), "--jobs", "1",
+            "--config", json.dumps(config)]
+    code = (f"import sys, specrf.cli; code = specrf.cli.main({argv!r}); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 1000])
+def test_order_statistics_equal_numpy(n):
+    """`runtime.quantile` and `runtime.median` return np.quantile's and
+    np.median's bits on random arrays, with ties, and propagate a NaN."""
+    rng = np.random.default_rng(n)
+    for scale in (1e-6, 1.0, 1e6):
+        values = rng.normal(size=n) * scale
+        values[rng.integers(0, n, n // 3)] = values[0]
+        for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
+            assert runtime.quantile(values, q) == float(np.quantile(values, q)), q
+        assert runtime.median(values) == float(np.median(values))
+    values[n // 2] = np.nan
+    assert math.isnan(runtime.quantile(values, 0.5)) and math.isnan(runtime.median(values))

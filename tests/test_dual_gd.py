@@ -7,12 +7,13 @@ primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
 written out here, and checks the iterates and risks against it.  Each step,
 on either route, is one symmetric matrix-vector product
 (`runtime.symmetric_step`); it is checked against its np.matmul fallback.
-A trajectory at least as long as a wide operator (CLOSED_FORM_MIN_WIDTH) on
+A trajectory at least as long as a wide operator (LOW_RANK_MIN_WIDTH) on
 a design of full rank instead takes the landweber closed form on the
 operator's eigendecomposition; it is checked against the dense loop and the
 oracle on one primal and one dual random Fourier design (the low-rank route,
-which long trajectories on the NTK designs take, is checked in
-test_low_rank_gd.py).  The last test checks the one-pass checkpoint
+which long trajectories on the NTK designs take, and the eigh route of
+narrower operators are checked in test_low_rank_gd.py).  `dense_loop` is the
+one way a test forces the loop.  The last test checks the one-pass checkpoint
 evaluation against per-model `evaluate`.
 """
 import math
@@ -43,6 +44,11 @@ def primal_oracle(design, outputs, alpha, n_steps):
 
 def rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def dense_loop(mp):
+    """Sends every trajectory to the dense loop: no closed form."""
+    mp.setattr(estimator, "closed_forms", lambda width, steps: ())
 
 
 def ntk_case(M=64, n=40):
@@ -161,8 +167,11 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
     if route == "primal":
         design.cov()
     stops = [1, 16, 256, 1024]
-    # narrow enough that these 1024 steps stay on the dense loop
-    assert operator_width(design) < estimator.CLOSED_FORM_MIN_WIDTH
+    # narrow, so fit_gd_path would take eigh: these 1024 steps are forced
+    # onto the dense loop
+    assert operator_width(design) < estimator.LOW_RANK_MIN_WIDTH
+    assert estimator.closed_forms(operator_width(design), stops[-1]) == ("eigh",)
+    dense_loop(monkeypatch)
 
     def fits():
         return (estimator.fit_gd(design, V, alpha, stops[-1], track_risk=True),
@@ -206,7 +215,7 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
     rows, dim = design.Z.shape
     assert (dim > rows) == (route == "dual")
     width = operator_width(design)
-    assert width >= estimator.CLOSED_FORM_MIN_WIDTH and REDUCED_STOPS[-1] >= width
+    assert width >= estimator.LOW_RANK_MIN_WIDTH and REDUCED_STOPS[-1] >= width
     calls = eigh_spy(monkeypatch)
     reduced = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
     single = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1])
@@ -223,7 +232,7 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
                                   1.0 / (alpha * REDUCED_STOPS[-1]))
     assert rel(reduced[-1].theta, closed.theta) < 1e-9
     design = rff_case(*REDUCED_CASES[route])[0]   # without the cov() fit_closed cached
-    monkeypatch.setattr(estimator, "CLOSED_FORM_MIN_WIDTH", math.inf)   # the dense loop
+    dense_loop(monkeypatch)
     dense = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
     for step, r, d in zip(REDUCED_STOPS, reduced, dense):
         assert rel(r.theta, thetas[step - 1]) < TOL, step

@@ -1,20 +1,24 @@
-"""Oracle tests for the certified low-rank route of long gradient descents.
+"""Oracle tests for the closed forms of long gradient descents.
 
 A trajectory of at least LOW_RANK_MIN_STEPS on an operator at least
-CLOSED_FORM_MIN_WIDTH wide first sketches the range of Z with a fixed Gaussian
+LOW_RANK_MIN_WIDTH wide first sketches the range of Z with a fixed Gaussian
 test matrix (`DesignMatrix.range_factor`).  Where the residual ||Z - Q B||_F
 is at most SKETCH_TOL ||Z||_F, every stop takes the landweber closed form on
-the SVD of B and no operator is formed, also where the trajectory is shorter
-than the operator is wide; elsewhere a trajectory at least that long takes
-the same closed form on the operator's eigendecomposition.  The NTK designs of
-a scalar input (sweep-heatmap, the plateau of acceptance 4) take the route,
-and their predictions are checked against the dense loop.  Full-rank designs
-(the cosine features of `rates`, the `ntk-compare` tangent design) must fall
-back, and ntk-compare's own fits (T = 32) must not try the route.  The closed
-form itself is checked against the loop on an operator of exact low rank and
-a target outside its range, where the null-space term carries the iterates.
-The widest paper-scale heatmap cell is checked under the opt-in `paper`
-marker (`pytest -m paper`).
+the eigendecomposition of the k x k matrix B B^T / n and no operator is
+formed, also where the trajectory is shorter than the operator is wide;
+elsewhere a trajectory at least that long takes the same closed form on the
+operator's eigendecomposition, as a trajectory of at least
+EIGH_STEPS_PER_COLUMN steps per column does on a narrower operator.  The NTK
+designs of a scalar input (sweep-heatmap, the plateau of acceptance 4) take
+the low-rank route, and their predictions are checked against the dense loop.
+Full-rank designs (the cosine features of `rates`, the `ntk-compare` tangent
+design) must fall back, and ntk-compare's own fits (T = 32) must keep the
+loop.  Narrow long trajectories, primal and dual, on NTK and random Fourier
+designs take eigh and are checked against the loop, and a route census checks
+that every cell of the desk sweep-heatmap defaults takes a closed form.  The
+k x k form itself is checked against the loop on a design of exact low rank,
+and the eigh form on an operator with a null space.  The widest paper-scale
+heatmap cell is checked under the opt-in `paper` marker (`pytest -m paper`).
 """
 import math
 
@@ -22,7 +26,8 @@ import numpy as np
 import pytest
 
 from specrf import cli, estimator, features, neuralop, synthetic
-from test_dual_gd import eigh_spy, ntk_case
+from test_dual_gd import dense_loop, eigh_spy, ntk_case, operator_width, primal_oracle, \
+    rff_case
 
 STOPS = [1, 4, 16, 64, 256, 1024]
 TOL = 1e-12
@@ -103,9 +108,9 @@ def route_spy(monkeypatch):
         taken.append(out is not None)
         return out
 
-    def factor(self, v, omega):
+    def factor(self, omega):
         omegas.append(omega.copy())
-        return real_factor(self, v, omega)
+        return real_factor(self, omega)
 
     monkeypatch.setattr(estimator, "_low_rank_descent", route)
     monkeypatch.setattr(features.DesignMatrix, "range_factor", factor)
@@ -115,7 +120,7 @@ def route_spy(monkeypatch):
 def dense_path(design, V, alpha):
     """The same trajectory on the dense loop, no closed form."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "CLOSED_FORM_MIN_WIDTH", math.inf)
+        dense_loop(mp)
         return estimator.fit_gd_path(design, V, alpha, STOPS)
 
 
@@ -136,7 +141,7 @@ def test_low_rank_designs_take_the_route(name, monkeypatch):
     design, V, U_te, alpha = LOW_RANK[name]()
     rows, dim = design.shape
     width = dim if dim <= rows else rows
-    assert width >= estimator.CLOSED_FORM_MIN_WIDTH
+    assert width >= estimator.LOW_RANK_MIN_WIDTH
     assert STOPS[-1] >= estimator.LOW_RANK_MIN_STEPS
     assert (STOPS[-1] < width) == (name == "heatmap-short")
     taken, omegas = route_spy(monkeypatch)
@@ -144,10 +149,18 @@ def test_low_rank_designs_take_the_route(name, monkeypatch):
     def no_operator(*args, **kwargs):
         raise AssertionError("the low-rank route formed an operator")
 
+    real_eigh = np.linalg.eigh
+
+    def small_eigh(a):
+        # only the k x k matrix B B^T / n is decomposed
+        if a.shape[0] > estimator.SKETCH_RANK:
+            no_operator()
+        return real_eigh(a)
+
     with pytest.MonkeyPatch.context() as mp:
         for name_ in ("gram", "normal_equations", "cov"):
             mp.setattr(design, name_, no_operator)
-        mp.setattr(np.linalg, "eigh", no_operator)
+        mp.setattr(np.linalg, "eigh", small_eigh)
         models = estimator.fit_gd_path(design, V, alpha, STOPS)
         again = estimator.fit_gd_path(design, V, alpha, STOPS)
         single = estimator.fit_gd(design, V, alpha, STOPS[-1])
@@ -194,44 +207,123 @@ NTK_COMPARE_WIDTHS = sorted(set(cli.DEFAULTS["ntk-compare"]["M_grid"])
 @pytest.mark.parametrize("M", NTK_COMPARE_WIDTHS)
 def test_ntk_compare_fits_stay_on_the_loop(M, monkeypatch):
     """ntk-compare's tangent fits (T = 32, below LOW_RANK_MIN_STEPS) never
-    sketch Z, at every width of its default and paper grids: the two passes
-    would cost more than the 32 steps they replace."""
+    sketch Z and take no closed form, at every width of its default and paper
+    grids: the two passes, or an eigh, would cost more than the 32 steps they
+    replace."""
     cfg = cli.load_config("ntk-compare", None, None, False)
     assert cfg["T"] < estimator.LOW_RANK_MIN_STEPS
-    fits = []
-    real_fit = estimator.fit_gd
+    fits, routes = [], []
+    real_fit, real_routes = estimator.fit_gd, estimator.closed_forms
 
     def fit(*args, **kwargs):
         fits.append(args)
         return real_fit(*args, **kwargs)
 
+    def closed_forms(width, steps):
+        routes.append(real_routes(width, steps))
+        return routes[-1]
+
     def no_sketch(*args):
         raise AssertionError("an ntk-compare fit sketched Z")
 
     monkeypatch.setattr(estimator, "fit_gd", fit)
+    monkeypatch.setattr(estimator, "closed_forms", closed_forms)
     monkeypatch.setattr(features.DesignMatrix, "range_factor", no_sketch)
     row = cli._ntk_cell({"cfg": cfg, "M": M, "seed": 0})
     assert len(fits) == 1 and math.isfinite(row["discrepancy"])
+    assert routes == [()]
+
+
+def test_every_desk_heatmap_cell_takes_a_closed_form(monkeypatch):
+    """Route census of the sweep-heatmap defaults: the fits narrower than
+    LOW_RANK_MIN_WIDTH take eigh, the wider ones the low-rank route, which
+    certifies on every one; none runs the loop."""
+    cfg = cli.load_config("sweep-heatmap", None, None, False)
+    taken, _ = route_spy(monkeypatch)
+    routes, real_routes = [], estimator.closed_forms
+
+    def closed_forms(width, steps):
+        routes.append((width, real_routes(width, steps)))
+        return routes[-1][1]
+
+    monkeypatch.setattr(estimator, "closed_forms", closed_forms)
+    for M in cfg["M_grid"]:
+        cli._heatmap_cell({"cfg": cfg, "M": M, "rep": 0, "T_grid": sorted(cfg["T_grid"]),
+                           "cell_seed": M})
+    assert len(routes) == len(cfg["M_grid"])
+    for width, route in routes:
+        if width < estimator.LOW_RANK_MIN_WIDTH:
+            assert route == ("eigh",), width
+        else:
+            assert route[0] == "low-rank", width
+    assert {width for width, _ in routes} == {48, 96, 192, 384, 768, 1000}
+    # the low-rank route certifies wherever it is tried
+    assert taken == [True] * 3
+
+
+# sweep-heatmap's M = 64 NTK design (192 columns) and a random Fourier design
+# of full rank (240 columns), each on more rows (primal) and fewer (dual)
+NARROW = {"ntk-primal": (ntk_case, 64, 300), "ntk-dual": (ntk_case, 64, 150),
+          "rff-primal": (rff_case, 240, 300), "rff-dual": (rff_case, 240, 150)}
+
+
+@pytest.mark.parametrize("name", NARROW)
+def test_narrow_long_paths_take_eigh(name, monkeypatch):
+    """A trajectory of at least EIGH_STEPS_PER_COLUMN steps per column on an
+    operator narrower than LOW_RANK_MIN_WIDTH takes one eigh of it, never
+    sketches Z, and matches the dense loop to 1e-12 at every stop."""
+    case, M, n = NARROW[name]
+    design, V, _, _, alpha = case(M, n)
+    width = operator_width(design)
+    assert (width == n) == name.endswith("dual")
+    assert width < estimator.LOW_RANK_MIN_WIDTH
+    assert STOPS[-1] >= estimator.EIGH_STEPS_PER_COLUMN * width
+    taken, _ = route_spy(monkeypatch)
+    calls = eigh_spy(monkeypatch)
+    models = estimator.fit_gd_path(design, V, alpha, STOPS)
+    assert calls == [width] and taken == []
+    for step, m, d in zip(STOPS, models, dense_path(design, V, alpha)):
+        assert rel(m.theta, d.theta) < TOL, step
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_closed_form_matches_the_loop(alpha):
-    """On A = V diag(lam) V^T of rank 12 in dimension 60, with lam in [0, 1]
-    (0 and 1 included) and a target mostly outside the range of V, the closed
-    form equals the loop x <- x - alpha (A x - target) at every stop."""
+    """On A = V diag(lam) V^T of rank 12 in dimension 60, V square, with lam
+    in [0, 1] (0 and 1 included) and a target mostly outside the range of A,
+    the closed form equals the loop x <- x - alpha (A x - target) at every
+    stop: on the null space of A, phi_T(0) = alpha T carries the iterates."""
     rng = np.random.default_rng(7)
-    v = np.linalg.qr(rng.normal(size=(60, 12)))[0]
-    lam = np.concatenate([[0.0, 1.0, 1e-9], rng.uniform(0.0, 1.0, 9)])
+    v = np.linalg.qr(rng.normal(size=(60, 60)))[0]
+    lam = np.concatenate([[0.0, 1.0, 1e-9], rng.uniform(0.0, 1.0, 9), np.zeros(48)])
     a = (v * lam) @ v.T
     target = rng.normal(size=60)
     stops = [1, 2, 7, 64, 300]
-    iterates = estimator._landweber_iterates(np.ascontiguousarray(v.T), lam, target,
-                                             alpha, stops)
+    iterates = estimator._landweber_iterates(v, lam, target, alpha, stops)
     x = np.zeros(60)
     for step in range(1, stops[-1] + 1):
         x = x - alpha * (a @ x - target)
         if step in stops:
             assert rel(iterates[stops.index(step)], x) < TOL, step
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_low_rank_form_matches_the_loop(alpha):
+    """On a random Fourier design of exact rank 12 (300 rows of 12 distinct
+    inputs, 240 columns), fewer than the SKETCH_RANK sketch columns, so that
+    B B^T / n has a null space, and outputs mostly outside the range of Z,
+    the k x k form certifies and equals the loop at every stop."""
+    rng = np.random.default_rng(3)
+    fs = features.sample_features(features.rff_map(3, 0.3), 240, seed=1)
+    U = rng.uniform(0.0, 1.0, (12, 3))[rng.integers(0, 12, 300)]
+    design = features.build_design(fs, U)
+    V = rng.normal(size=300)
+    assert design.shape == (300, 240) and np.linalg.matrix_rank(design.Z) == 12
+    stops = [1, 2, 7, 64, 300]
+    iterates = estimator._low_rank_descent(design, V, alpha, stops)
+    assert iterates is not None
+    thetas, _ = primal_oracle(design, V, alpha, stops[-1])
+    for step, theta in zip(stops, iterates):
+        assert rel(theta, thetas[step - 1]) < TOL, step
 
 
 def test_path_models_against_single_fits():
