@@ -331,8 +331,8 @@ def fit_gd(
     the design has more columns than rows and no cached covariance, on the
     Gram matrix.  A long trajectory takes the closed form instead: on a
     certified low-rank factor of Z or on the operator's eigendecomposition
-    (see `closed_forms`).  With `track_risk` the model's
-    train_risks holds the empirical risk at each of the n_steps + 1 iterates.
+    (see `closed_forms`).  With `track_risk` the model's train_risks holds
+    the empirical risk at each of the n_steps + 1 iterates.
     """
     if n_steps < 1:
         raise EstimatorError(f"n_steps must be >= 1, got {n_steps}")
