@@ -475,7 +475,6 @@ def _heatmap_cell(args: dict) -> list[dict]:
     design = features.build_design(fs, U_tr.reshape(-1, 1))
 
     models = estimator.fit_gd_path(design, V_tr, cfg["alpha"], args["T_grid"])
-    del design   # frees Z and its Gram matrix before the test rows are built
     reports = estimator.evaluate_path(models, U_te.reshape(-1, 1), V_te)
     return [{"M": args["M"], "T": round(1.0 / (cfg["alpha"] * model.lam)),
              "rep": args["rep"], "error": rep.empirical_risk}

@@ -17,12 +17,15 @@ phi(A^*A) A^* = A^* phi(AA^*)): theta_t = Z^T c_t / n with
     c_{t+1} = c_t - alpha (G c_t - v),    G = (1/n) Z Z^T.
 
 So the descent runs on whichever square operator is smaller: the primal
-covariance Sigma_hat (M_distinct*p wide) when it is cached already or no
-wider than the n*d_v rows, else the dual Gram matrix G, mapping c back to
-theta only at the requested stopping times.  Both give the same iterates up
-to rounding.  Neither route holds Z: Sigma_hat is summed over chunks of its
-rows, G over blocks of its columns, and theta = Z^T c / n comes from a second
-pass over those column blocks (`DesignMatrix.gram`, `embed_adjoints`).
+covariance Sigma_hat (M_distinct*p wide) when it is no wider than the n*d_v
+rows, else the dual Gram matrix G, mapping c back to theta only at the
+requested stopping times.  Both give the same iterates up to rounding.
+Neither route holds Z: Sigma_hat is summed over chunks of its rows, G over
+blocks of its columns, and theta = Z^T c / n comes from a second pass over
+those column blocks (`DesignMatrix.gram`, `embed_adjoints`).  Each fit forms
+its operator in one pass and owns it, leaving nothing on the design, and
+each route reads "identically zero" off what its own pass formed (a zero
+diagonal of Sigma_hat or G, or ||Z||_F = 0).
 
 Either operator is exactly symmetric, so each step reads one triangle of it:
 one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
@@ -95,7 +98,6 @@ class RFModel:
     d_v: int
     filter_kind: str
     lam: float
-    train_risks: np.ndarray | None = field(default=None, compare=False)
     summands: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -117,14 +119,17 @@ def _stacked_outputs(design: DesignMatrix, outputs: np.ndarray) -> np.ndarray:
     return design.stack_outputs(v)
 
 
-def _reject_degenerate(design: DesignMatrix) -> None:
+def _reject_degenerate(norm: float) -> None:
+    """Rejects an identically zero design, told by a norm its fit has formed
+    anyway: the largest diagonal entry of Sigma_hat or G (the largest squared
+    column or row norm of Z, over n), or ||Z||_F.  A design whose squares
+    all underflow to zero (every entry below about 1e-162) reads as zero too."""
     # all-zero designs indicate a broken feature pipeline, not a model to fit
-    if design.is_zero:
+    if norm == 0.0:
         raise EstimatorError("design matrix is identically zero")
 
 
-def _model(design: DesignMatrix, theta: np.ndarray, filter_kind: str, lam: float,
-           train_risks: np.ndarray | None = None) -> RFModel:
+def _model(design: DesignMatrix, theta: np.ndarray, filter_kind: str, lam: float) -> RFModel:
     return RFModel(
         feature_set=design.feature_set,
         theta=theta,
@@ -133,7 +138,6 @@ def _model(design: DesignMatrix, theta: np.ndarray, filter_kind: str, lam: float
         d_v=design.d_v,
         filter_kind=filter_kind,
         lam=lam,
-        train_risks=train_risks,
         summands=design.summands,
     )
 
@@ -147,15 +151,15 @@ def fit_closed(
     """Spectral estimator theta = phi_lambda(Sigma_hat) S_hat^* v.
 
     Sigma_hat and S_hat^* v come from one pass over the design's rows, into
-    a Sigma_hat the fit owns and the design does not cache.  The Tikhonov
-    filter solves (Sigma_hat + lambda I) theta = S_hat^* v
-    (`spectral.tikhonov_solve`), rejecting the designs whose spectrum the
-    eigendecomposition would reject; the other filters apply phi_lambda
-    through the eigendecomposition of Sigma_hat (`spectral.apply_filter`)."""
+    a Sigma_hat the fit owns.  The Tikhonov filter solves
+    (Sigma_hat + lambda I) theta = S_hat^* v (`spectral.tikhonov_solve`),
+    rejecting the designs whose spectrum the eigendecomposition would
+    reject; the other filters apply phi_lambda through the eigendecomposition
+    of Sigma_hat (`spectral.apply_filter`)."""
     if not 0.0 < lam <= 1.0:
         raise EstimatorError(f"lambda must be in (0, 1], got {lam}")
-    cov, rhs = design.normal_equations(_stacked_outputs(design, outputs), fresh=True)
-    _reject_degenerate(design)
+    cov, rhs = design.normal_equations(_stacked_outputs(design, outputs))
+    _reject_degenerate(cov.diagonal().max())     # before the solve writes lambda there
     if filt.kind == "tikhonov":
         theta = spectral.tikhonov_solve(cov, lam, rhs)
     else:
@@ -230,7 +234,7 @@ def _low_rank_descent(design: DesignMatrix, v: np.ndarray, alpha: float,
     omega = np.random.default_rng(SKETCH_SEED).standard_normal(
         (design.shape[1], SKETCH_RANK))
     q, coef, residual, norm = design.range_factor(omega)
-    _reject_degenerate(design)
+    _reject_degenerate(norm)
     if residual > SKETCH_TOL * norm:
         return None
     lam, vecs = np.linalg.eigh(coef @ coef.T / design.n)
@@ -251,70 +255,57 @@ def _landweber_iterates(vecs: np.ndarray, lam: np.ndarray, target: np.ndarray,
     return [vecs @ (spectral.landweber_values(alpha, step, lam) * proj) for step in stops]
 
 
-def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float, stops: list[int],
-             track_risk: bool = False) -> tuple[list[np.ndarray], list[float]]:
+def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float,
+             stops: list[int]) -> list[np.ndarray]:
     """Gradient descent from theta = 0 up to the last of the ascending
-    iteration counts `stops`.  Returns the iterate at each stop and, with
-    `track_risk`, the empirical risk before the first step and after each.
+    iteration counts `stops`; returns the iterate at each stop.
 
-    Iterates on cov() when it is cached or dim <= rows, else on gram() in the
-    dual coordinates c (theta = Z^T c / n), where the gradient G c - v is
-    itself the residual Z theta - v.  The primal side takes Sigma_hat and
-    S_hat^* v from one pass over the design's rows (`normal_equations`), the
-    dual side G from one pass over its column blocks and the iterates at the
-    stops from a second (`embed_adjoints`), so Z is built only to track the
-    primal risk.  Both operators are summed by in-place symmetric rank-k
-    updates on one triangle, mirrored once, so they are exactly symmetric.
+    Iterates on cov() when dim <= rows, else on gram() in the dual
+    coordinates c (theta = Z^T c / n), where the gradient G c - v is itself
+    the residual Z theta - v.  The primal side takes Sigma_hat and S_hat^* v
+    from one pass over the design's rows (`normal_equations`), the dual side
+    G from one pass over its column blocks and the iterates at the stops
+    from a second (`embed_adjoints`), so Z is never built.  Both operators
+    are summed by in-place symmetric rank-k updates on one triangle, mirrored
+    once, so they are exactly symmetric.
 
-    Without `track_risk`, a long trajectory takes a closed form
-    (`closed_forms`): the low-rank one (`_low_rank_descent`), which forms no
-    operator, where Z certifies as of low rank, else the landweber filter on
-    the operator's eigendecomposition (np.linalg.eigh, `_landweber_iterates`).
-    Otherwise each step is one symmetric matrix-vector product reading one
-    triangle (`runtime.symmetric_step`), into an iterate and a gradient
-    allocated once per fit and updated in place, and the iterate is copied at
-    each stop."""
+    A long trajectory takes a closed form (`closed_forms`): the low-rank one
+    (`_low_rank_descent`), which forms no operator, where Z certifies as of
+    low rank, else the landweber filter on the operator's eigendecomposition
+    (np.linalg.eigh, `_landweber_iterates`).  Otherwise each step is one
+    symmetric matrix-vector product reading one triangle
+    (`runtime.symmetric_step`), into an iterate and a gradient allocated once
+    per fit and updated in place, and the iterate is copied at each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     v = _stacked_outputs(design, outputs)
     rows, dim = design.shape
-    dual = not (design.cov_cached or dim <= rows)
-    width = rows if dual else dim
-    routes = () if track_risk else closed_forms(width, stops[-1])
+    dual = dim > rows
+    routes = closed_forms(rows if dual else dim, stops[-1])
     if "low-rank" in routes:
         snapshots = _low_rank_descent(design, v, alpha, stops)
         if snapshots is not None:
-            return snapshots, []
+            return snapshots
     if dual:
         op, target = design.gram(), v
     else:
         op, target = design.normal_equations(v)
-    _reject_degenerate(design)
-    risks = []
+    _reject_degenerate(op.diagonal().max())
     if "eigh" in routes:
         lam, vecs = np.linalg.eigh(op)
         snapshots = _landweber_iterates(vecs, lam, target, alpha, stops)
     else:
-        def risk(resid: np.ndarray) -> float:
-            return 0.5 * float(resid @ resid) / design.n
-
         x = np.zeros_like(target)
         grad = np.empty_like(target)
         gradient = runtime.symmetric_step(op, x, target, grad)   # grad = op @ x - target
         snapshots = []
         for step in range(1, stops[-1] + 1):
             gradient()
-            if track_risk:
-                risks.append(risk(grad if dual else design.Z @ x - v))
             grad *= alpha
             x -= grad
             while len(snapshots) < len(stops) and stops[len(snapshots)] == step:
                 snapshots.append(x.copy())
-        if track_risk:
-            risks.append(risk(op @ x - v if dual else design.Z @ x - v))
-    if dual:
-        snapshots = design.embed_adjoints(snapshots)
-    return snapshots, risks
+    return design.embed_adjoints(snapshots) if dual else snapshots
 
 
 def fit_gd(
@@ -322,23 +313,19 @@ def fit_gd(
     outputs: np.ndarray,
     alpha: float,
     n_steps: int,
-    track_risk: bool = False,
 ) -> RFModel:
     """Gradient descent from theta = 0 on the empirical least-squares risk.
 
     Requires alpha in (0, 1] (the design contract keeps ||Sigma_hat|| <= 1).
     The recorded lambda is 1/(alpha * n_steps).  Runs on Sigma_hat or, when
-    the design has more columns than rows and no cached covariance, on the
-    Gram matrix.  A long trajectory takes the closed form instead: on a
-    certified low-rank factor of Z or on the operator's eigendecomposition
-    (see `closed_forms`).  With `track_risk` the model's train_risks holds
-    the empirical risk at each of the n_steps + 1 iterates.
+    the design has more columns than rows, on the Gram matrix.  A long
+    trajectory takes the closed form instead: on a certified low-rank factor
+    of Z or on the operator's eigendecomposition (see `closed_forms`).
     """
     if n_steps < 1:
         raise EstimatorError(f"n_steps must be >= 1, got {n_steps}")
-    (theta,), risks = _descend(design, outputs, alpha, [n_steps], track_risk)
-    return _model(design, theta, "landweber", 1.0 / (alpha * n_steps),
-                  np.asarray(risks) if track_risk else None)
+    theta, = _descend(design, outputs, alpha, [n_steps])
+    return _model(design, theta, "landweber", 1.0 / (alpha * n_steps))
 
 
 def fit_gd_path(
@@ -360,7 +347,7 @@ def fit_gd_path(
     stops = sorted(int(t) for t in checkpoints)
     if not stops or stops[0] < 1:
         raise EstimatorError("checkpoints must be positive iteration counts")
-    thetas, _ = _descend(design, outputs, alpha, stops)
+    thetas = _descend(design, outputs, alpha, stops)
     return [_model(design, theta, "landweber", 1.0 / (alpha * step))
             for step, theta in zip(stops, thetas)]
 

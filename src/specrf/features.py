@@ -7,11 +7,12 @@ the Monte Carlo kernel
 
     K_M(u, u') = (1/M) sum_m sum_i phi_i(u, omega_m) phi_i(u', omega_m)^T.
 
-Design matrices carry the empirical operators of a dataset: Sigma_hat =
+Design matrices form the empirical operators of a dataset: Sigma_hat =
 (1/n) Z^T Z, the Gram matrix (1/n) Z Z^T and the embedding adjoint
 (1/n) Z^T v, with features rescaled so their spectra lie in [0, 1].  Each is
-summed over blocks of Z's rows or columns, so Z itself is built only where a
-caller asks for it.
+summed over blocks of Z's rows or columns in one pass and handed to the
+caller, so Z itself is built only where a caller asks for it and a fit
+leaves nothing on its design.
 
 Output spaces are finite dimensional: either plain vectors (Euclidean inner
 product) or functions sampled on a grid of n_X points with the empirical
@@ -290,7 +291,8 @@ def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float
 
 
 class DesignMatrix:
-    """Finite-dimensional carrier of the empirical operators for a dataset.
+    """A stateless view of a feature set at a list of inputs, from which
+    each fit forms the empirical operator it needs.
 
     Z has shape (n*d_v, M_distinct*p): one block of p columns per distinct
     omega draw of the feature set (see `feature_rows`).  Row block j holds
@@ -303,18 +305,16 @@ class DesignMatrix:
     No fit holds Z.  The primal side needs only Sigma_hat and
     S_hat^* v = (1/n) Z^T v, summed in one pass over the rows of `chunk`
     inputs at a time (`normal_equations`), as many as fit in
-    runtime.BLOCK_BYTES: views of Z where it is held, else rows built into
-    one reused buffer.  Both sum the same rows in the same order, so the
-    operators are bit-identical whether or not Z was built.  The dual side
-    sums gram() over blocks of Z's columns, those of a contiguous range of
+    runtime.BLOCK_BYTES, built into one reused buffer.  The dual side sums
+    gram() over blocks of Z's columns, those of a contiguous range of
     distinct draws, built into one buffer of about runtime.BLOCK_BYTES
     (`_column_blocks`); `embed_adjoints` maps dual coefficients back over the
     same blocks, and `range_factor` sketches the range of Z over them in two
     passes, with no operator formed.  Each block or chunk is added into one
     triangle of its operator in place (`runtime.symmetric_update`), which is
-    mirrored once, so both operators are exactly symmetric.  Z is built on first access
-    only (risk tracking on the primal side, tests).
-    cov() and gram() are cached when formed; `summands` (boolean, length p)
+    mirrored once, so both operators are exactly symmetric.  Every call forms
+    its operator anew, into an array the caller owns, so a fit leaves
+    nothing on the design; no fit reads Z.  `summands` (boolean, length p)
     freezes the feature functions it leaves out: their columns are zero.
     """
 
@@ -337,9 +337,6 @@ class DesignMatrix:
         self.v_weight = fmap.v_weight
         self.kappa_scale = float(fmap.kappa) if normalize else 1.0
         self.summands = summands
-        self._cov: np.ndarray | None = None
-        self._gram: np.ndarray | None = None
-        self._zero: bool | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -365,7 +362,9 @@ class DesignMatrix:
 
     @cached_property
     def Z(self) -> np.ndarray:
-        """The design matrix, built on first access, chunk by chunk in place."""
+        """The design matrix, built on first access, chunk by chunk in place,
+        and kept.  No fit reads it: fits build rows by `_row_chunks` and
+        `_column_blocks` alone."""
         z = np.empty(self.shape)
         for start, stop in self._chunks():
             self._feature_rows(self.inputs[start:stop],
@@ -373,15 +372,11 @@ class DesignMatrix:
         return z
 
     def _row_chunks(self):
-        """(first row, rows) for each chunk: views of Z where it is held, else
-        rows built into one buffer reused for every chunk."""
-        held = self.__dict__.get("Z")
+        """(first row, rows) for each chunk, built into one buffer reused for
+        every chunk."""
         buffer = None
         for start, stop in self._chunks():
             lo, hi = start * self.d_v, stop * self.d_v
-            if held is not None:
-                yield lo, held[lo:hi]
-                continue
             if buffer is None:
                 buffer = np.empty((hi - lo, self.shape[1]))   # the first chunk is the largest
             yield lo, self._feature_rows(self.inputs[start:stop], out=buffer[:hi - lo])
@@ -399,28 +394,21 @@ class DesignMatrix:
             yield lo * self.p, feature_rows(self.feature_set, self.inputs, self.kappa_scale,
                                             self.v_weight, self.summands, out, slice(lo, hi))
 
-    def _accumulate(self, v: np.ndarray | None,
-                    with_cov: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """One pass over the rows: ((1/n) Z^T Z if `with_cov`, (1/n) Z^T v if
-        `v` is given).  Each chunk's Z_c^T Z_c is added into the upper
-        triangle of Sigma_hat in place, which is mirrored once at the end.
-        Records whether some row had a nonzero entry (`is_zero`)."""
-        cov = np.zeros((self.shape[1],) * 2) if with_cov else None
+    def _accumulate(self, v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+        """One pass over the rows: ((1/n) Z^T Z, (1/n) Z^T v or None).  Each
+        chunk's Z_c^T Z_c is added into the upper triangle of Sigma_hat in
+        place, which is mirrored once at the end."""
+        cov = np.zeros((self.shape[1],) * 2)
         rhs = None
-        nonzero = False
         for lo, rows in self._row_chunks():
-            nonzero = nonzero or bool(rows.any())
-            if with_cov:
-                runtime.symmetric_update(cov, rows, transpose=True)
+            runtime.symmetric_update(cov, rows, transpose=True)
             if v is not None:
                 part = rows.T @ v[lo:lo + rows.shape[0]]
                 if rhs is None:
                     rhs = part
                 else:
                     rhs += part
-        self._zero = not nonzero
-        if cov is not None:
-            runtime.mirror_upper(cov)
+        runtime.mirror_upper(cov)
         for op in (cov, rhs):
             if op is not None:
                 op /= self.n       # in place: no second temporary of the operator's size
@@ -434,63 +422,26 @@ class DesignMatrix:
             )
         return v
 
-    def _normal(self, v: np.ndarray | None,
-                fresh: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """(cov(fresh), (1/n) Z^T v or None) from at most one pass."""
-        cached = self._cov
-        if cached is None:
-            cov, rhs = self._accumulate(v, True)
-            if not fresh:
-                self._cov = cov
-            return cov, rhs
-        rhs = None if v is None else self._accumulate(v, False)[1]
-        return (cached.copy() if fresh else cached), rhs
-
-    def normal_equations(self, v: np.ndarray,
-                         fresh: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def normal_equations(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Sigma_hat, S_hat^* v) for stacked v of length n*d_v, from one pass
-        over the rows (Sigma_hat as cov(fresh) returns it; where it is cached
-        the pass forms only S_hat^* v)."""
-        return self._normal(self._stacked(v), fresh)
+        over the rows."""
+        return self._accumulate(self._stacked(v))
 
-    @property
-    def cov_cached(self) -> bool:
-        """Whether cov() has already been formed, so reusing it costs nothing."""
-        return self._cov is not None
+    def cov(self) -> np.ndarray:
+        """Sigma_hat = (1/n) Z^T Z, from one pass over the rows."""
+        return self._accumulate(None)[0]
 
-    def cov(self, fresh: bool = False) -> np.ndarray:
-        """Sigma_hat = (1/n) Z^T Z, cached.  With `fresh`, an array the caller
-        owns and may overwrite: the cached one copied, else formed uncached."""
-        return self._normal(None, fresh)[0]
-
-    def gram(self, fresh: bool = False) -> np.ndarray:
+    def gram(self) -> np.ndarray:
         """Gram matrix (1/n) sum_b Z_b Z_b^T of shape (n*d_v, n*d_v) over the
-        column blocks Z_b of Z (`_column_blocks`), cached; `fresh` as for
-        cov().  Each block is added into the upper triangle in place, which is
-        mirrored once, so G is exactly symmetric.  Records whether some
-        column had a nonzero entry (`is_zero`)."""
-        if self._gram is not None:
-            return self._gram.copy() if fresh else self._gram
+        column blocks Z_b of Z (`_column_blocks`), from one pass.  Each block
+        is added into the upper triangle in place, which is mirrored once, so
+        G is exactly symmetric."""
         gram = np.zeros((self.shape[0],) * 2)
-        nonzero = False
         for _, block in self._column_blocks():
-            nonzero = nonzero or bool(block.any())
             runtime.symmetric_update(gram, block)
-        self._zero = not nonzero
         runtime.mirror_upper(gram)
         gram /= self.n
-        if not fresh:
-            self._gram = gram
         return gram
-
-    @property
-    def is_zero(self) -> bool:
-        """Whether every entry of Z is zero: read off the last pass over the
-        rows or the column blocks that formed an operator, or found by a pass
-        over the rows."""
-        if self._zero is None:
-            self._accumulate(None, False)
-        return self._zero
 
     def embed_adjoints(self, vs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """S_hat^* v = (1/n) Z^T v for each stacked v of length n*d_v, from
@@ -515,15 +466,12 @@ class DesignMatrix:
         The first pass sums Y = Z omega and ||Z||_F; Q is the orthonormal
         factor of Y.  The second forms B = Q^T Z and the residual
         ||Z - Q B||_F, each block's Z_b - Q B_b written into one work buffer.
-        Returns (Q, B, ||Z - Q B||_F, ||Z||_F) and records `is_zero`."""
+        Returns (Q, B, ||Z - Q B||_F, ||Z||_F)."""
         sketch = np.zeros((self.shape[0], omega.shape[1]))
         norm_sq = 0.0
-        nonzero = False
         for lo, block in self._column_blocks():
-            nonzero = nonzero or bool(block.any())
             sketch += block @ omega[lo:lo + block.shape[1]]
             norm_sq += float(np.vdot(block, block))
-        self._zero = not nonzero
         q = np.linalg.qr(sketch)[0]
         coef = np.empty((q.shape[1], self.shape[1]))
         work = None
@@ -543,16 +491,6 @@ class DesignMatrix:
         """Stack raw outputs (n, d_v) into the scaled coordinates Z acts in."""
         outputs = np.asarray(outputs, dtype=float).reshape(self.n, self.d_v)
         return math.sqrt(self.v_weight) * outputs.reshape(-1)
-
-    def predict(self, theta: np.ndarray, u: Any) -> np.ndarray:
-        """Raw prediction values at one input, shape (d_v,); see `predict_values`."""
-        return self.predict_batch(theta, _as_batch(u))[0]
-
-    def predict_batch(self, theta: np.ndarray, U: Any,
-                      chunk: int | None = None) -> np.ndarray:
-        """Raw predictions for a batch of inputs, shape (len(U), d_v)."""
-        return predict_values(self.feature_set, theta, U, self.kappa_scale,
-                              self.summands, chunk)
 
 
 def build_design(fs: FeatureSet, inputs: Any, normalize: bool = True,

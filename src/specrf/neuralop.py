@@ -269,7 +269,6 @@ def compare_cell(
         design = features.build_design(fs, U_tr, normalize=False,
                                        summands=summands)
         model = estimator.fit_gd(design, V_tr, alpha, n_steps)
-        del design   # frees its Gram matrix before the test rows are built
         rf_preds = estimator.predict_batch(model, U_te)
 
     diff = no_preds - rf_preds

@@ -4,8 +4,8 @@ A design's row chunks and column blocks, prediction rows, the neural
 operator's row blocks and the tiles of `runtime.mirror_upper` are as large as
 fit in the budget, and at least one input's rows, one draw's columns or one
 (input, grid point) pair's preactivations.  Oracles: the triangle copied with
-`np.triu`, and tracemalloc's peak of each pass beyond what the pass returns
-or caches.
+`np.triu`, and tracemalloc's peak of each pass beyond what the pass
+returns.
 """
 import math
 import tracemalloc
@@ -34,7 +34,7 @@ def test_mirror_upper_matches_triu(d, monkeypatch):
 
 def transient_peak(run):
     """Peak traced bytes of run() beyond what is still held when it returns
-    (its result and whatever it caches)."""
+    (its result)."""
     tracemalloc.start()
     try:
         result = run()
@@ -56,8 +56,8 @@ def heatmap_passes():
     theta = np.random.default_rng(9).normal(size=(dim, 4))
     row, column = 8 * dim, 8 * rows * design.p
     return {
-        "normal_equations": (lambda: design.normal_equations(v, fresh=True), row),
-        "gram": (lambda: design.gram(fresh=True), column),
+        "normal_equations": (lambda: design.normal_equations(v), row),
+        "gram": (lambda: design.gram(), column),
         "embed_adjoints": (lambda: design.embed_adjoints(cs), column),
         "predict_values": (lambda: features.predict_values(fs, theta, design.inputs,
                                                            design.kappa_scale), row),

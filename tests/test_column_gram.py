@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from specrf import estimator, features, neuralop, runtime
+from test_dual_gd import forbid_primal_operator
 
 
 def rel(a, b):
@@ -62,7 +63,7 @@ def column_blocks(design):
 
 
 @pytest.mark.parametrize("name", DESIGNS)
-def test_column_block_gram_matches_the_whole_design(name, monkeypatch):
+def test_column_block_gram_matches_the_whole_design(name):
     design, _ = DESIGNS[name]()
     assert design.shape[1] > design.shape[0]
     assert len(list(design._column_blocks())) == column_blocks(design)
@@ -70,12 +71,6 @@ def test_column_block_gram_matches_the_whole_design(name, monkeypatch):
     assert "Z" not in vars(design)                  # summed without building Z
     assert gram.flags.c_contiguous
     np.testing.assert_array_equal(gram, gram.T)
-
-    def no_row_pass(*args):
-        raise AssertionError("is_zero took a pass over the rows")
-
-    monkeypatch.setattr(design, "_accumulate", no_row_pass)
-    assert not design.is_zero                        # recorded by the Gram pass
     Z = design.Z
     assert rel(gram, Z @ Z.T / design.n) < 1e-14
     # the blocks are Z's columns, bit for bit
@@ -129,24 +124,25 @@ def test_dsyrk_matches_matmul_fallback(route, monkeypatch):
         assert column_blocks(design) == 12
     form = design.cov if route == "primal" else design.gram
     assert runtime.operator_kernel() == "dsyrk"
-    fast = form(fresh=True)
+    fast = form()
     monkeypatch.setattr(runtime, "_dsyrk", lambda: None)
     assert runtime.operator_kernel() == "matmul"
     assert runtime.environment(1)["operator_kernel"] == "matmul"
-    slow = form(fresh=True)
+    slow = form()
     for op in (fast, slow):
         np.testing.assert_array_equal(op, op.T)
     assert rel(fast, slow) < 1e-14
 
 
-def test_dual_fit_never_holds_the_design():
+def test_dual_fit_never_holds_the_design(monkeypatch):
     """A dual fit_gd_path on the 1000 x 1536 heatmap design, from building the
     design to the last snapshot, holds the Gram matrix and less than 3/4 of
     Z's bytes besides (one column block of about runtime.BLOCK_BYTES and the
-    map's work arrays), so never Z itself."""
+    map's work arrays), so never Z itself, and never forms Sigma_hat."""
     design, V = heatmap_design()
     fs = design.feature_set
     fs.distinct                                       # cached before tracing
+    forbid_primal_operator(monkeypatch, features.DesignMatrix)
     tracemalloc.start()
     try:
         design = features.build_design(fs, design.inputs)
@@ -155,7 +151,7 @@ def test_dual_fit_never_holds_the_design():
     finally:
         tracemalloc.stop()
     rows, dim = design.shape
-    assert (rows, dim) == (1000, 1536) and not design.cov_cached
+    assert (rows, dim) == (1000, 1536)
     assert "Z" not in vars(design)
     assert len(models) == 6
     gram_bytes, z_bytes = rows * rows * 8, rows * dim * 8
@@ -170,12 +166,12 @@ def test_operators_agree_at_two_budgets(name, monkeypatch):
     also rff's, whose samples form one array like every other map's."""
     design, _ = DESIGNS[name]()
     rows, dim = design.shape
-    cov, gram, Z = design.cov(fresh=True), design.gram(fresh=True), design.Z
+    cov, gram, Z = design.cov(), design.gram(), design.Z
     monkeypatch.setattr(runtime, "BLOCK_BYTES", 3 * 8 * rows * design.p)
     assert len(list(design._column_blocks())) == math.ceil(design.M_distinct / 3) > 2
-    assert rel(design.gram(fresh=True), gram) < 1e-14
+    assert rel(design.gram(), gram) < 1e-14
     np.testing.assert_array_equal(
         np.concatenate([block.copy() for _, block in design._column_blocks()], axis=1), Z)
     monkeypatch.setattr(runtime, "BLOCK_BYTES", 3 * 8 * design.d_v * dim)
     assert design.chunk == 3
-    assert rel(design.cov(fresh=True), cov) < 1e-14
+    assert rel(design.cov(), cov) < 1e-14

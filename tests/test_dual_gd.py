@@ -1,12 +1,14 @@
 """Oracle tests for gradient descent in the dual (Gram) coordinates.
 
-When a design has more columns than rows and no cached covariance,
-`estimator._descend` iterates c_{t+1} = c_t - alpha (G c_t - v) on the Gram
-matrix G = Z Z^T / n and maps back with theta = Z^T c / n.  Each test runs the
-primal loop theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n),
-written out here, and checks the iterates and risks against it.  Each step,
-on either route, is one symmetric matrix-vector product
-(`runtime.symmetric_step`); it is checked against its np.matmul fallback.
+When a design has more columns than rows, `estimator._descend` iterates
+c_{t+1} = c_t - alpha (G c_t - v) on the Gram matrix G = Z Z^T / n and maps
+back with theta = Z^T c / n.  Each test runs the primal loop
+theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n), written out
+here, and checks the iterates, and the risks of `fit_gd_path`'s iterates at
+every step, against it.  Each step, on either route, is one symmetric
+matrix-vector product (`runtime.symmetric_step`); it is checked against its
+np.matmul fallback, which on the primal route does the oracle's arithmetic
+bit for bit.
 A trajectory at least as long as a wide operator (LOW_RANK_MIN_WIDTH) on
 a design of full rank instead takes the landweber closed form on the
 operator's eigendecomposition; it is checked against the dense loop and the
@@ -42,6 +44,24 @@ def primal_oracle(design, outputs, alpha, n_steps):
     return thetas, np.asarray(risks)
 
 
+def path_risks(design, outputs, models):
+    """The empirical risk 0.5 ||Z theta - v||^2 / n of each model, from its
+    explicit residual."""
+    Z, v = design.Z, design.stack_outputs(outputs)
+    resid = Z @ np.stack([m.theta for m in models], axis=1) - v[:, None]
+    return 0.5 * np.einsum("ij,ij->j", resid, resid) / design.n
+
+
+def forbid_primal_operator(mp, design):
+    """Fails the test if `design` (or, given the class, any design) forms
+    Sigma_hat."""
+    def no_cov(*args):
+        raise AssertionError("the dual route formed Sigma_hat")
+
+    for name in ("normal_equations", "cov"):
+        mp.setattr(design, name, no_cov)
+
+
 def rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
@@ -65,15 +85,16 @@ def ntk_case(M=64, n=40):
     return features.build_design(fs, U), V, U_te, V_te, 0.5
 
 
-def tangent_case():
+def tangent_case(n=8):
     """Unnormalized tangent design on a 4-point grid (d_v = 4), with the psi'_1
-    summand frozen: 16 distinct draws x 4 summands on 32 rows."""
+    summand frozen: 16 distinct draws x 4 summands on the 4 n rows of n
+    inputs."""
     arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
     no = neuralop.init_symmetric(arch, 32, tau=0.5, seed=3)
     fs = neuralop.tangent_feature_set(no)
     rng = np.random.default_rng(4)
-    U, U_te = 0.5 * rng.normal(size=(8, 4, 1)), 0.5 * rng.normal(size=(30, 4, 1))
-    V, V_te = rng.normal(size=(8, 4)), rng.normal(size=(30, 4))
+    U, U_te = 0.5 * rng.normal(size=(n, 4, 1)), 0.5 * rng.normal(size=(30, 4, 1))
+    V, V_te = rng.normal(size=(n, 4)), rng.normal(size=(30, 4))
     summands = np.array([True, False, True, True])
     design = features.build_design(fs, U, normalize=False, summands=summands)
     # ||Sigma_hat|| is not bounded by 1 without normalization; step inside 1/||Sigma_hat||
@@ -94,58 +115,42 @@ def rff_case(M, n):
 
 
 CASES = {"ntk-normalized": ntk_case, "tangent-unnormalized": tangent_case}
+#: the same designs on more rows than columns, which descend on Sigma_hat:
+#: 192 columns on 200 rows, 64 on 64
+PRIMAL_CASES = {"ntk-normalized": lambda: ntk_case(n=200),
+                "tangent-unnormalized": lambda: tangent_case(n=16)}
 
 
 def operator_width(design):
     """The width of the operator `_descend` iterates on: cov() when it is
-    cached or no wider than the rows, else gram()."""
-    rows, dim = design.Z.shape
-    return dim if design.cov_cached or dim <= rows else rows
+    no wider than the rows, else gram()."""
+    rows, dim = design.shape
+    return dim if dim <= rows else rows
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_dual_fit_gd_matches_primal_oracle(name):
+def test_dual_fit_gd_matches_primal_oracle(name, monkeypatch):
     design, V, _, _, alpha = CASES[name]()
-    rows, dim = design.Z.shape
+    rows, dim = design.shape
     assert dim > rows
     thetas, risks = primal_oracle(design, V, alpha, 40)
-    model = estimator.fit_gd(design, V, alpha, 40, track_risk=True)
-    assert not design.cov_cached          # the dual route never forms Sigma_hat
+    forbid_primal_operator(monkeypatch, design)     # the dual route never forms Sigma_hat
+    model = estimator.fit_gd(design, V, alpha, 40)
+    assert estimator.closed_forms(rows, 40) == ()
+    path = estimator.fit_gd_path(design, V, alpha, range(1, 41))
     assert rel(model.theta, thetas[-1]) < TOL
-    np.testing.assert_allclose(model.train_risks, risks, rtol=TOL, atol=0.0)
+    np.testing.assert_allclose(path_risks(design, V, path), risks[1:], rtol=TOL, atol=0.0)
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_dual_path_snapshots_match_primal_oracle(name):
+def test_dual_path_snapshots_match_primal_oracle(name, monkeypatch):
     design, V, _, _, alpha = CASES[name]()
     stops = [1, 3, 10, 40]
     thetas, _ = primal_oracle(design, V, alpha, stops[-1])
+    forbid_primal_operator(monkeypatch, design)
     models = estimator.fit_gd_path(design, V, alpha, stops)
-    assert not design.cov_cached
     for step, model in zip(stops, models):
         assert rel(model.theta, thetas[step - 1]) < TOL, step
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_cached_cov_keeps_primal_route(name, monkeypatch):
-    """A design whose covariance is already formed descends on it instead: it
-    never forms the Gram matrix, and its iterates and risks are the oracle's."""
-    design, V, _, _, alpha = CASES[name]()
-    thetas, risks = primal_oracle(design, V, alpha, 20)
-    design.cov()
-
-    def no_gram():
-        raise AssertionError("the primal route formed the Gram matrix")
-
-    monkeypatch.setattr(design, "gram", no_gram)
-    model = estimator.fit_gd(design, V, alpha, 20, track_risk=True)
-    assert rel(model.theta, thetas[-1]) < 1e-12
-    np.testing.assert_allclose(model.train_risks, risks, rtol=1e-12, atol=0.0)
-    # the np.matmul fallback does the oracle's arithmetic, so bit for bit
-    monkeypatch.setattr(runtime, "_dsymv", lambda: None)
-    model = estimator.fit_gd(design, V, alpha, 20, track_risk=True)
-    np.testing.assert_array_equal(model.theta, thetas[-1])
-    np.testing.assert_array_equal(model.train_risks, risks)
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -161,11 +166,13 @@ def test_operators_are_exactly_symmetric(name):
 @pytest.mark.parametrize("route", ["primal", "dual"])
 @pytest.mark.parametrize("name", CASES)
 def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
-    """1024 steps of fit_gd (with risks) and fit_gd_path on the symmetric
-    kernel against the np.matmul fallback it replaces."""
-    design, V, _, _, alpha = CASES[name]()
-    if route == "primal":
-        design.cov()
+    """1024 steps of fit_gd and fit_gd_path (with the risks at every step) on
+    the symmetric kernel against the np.matmul fallback it replaces.  On the
+    primal route the fallback does the oracle's arithmetic, so it gives the
+    oracle's iterates bit for bit."""
+    design, V, _, _, alpha = (PRIMAL_CASES if route == "primal" else CASES)[name]()
+    rows, dim = design.shape
+    assert (dim <= rows) == (route == "primal")
     stops = [1, 16, 256, 1024]
     # narrow, so fit_gd_path would take eigh: these 1024 steps are forced
     # onto the dense loop
@@ -174,19 +181,24 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
     dense_loop(monkeypatch)
 
     def fits():
-        return (estimator.fit_gd(design, V, alpha, stops[-1], track_risk=True),
-                estimator.fit_gd_path(design, V, alpha, stops))
+        return (estimator.fit_gd(design, V, alpha, stops[-1]),
+                estimator.fit_gd_path(design, V, alpha, range(1, stops[-1] + 1)))
 
     fast, fast_path = fits()
     monkeypatch.setattr(runtime, "_dsymv", lambda: None)
     assert runtime.gd_kernel() == "matmul"
     slow, slow_path = fits()
-    assert design.cov_cached == (route == "primal")
     assert rel(fast.theta, slow.theta) < 1e-12
-    np.testing.assert_allclose(fast.train_risks, slow.train_risks, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(path_risks(design, V, fast_path),
+                               path_risks(design, V, slow_path), rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(fast_path[-1].theta, fast.theta)
-    for step, f, s in zip(stops, fast_path, slow_path):
-        assert rel(f.theta, s.theta) < 1e-12, step
+    for step in stops:
+        assert rel(fast_path[step - 1].theta, slow_path[step - 1].theta) < 1e-12, step
+    if route == "primal":
+        thetas, _ = primal_oracle(design, V, alpha, stops[-1])
+        np.testing.assert_array_equal(slow.theta, thetas[-1])
+        for step in stops:
+            np.testing.assert_array_equal(slow_path[step - 1].theta, thetas[step - 1])
 
 
 # wide enough for a closed form and of full rank, so the low-rank route
@@ -212,7 +224,7 @@ def eigh_spy(monkeypatch):
 @pytest.mark.parametrize("route", REDUCED_CASES)
 def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
     design, V, _, _, alpha = rff_case(*REDUCED_CASES[route])
-    rows, dim = design.Z.shape
+    rows, dim = design.shape
     assert (dim > rows) == (route == "dual")
     width = operator_width(design)
     assert width >= estimator.LOW_RANK_MIN_WIDTH and REDUCED_STOPS[-1] >= width
@@ -221,42 +233,18 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
     single = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1])
     assert calls == [width] * 2
     np.testing.assert_array_equal(single.theta, reduced[-1].theta)
-    # the exact route caches the operator it decomposes, as the loop does
-    assert design.cov_cached == (route == "primal")
     thetas, risks = primal_oracle(design, V, alpha, REDUCED_STOPS[-1])
     # the risks are taken along the dense loop
-    tracked = estimator.fit_gd(design, V, alpha, REDUCED_STOPS[-1], track_risk=True)
+    dense_loop(monkeypatch)
+    dense = estimator.fit_gd_path(design, V, alpha, range(1, REDUCED_STOPS[-1] + 1))
     assert len(calls) == 2
-    np.testing.assert_allclose(tracked.train_risks, risks, rtol=TOL, atol=0.0)
+    np.testing.assert_allclose(path_risks(design, V, dense), risks[1:], rtol=TOL, atol=0.0)
     closed = estimator.fit_closed(design, V, spectral.landweber(alpha),
                                   1.0 / (alpha * REDUCED_STOPS[-1]))
     assert rel(reduced[-1].theta, closed.theta) < 1e-9
-    design = rff_case(*REDUCED_CASES[route])[0]   # without the cov() fit_closed cached
-    dense_loop(monkeypatch)
-    dense = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
-    for step, r, d in zip(REDUCED_STOPS, reduced, dense):
+    for step, r in zip(REDUCED_STOPS, reduced):
         assert rel(r.theta, thetas[step - 1]) < TOL, step
-        assert rel(r.theta, d.theta) < 1e-12, step
-
-
-@pytest.mark.parametrize("route", REDUCED_CASES)
-def test_reduced_route_leaves_cached_operators_intact(route):
-    """The exact route reads the operator it decomposes without writing to
-    it, so a cached one and the iterates are unchanged."""
-    design, V, _, _, alpha = rff_case(*REDUCED_CASES[route])
-    expected = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
-    # a cached cov() would move the dual design to the primal route
-    cached = [design.gram()] + ([design.cov()] if route == "primal" else [])
-    before = [op.copy() for op in cached]
-    models = estimator.fit_gd_path(design, V, alpha, REDUCED_STOPS)
-    assert design.gram() is cached[0]
-    assert design.cov_cached == (route == "primal")
-    if route == "primal":
-        assert design.cov() is cached[1]
-    for op, copy in zip(cached, before):
-        np.testing.assert_array_equal(op, copy)
-    for model, e in zip(models, expected):
-        np.testing.assert_array_equal(model.theta, e.theta)
+        assert rel(r.theta, dense[step - 1].theta) < 1e-12, step
 
 
 @pytest.mark.parametrize("fallback", [False, True])

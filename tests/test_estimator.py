@@ -125,9 +125,11 @@ class TestFitGD:
 
     def test_training_risk_monotone(self):
         _, design, _, V = problem_design(n=60, M=24, seed=9)
-        model = fit_gd(design, V, alpha=1.0, n_steps=40, track_risk=True)
-        assert model.train_risks is not None
-        diffs = np.diff(model.train_risks)
+        path = fit_gd_path(design, V, 1.0, range(1, 41))
+        v = design.stack_outputs(V)
+        resid = [v] + [design.Z @ model.theta - v for model in path]
+        risks = [0.5 * float(r @ r) / design.n for r in resid]
+        diffs = np.diff(risks)
         assert np.all(diffs <= 1e-12)
 
     def test_gd_path_matches_individual_fits(self):

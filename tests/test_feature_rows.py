@@ -124,7 +124,8 @@ def test_design_across_the_chunk_boundary(monkeypatch):
     theta = np.random.default_rng(9).normal(size=(design.Z.shape[1], 3))
     expected = np.einsum("ij,kj->ik", copied_rows(fs, U, design.kappa_scale),
                          np.ascontiguousarray(theta.T))
-    np.testing.assert_array_equal(design.predict_batch(theta, U, chunk=512),
+    np.testing.assert_array_equal(features.predict_values(fs, theta, U, design.kappa_scale,
+                                                          chunk=512),
                                   expected.reshape(1100, 1, 3))
 
 

@@ -195,7 +195,7 @@ class TestDesign:
         design = build_design(fs, U)
         theta = np.random.default_rng(6).normal(size=design.Z.shape[1])
         stacked = (design.Z @ theta).reshape(9, 1)
-        preds = design.predict_batch(theta, U)
+        preds = features.predict_values(fs, theta, U, design.kappa_scale)
         np.testing.assert_allclose(
             stacked / math.sqrt(design.v_weight), preds, atol=1e-12
         )

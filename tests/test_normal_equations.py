@@ -14,6 +14,7 @@ import pytest
 from specrf import cli, estimator, features, neuralop, runtime, spectral, synthetic
 from specrf.estimator import EstimatorError, fit_closed
 from specrf.spectral import FilterDomainError
+from test_stateless_design import count_passes, probe_design
 
 #: acceptance 2's bound on the relative difference of two exact routes
 ROUTE_TOL = 1e-9
@@ -99,7 +100,7 @@ def test_tikhonov_solve_matches_the_eigh_route(name, monkeypatch):
     rows, dim = design.shape
     assert (dim > rows) == (name == "wide")
     v = design.stack_outputs(V)
-    cov, rhs = design.normal_equations(v, fresh=True)
+    cov, rhs = design.normal_equations(v)
     expected = spectral.apply_filter(spectral.tikhonov(), lam, spectral.eigensystem(cov), rhs)
 
     def no_eigh(*args, **kwargs):
@@ -115,8 +116,8 @@ def test_tikhonov_solve_matches_the_eigh_route(name, monkeypatch):
 @pytest.mark.parametrize("name", STREAM_CASES)
 def test_streamed_operators_match_the_whole_design(name, monkeypatch):
     """Sigma_hat and S_hat^* v summed over chunks equal Z^T Z / n and
-    Z^T v / n, and are bit-identical whether or not Z was built first; cov(),
-    and normal_equations with and without a cached cov() give the same bits."""
+    Z^T v / n; cov() and a second normal_equations give the same bits, each
+    into a new array."""
     make, V, _ = STREAM_CASES[name]()
     streamed = make()
     if name in CHUNK_INPUTS:
@@ -124,24 +125,18 @@ def test_streamed_operators_match_the_whole_design(name, monkeypatch):
     v = streamed.stack_outputs(V)
     cov, rhs = streamed.normal_equations(v)
     assert "Z" not in vars(streamed)            # summed without building Z
-    assert streamed.cov() is cov                 # cached like cov()
     np.testing.assert_array_equal(cov, cov.T)
+    again, again_rhs = streamed.normal_equations(v)
+    alone = streamed.cov()
+    for new, old in ((again, cov), (again_rhs, rhs), (alone, cov)):
+        assert new is not old
+        np.testing.assert_array_equal(new, old)
+    assert "Z" not in vars(streamed)
 
-    held = make()
-    Z = held.Z
-    n = held.n
+    Z = make().Z
+    n = streamed.n
     assert rel(cov, Z.T @ Z / n) < 1e-12
     assert rel(rhs, Z.T @ v / n) < 1e-12
-    held_cov, held_rhs = held.normal_equations(v, fresh=True)
-    assert not held.cov_cached
-    np.testing.assert_array_equal(held_cov, cov)
-    np.testing.assert_array_equal(held_rhs, rhs)
-    np.testing.assert_array_equal(held.cov(), cov)
-    np.testing.assert_array_equal(held.normal_equations(v)[1], rhs)   # S_hat^* v alone
-    fresh = make()
-    fresh.cov()
-    np.testing.assert_array_equal(fresh.normal_equations(v)[1], rhs)
-    assert "Z" not in vars(fresh)
 
 
 def test_primal_descent_does_not_build_the_design():
@@ -149,26 +144,12 @@ def test_primal_descent_does_not_build_the_design():
     design = make()
     model = estimator.fit_gd(design, V, 0.5, 20)
     assert "Z" not in vars(design)
-    assert design.cov_cached
     oracle = make()
     Z, v = oracle.Z, oracle.stack_outputs(V)
     cov, rhs, theta = Z.T @ Z / oracle.n, Z.T @ v / oracle.n, np.zeros(Z.shape[1])
     for _ in range(20):
         theta = theta - 0.5 * (cov @ theta - rhs)
     assert rel(model.theta, theta) < 1e-12
-
-
-def input_design(U):
-    """The feature phi(u) = u (p = d_v = 1, kappa = 1) on scalar inputs U."""
-    def evaluate(U, om, out=None):
-        if out is None:
-            out = np.empty((len(U), 1, len(om), 1))
-        out[:, 0, :, 0] = np.asarray(U, dtype=float).reshape(-1, 1)
-        return out.transpose(0, 2, 3, 1)
-
-    fmap = features.discrete_map([0.0], [1.0], evaluate, p=1, d_v=1, kappa=1.0)
-    return features.DesignMatrix(features.sample_features(fmap, 2, seed=0),
-                                 np.asarray(U, dtype=float))
 
 
 @pytest.mark.parametrize("filt", [spectral.tikhonov(), spectral.cutoff()],
@@ -184,16 +165,20 @@ def test_fit_closed_rejects_what_the_eigh_route_rejects(filt, monkeypatch):
     assert np.linalg.eigvalsh(design.cov()).max() > 1.0 + spectral.POS_EIG_TOL
     with pytest.raises(FilterDomainError, match="above 1; rescale the design"):
         fit_closed(design, np.ones(40), filt, 0.1)
-    # an all-zero design, over two chunks of 4 rows
-    zero = input_design(np.zeros(7))
+    # an all-zero design, over two chunks of 4 rows, is rejected from the
+    # one pass that forms Sigma_hat
+    zero = probe_design(np.zeros(7), 1, 1.0)
     chunk_inputs(monkeypatch, zero, 4)
+    passes = count_passes(monkeypatch, zero)
     with pytest.raises(EstimatorError, match="identically zero"):
         fit_closed(zero, np.ones(7), filt, 0.5)
+    assert passes == {"rows": 1, "columns": 0}
     # one nonzero entry in the last row of the last chunk is enough
-    last = input_design(np.append(np.zeros(6), 1.0))
+    last = probe_design(np.append(np.zeros(6), 1.0), 1, 1.0)
     assert last.chunk == 4
+    passes = count_passes(monkeypatch, last)
     assert fit_closed(last, np.ones(7), filt, 0.1).theta[0] > 0.0   # Sigma_hat = 1/7
-    assert not last.is_zero
+    assert passes == {"rows": 1, "columns": 0}
 
 
 def spectral_matrix(eigenvalues, seed=7):
