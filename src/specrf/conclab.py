@@ -128,49 +128,46 @@ class TrialReport:
         }
 
 
-def _log2d(delta: float) -> float:
-    return math.log(2.0 / delta)
-
-
 def event_rhs(spec: EventSpec) -> float:
-    """Closed-form right-hand side of the event's bound."""
+    """Closed-form right-hand side of the event's bound: the operator
+    Bernstein bound for E1/E2, the Hilbert-space (Pinelis) bound for E3-E9,
+    which needs delta < 1/2."""
     k2 = spec.kappa ** 2
     d = spec.delta
     eid = spec.event_id
     if eid == "E1":
         spec.require("lam", "n", "n_eff_lm", "norm_lm")
-        beta_m = math.log(4.0 * k2 * (spec.n_eff_lm + 1.0) / (d * spec.norm_lm))
-        return (4.0 * k2 * beta_m / (3.0 * spec.n * spec.lam)
-                + math.sqrt(2.0 * k2 * beta_m / (spec.n * spec.lam)))
+        v_norm = k2 / spec.lam
+        return bernstein_bound(2.0 * k2 / spec.lam, v_norm,
+                               v_norm * k2 * (spec.n_eff_lm + 1.0) / spec.norm_lm, spec.n, d)
     if eid == "E2":
         spec.require("lam", "M", "n_eff_l", "norm_l")
-        beta_inf = math.log(4.0 * k2 * (spec.n_eff_l + 1.0) / (d * spec.norm_l))
-        return (4.0 * k2 * beta_inf / (3.0 * spec.M * spec.lam)
-                + math.sqrt(2.0 * spec.p * k2 * beta_inf / (spec.M * spec.lam)))
+        v_norm = spec.p * k2 / spec.lam
+        return bernstein_bound(2.0 * k2 / spec.lam, v_norm,
+                               v_norm * k2 * (spec.n_eff_l + 1.0) / spec.norm_l, spec.M, d)
     if eid == "E3":
         spec.require("lam", "n", "n_eff_lm")
-        return (2.0 * spec.kappa / (math.sqrt(spec.lam) * spec.n)
-                + math.sqrt(4.0 * k2 * spec.n_eff_lm / spec.n)) * _log2d(d)
+        return pinelis_bound(spec.kappa / math.sqrt(spec.lam),
+                             math.sqrt(k2 * spec.n_eff_lm), spec.n, d)
     if eid == "E4":
         spec.require("lam", "M", "n_eff_l")
-        return (4.0 * k2 / (spec.lam * spec.M)
-                + math.sqrt(4.0 * k2 * spec.n_eff_l / (spec.lam * spec.M))) * _log2d(d)
+        return pinelis_bound(2.0 * k2 / spec.lam,
+                             math.sqrt(k2 * spec.n_eff_l / spec.lam), spec.M, d)
     if eid == "E5":
         spec.require("lam", "M", "n_eff_l")
-        return (2.0 * spec.kappa / (math.sqrt(spec.lam) * spec.M)
-                + math.sqrt(4.0 * k2 * spec.n_eff_l / spec.M)) * _log2d(d)
+        return pinelis_bound(spec.kappa / math.sqrt(spec.lam),
+                             math.sqrt(k2 * spec.n_eff_l), spec.M, d)
     if eid == "E6":
         spec.require("M")
-        return (2.0 * k2 / spec.M + 2.0 * k2 / math.sqrt(spec.M)) * _log2d(d)
+        return pinelis_bound(k2, k2, spec.M, d)
     if eid == "E7":
         spec.require("n")
-        return (2.0 * k2 / spec.n + 2.0 * k2 / math.sqrt(spec.n)) * _log2d(d)
+        return pinelis_bound(k2, k2, spec.n, d)
     if eid == "E8":
         spec.require("lam", "n", "n_eff_lm", "q_bound", "z_bound")
-        return (4.0 * spec.q_bound * spec.z_bound * spec.kappa
-                / (math.sqrt(spec.lam) * spec.n)
-                + 4.0 * spec.q_bound * math.sqrt(spec.n_eff_lm)
-                / math.sqrt(spec.n)) * _log2d(d)
+        q = spec.q_bound
+        return pinelis_bound(2.0 * q * spec.z_bound * spec.kappa / math.sqrt(spec.lam),
+                             2.0 * q * math.sqrt(spec.n_eff_lm), spec.n, d)
     if eid == "E9":
         spec.require("lam", "n", "r", "R", "pop_error", "q_bound")
         c_krd = 2.0 * spec.kappa ** (2.0 * spec.r + 1.0) * spec.R * spec.filter_d
@@ -178,7 +175,7 @@ def event_rhs(spec: EventSpec) -> float:
         sup_f = c_krd * spec.lam ** (-mis)
         b_lam = 4.0 * (spec.q_bound ** 2 + sup_f ** 2)
         v_lam = math.sqrt(2.0) * (spec.q_bound + sup_f) * spec.pop_error
-        return 2.0 * (b_lam / spec.n + v_lam / math.sqrt(spec.n)) * _log2d(d)
+        return pinelis_bound(b_lam, v_lam, spec.n, d)
     raise ConcentrationConfigError(f"unknown event id {spec.event_id!r}")
 
 

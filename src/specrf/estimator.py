@@ -57,7 +57,7 @@ bits for a stop whichever other stops share the trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,15 +94,20 @@ class RFModel:
     feature_set: FeatureSet
     theta: np.ndarray
     kappa_scale: float
-    v_weight: float
-    d_v: int
     filter_kind: str
     lam: float
-    summands: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def M(self) -> int:
         return self.feature_set.M
+
+    @property
+    def v_weight(self) -> float:
+        return self.feature_set.map.v_weight
+
+    @property
+    def d_v(self) -> int:
+        return self.feature_set.map.d_v
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,6 @@ class RiskReport:
     empirical_risk: float
     excess_l2: float | None
     n_test: int
-
-
-def _stacked_outputs(design: DesignMatrix, outputs: np.ndarray) -> np.ndarray:
-    v = np.asarray(outputs, dtype=float)
-    if v.ndim == 1 and v.shape[0] == design.n * design.d_v:
-        return math.sqrt(design.v_weight) * v
-    return design.stack_outputs(v)
 
 
 def _reject_degenerate(norm: float) -> None:
@@ -134,11 +132,8 @@ def _model(design: DesignMatrix, theta: np.ndarray, filter_kind: str, lam: float
         feature_set=design.feature_set,
         theta=theta,
         kappa_scale=design.kappa_scale,
-        v_weight=design.v_weight,
-        d_v=design.d_v,
         filter_kind=filter_kind,
         lam=lam,
-        summands=design.summands,
     )
 
 
@@ -158,7 +153,7 @@ def fit_closed(
     of Sigma_hat (`spectral.apply_filter`)."""
     if not 0.0 < lam <= 1.0:
         raise EstimatorError(f"lambda must be in (0, 1], got {lam}")
-    cov, rhs = design.normal_equations(_stacked_outputs(design, outputs))
+    cov, rhs = design.normal_equations(design.stack_outputs(outputs))
     _reject_degenerate(cov.diagonal().max())     # before the solve writes lambda there
     if filt.kind == "tikhonov":
         theta = spectral.tikhonov_solve(cov, lam, rhs)
@@ -278,7 +273,7 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float,
     per fit and updated in place, and the iterate is copied at each stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
-    v = _stacked_outputs(design, outputs)
+    v = design.stack_outputs(outputs)
     rows, dim = design.shape
     dual = dim > rows
     routes = closed_forms(rows if dual else dim, stops[-1])
@@ -358,11 +353,10 @@ def predict(model: RFModel, u) -> np.ndarray:
     return predict_batch(model, np.asarray(u, dtype=float)[None, ...])[0]
 
 
-def predict_batch(model: RFModel, U, chunk: int | None = None) -> np.ndarray:
-    """Predictions for a batch of inputs, shape (len(U), d_v); `chunk` as for
-    `features.predict_values`."""
-    return features.predict_values(model.feature_set, model.theta, U,
-                                   model.kappa_scale, model.summands, chunk)
+def predict_batch(model: RFModel, U) -> np.ndarray:
+    """Predictions for a batch of inputs, shape (len(U), d_v)
+    (`features.predict_values`)."""
+    return features.predict_values(model.feature_set, model.theta, U, model.kappa_scale)
 
 
 def _test_inputs(test_inputs) -> np.ndarray:
@@ -400,7 +394,6 @@ def evaluate_path(models: list[RFModel], test_inputs, test_outputs) -> list[Risk
     first = models[0]
     U = _test_inputs(test_inputs)
     thetas = np.stack([m.theta for m in models], axis=1)
-    preds = features.predict_values(first.feature_set, thetas, U, first.kappa_scale,
-                                    first.summands)
+    preds = features.predict_values(first.feature_set, thetas, U, first.kappa_scale)
     return [_report(model, preds[..., k], U, test_outputs)
             for k, model in enumerate(models)]

@@ -21,7 +21,7 @@ inner product (1/n_X) sum_k f(x_k) g(x_k); `v_weight` holds the 1/n_X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -146,17 +146,18 @@ class FeatureMap:
     evaluate: Callable[..., np.ndarray]
     support: tuple[Any, np.ndarray] | None = None  # (omegas, probabilities)
     v_weight: float = 1.0
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """M omega draws from a map, reproducible from (map, seed, M)."""
+    """M omega draws from a map: the rows of `samples`."""
 
     map: FeatureMap
     samples: Any
-    M: int
-    seed: int | None
+
+    @property
+    def M(self) -> int:
+        return len(self.samples)
 
     @cached_property
     def distinct(self) -> tuple[Any, np.ndarray]:
@@ -180,12 +181,12 @@ def sample_features(fmap: FeatureMap, M: int, seed: int) -> FeatureSet:
     if M < 1:
         raise FeatureError(f"M must be >= 1, got {M}")
     rng = np.random.default_rng(seed)
-    return FeatureSet(map=fmap, samples=fmap.draw(rng, M), M=M, seed=seed)
+    return FeatureSet(map=fmap, samples=fmap.draw(rng, M))
 
 
-def feature_set_from_samples(fmap: FeatureMap, samples: Any, M: int) -> FeatureSet:
+def feature_set_from_samples(fmap: FeatureMap, samples: Any) -> FeatureSet:
     """Wrap explicit omega samples (e.g. network weights at initialization)."""
-    return FeatureSet(map=fmap, samples=samples, M=M, seed=None)
+    return FeatureSet(map=fmap, samples=samples)
 
 
 def _as_batch(u: Any) -> np.ndarray:
@@ -219,15 +220,13 @@ def kernel_exact(fmap: FeatureMap, u: Any, u2: Any) -> np.ndarray:
 # design matrices
 
 def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1.0,
-                 summands: np.ndarray | None = None, out: np.ndarray | None = None,
-                 draws: slice | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, draws: slice | None = None) -> np.ndarray:
     """Feature rows for a batch of inputs, shape (len(U)*d_v, M_distinct*p).
 
     Row j*d_v + k holds component k of phi_i(u_j, omega) for each distinct
     draw omega (column block) and summand i, weighted by
     sqrt(v_weight * count / M) / kappa_scale; c merged copies of a draw thus
-    contribute exactly what c unit-weight columns would to Z Z^T.  `summands`
-    (boolean, length p) zeroes the feature functions it leaves out.  Designs
+    contribute exactly what c unit-weight columns would to Z Z^T.  Designs
     and predictions both build their rows here, so coefficients fitted on a
     design always meet rows in the same coordinates.  The map writes the
     values straight into `out` (a C-contiguous array of that shape, allocated
@@ -252,39 +251,36 @@ def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1
         raise FeatureError("evaluate(U, omegas, out) must write into `out` and return "
                            "out.transpose(0, 2, 3, 1)")
     weights = math.sqrt(v_weight) / (kappa_scale * math.sqrt(fs.M)) * np.sqrt(counts)
-    keep = np.ones(p) if summands is None else np.asarray(summands, dtype=float)
-    out *= np.outer(weights, keep).reshape(-1)
+    out *= np.repeat(weights, p)
     return out
 
 
-def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any, kappa_scale: float,
-                   summands: np.ndarray | None = None,
-                   chunk: int | None = None) -> np.ndarray:
+def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any,
+                   kappa_scale: float) -> np.ndarray:
     """Raw predictions (1/kappa_scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
     over the distinct draws omega_m (counts c_m), shape (len(U), d_v).
 
     A (dim, k) theta holds k coefficient vectors side by side; each chunk's
     rows are then built once for all of them and the result has shape
-    (len(U), d_v, k).  The rows of `chunk` inputs at a time (by default as
-    many as fit in runtime.BLOCK_BYTES, and at least one) are written into
-    one buffer.  Each prediction is one dot product of a row with a
-    coefficient vector, taken by np.einsum in an order fixed by the row alone,
-    so the bytes do not depend on `chunk` or on how many vectors are stacked
-    (a BLAS product sums a row differently depending on where it falls in the
+    (len(U), d_v, k).  The rows of as many inputs as fit in
+    runtime.BLOCK_BYTES (at least one) are written into one buffer at a time.
+    Each prediction is one dot product of a row with a coefficient vector,
+    taken by np.einsum in an order fixed by the row alone, so the bytes do
+    not depend on the budget or on how many vectors are stacked (a BLAS
+    product sums a row differently depending on where it falls in the
     block)."""
     U = np.asarray(U, dtype=float)
     theta = np.asarray(theta, dtype=float)
     d_v = fs.map.d_v
     width = len(fs.distinct[1]) * fs.map.p
-    if chunk is None:
-        chunk = runtime.per_block(8 * d_v * width)
+    chunk = runtime.per_block(8 * d_v * width)
     coefs = np.ascontiguousarray(theta.reshape(width, -1).T)     # (k, width)
     n, k = U.shape[0], coefs.shape[0]
     out = np.empty((n, d_v, k))
     buffer = np.empty((min(chunk, n) * d_v, width))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        rows = feature_rows(fs, U[start:stop], kappa_scale, summands=summands,
+        rows = feature_rows(fs, U[start:stop], kappa_scale,
                             out=buffer[:(stop - start) * d_v])
         np.einsum("ij,kj->ik", rows, coefs, out=out[start:stop].reshape(-1, k))
     return out.reshape((n, d_v) + theta.shape[1:])
@@ -314,12 +310,10 @@ class DesignMatrix:
     triangle of its operator in place (`runtime.symmetric_update`), which is
     mirrored once, so both operators are exactly symmetric.  Every call forms
     its operator anew, into an array the caller owns, so a fit leaves
-    nothing on the design; no fit reads Z.  `summands` (boolean, length p)
-    freezes the feature functions it leaves out: their columns are zero.
+    nothing on the design; no fit reads Z.
     """
 
-    def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True,
-                 summands: np.ndarray | None = None):
+    def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True):
         fmap = feature_set.map
         inputs = np.asarray(inputs, dtype=float)
         n = inputs.shape[0]
@@ -336,7 +330,6 @@ class DesignMatrix:
         self.p = fmap.p
         self.v_weight = fmap.v_weight
         self.kappa_scale = float(fmap.kappa) if normalize else 1.0
-        self.summands = summands
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -346,8 +339,7 @@ class DesignMatrix:
     def _feature_rows(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows of Z for a batch of inputs, shape (len(U)*d_v, M_distinct*p),
         written into `out` when given."""
-        return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight,
-                            self.summands, out)
+        return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight, out)
 
     @property
     def chunk(self) -> int:
@@ -392,7 +384,7 @@ class DesignMatrix:
             hi = min(lo + per_block, m)
             out = buffer[:rows * (hi - lo) * self.p].reshape(rows, -1)
             yield lo * self.p, feature_rows(self.feature_set, self.inputs, self.kappa_scale,
-                                            self.v_weight, self.summands, out, slice(lo, hi))
+                                            self.v_weight, out, slice(lo, hi))
 
     def _accumulate(self, v: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
         """One pass over the rows: ((1/n) Z^T Z, (1/n) Z^T v or None).  Each
@@ -488,15 +480,14 @@ class DesignMatrix:
         return q, coef, math.sqrt(resid_sq), math.sqrt(norm_sq)
 
     def stack_outputs(self, outputs: np.ndarray) -> np.ndarray:
-        """Stack raw outputs (n, d_v) into the scaled coordinates Z acts in."""
-        outputs = np.asarray(outputs, dtype=float).reshape(self.n, self.d_v)
-        return math.sqrt(self.v_weight) * outputs.reshape(-1)
+        """Stack raw outputs, n*d_v values in any shape such as (n, d_v), into
+        the scaled coordinates Z acts in."""
+        return math.sqrt(self.v_weight) * self._stacked(outputs)
 
 
-def build_design(fs: FeatureSet, inputs: Any, normalize: bool = True,
-                 summands: np.ndarray | None = None) -> DesignMatrix:
+def build_design(fs: FeatureSet, inputs: Any, normalize: bool = True) -> DesignMatrix:
     """Assemble the design matrix for a list of inputs."""
-    return DesignMatrix(fs, inputs, normalize=normalize, summands=summands)
+    return DesignMatrix(fs, inputs, normalize=normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +501,6 @@ def discrete_map(
     d_v: int,
     kappa: float,
     v_weight: float = 1.0,
-    meta: dict | None = None,
 ) -> FeatureMap:
     """Finite-support feature map.  `evaluate(U, omegas, out=None)` follows
     the `FeatureMap` contract: batched over the leading axis of U, it writes
@@ -529,7 +519,7 @@ def discrete_map(
 
     return FeatureMap(
         p=p, d_v=d_v, kappa=kappa, draw=draw, evaluate=evaluate,
-        support=(omegas, probs), v_weight=v_weight, meta=meta or {},
+        support=(omegas, probs), v_weight=v_weight,
     )
 
 
@@ -560,10 +550,7 @@ def rff_map(dim: int, lengthscale: float = 1.0) -> FeatureMap:
         np.multiply(np.sqrt(2.0), np.cos(phase, out=phase), out=out[:, 0, :, 0])
         return out.transpose(0, 2, 3, 1)
 
-    return FeatureMap(
-        p=1, d_v=1, kappa=math.sqrt(2.0), draw=draw, evaluate=evaluate,
-        meta={"kind": "rff", "dim": dim, "lengthscale": lengthscale},
-    )
+    return FeatureMap(p=1, d_v=1, kappa=math.sqrt(2.0), draw=draw, evaluate=evaluate)
 
 
 def gaussian_kernel(u: np.ndarray, u2: np.ndarray, lengthscale: float) -> float:
@@ -660,7 +647,7 @@ def ntk_feature_map(
 ) -> FeatureMap:
     """Tangent feature map of the width-M shallow operator at initialization.
 
-    omega = b0 ~ N(0, I_{d_tilde}); the p = 1 + d_tilde summands are
+    omega = b0 ~ N(0, I_{d_tilde}); the p = 1 + d_tilde feature functions are
     psi(u) = sigma(<b0, J(u)>) and psi'_j(u) = sigma'(<b0, J(u)>) J(u)^(j),
     evaluated pointwise on the grid (d_v = n_X).  `deriv_scale` multiplies the
     psi' block and models the magnitude of the symmetric output weights tau.
@@ -693,7 +680,7 @@ def ntk_feature_map(
         # sigma(z) straight into the psi column, sigma'(z) over z
         _, dpsi = act.f_and_df(z, out=(out[..., 0], z))
         # psi'_{m,j}(u)(x) = sigma'(z) * J(u)(x)^(j), one product per j: a
-        # broadcast over all d_tilde summands at once loops only 2-3 deep
+        # broadcast over all d_tilde of them at once loops only 2-3 deep
         deriv = out[..., 1:]
         for j in range(d_tilde):
             np.multiply(dpsi, J[:, :, j:j + 1], out=deriv[..., j])
@@ -708,6 +695,4 @@ def ntk_feature_map(
         draw=draw,
         evaluate=evaluate,
         v_weight=1.0 / arch.n_x,
-        meta={"kind": "ntk", "activation": act.name, "d_tilde": d_tilde,
-              "deriv_scale": deriv_scale},
     )

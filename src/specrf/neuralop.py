@@ -51,9 +51,6 @@ class ShallowNO:
     def M(self) -> int:
         return self.a.shape[0]
 
-    def theta_flat(self) -> np.ndarray:
-        return np.concatenate([self.a, self.B.reshape(-1)])
-
 
 @dataclass(frozen=True)
 class TrainRecord:
@@ -178,11 +175,11 @@ def train_gd(
     outputs,
     alpha: float,
     n_steps: int,
-    train_a: bool = True,
     train_b: bool = True,
 ) -> TrainRecord:
     """Full-batch gradient descent on the empirical loss over first-stage
-    samples evaluated at the second-stage grid points."""
+    samples evaluated at the second-stage grid points; the input weights B
+    stay at initialization unless `train_b`."""
     if alpha <= 0:
         raise NeuralOpError(f"step size must be positive, got {alpha}")
     U = no.arch.coerce_inputs(inputs)
@@ -198,9 +195,8 @@ def train_gd(
     for _ in range(n_steps):
         risk, grad_a, grad_b = _risk_and_gradients(cur, U, V, buffers)
         risks.append(risk)
-        new_a = cur.a - alpha * grad_a if train_a else cur.a
         new_b = cur.B - alpha * grad_b if train_b else cur.B
-        cur = replace(cur, a=new_a, B=new_b)
+        cur = replace(cur, a=cur.a - alpha * grad_a, B=new_b)
         drifts.append(
             math.sqrt(
                 float(np.sum((cur.a - a0) ** 2)) + float(np.sum((cur.B - b0) ** 2))
@@ -232,7 +228,7 @@ def tangent_feature_set(no: ShallowNO, deriv_scale: float | None = None) -> Feat
     """
     scale = abs(no.tau) if deriv_scale is None else deriv_scale
     fmap = features.ntk_feature_map(no.arch, deriv_scale=scale)
-    return features.feature_set_from_samples(fmap, no.B.copy(), no.M)
+    return features.feature_set_from_samples(fmap, no.B.copy())
 
 
 def compare_cell(
@@ -245,7 +241,6 @@ def compare_cell(
     alpha: float,
     n_steps: int,
     tau: float = 1.0,
-    train_a: bool = True,
     train_b: bool = True,
 ) -> dict:
     """One (width, seed) row of `compare_to_kernel_gd`."""
@@ -253,23 +248,15 @@ def compare_cell(
     V_tr = np.asarray(train_outputs, dtype=float).reshape(U_tr.shape[0], arch.n_x)
     U_te = arch.coerce_inputs(test_inputs)
     no0 = init_symmetric(arch, width, tau, seed)
-    record = train_gd(no0, U_tr, V_tr, alpha, n_steps,
-                      train_a=train_a, train_b=train_b)
+    record = train_gd(no0, U_tr, V_tr, alpha, n_steps, train_b=train_b)
     no_preds = forward(record.model, U_te)
 
-    if not train_a and tau == 0.0:
-        # no trainable tangent directions remain; both paths are zero
-        rf_preds = np.zeros_like(no_preds)
-    else:
-        fs = tangent_feature_set(no0)
-        # summand 0 (psi) is the a-direction, summands 1.. (psi') the B-directions
-        summands = np.ones(fs.map.p, dtype=bool)
-        summands[0] = train_a
-        summands[1:] = train_b
-        design = features.build_design(fs, U_tr, normalize=False,
-                                       summands=summands)
-        model = estimator.fit_gd(design, V_tr, alpha, n_steps)
-        rf_preds = estimator.predict_batch(model, U_te)
+    # psi is the a-direction and psi' the B-directions, which a frozen B
+    # zeroes (deriv_scale 0)
+    fs = tangent_feature_set(no0, deriv_scale=None if train_b else 0.0)
+    design = features.build_design(fs, U_tr, normalize=False)
+    model = estimator.fit_gd(design, V_tr, alpha, n_steps)
+    rf_preds = estimator.predict_batch(model, U_te)
 
     diff = no_preds - rf_preds
     disc = math.sqrt(float(np.mean(np.mean(diff ** 2, axis=1))))
@@ -287,7 +274,6 @@ def compare_to_kernel_gd(
     n_steps: int,
     seeds,
     tau: float = 1.0,
-    train_a: bool = True,
     train_b: bool = True,
 ) -> list[dict]:
     """Train the operator and its frozen-tangent kernel twin with identical
@@ -295,8 +281,7 @@ def compare_to_kernel_gd(
     norm over held-out inputs.  Returns one row per (width, seed), widths
     outermost; `compare_cell` computes one row."""
     return [compare_cell(arch, train_inputs, train_outputs, test_inputs, int(m),
-                         int(seed), alpha, n_steps, tau=tau, train_a=train_a,
-                         train_b=train_b)
+                         int(seed), alpha, n_steps, tau=tau, train_b=train_b)
             for m in widths for seed in seeds]
 
 

@@ -258,10 +258,7 @@ def _problem_feature_map(spec: SpectrumSpec) -> FeatureMap:
     omegas = np.arange(d)
     probs = np.full(d, 1.0 / d)
     kappa = math.sqrt(2.0 * d * mu[0])
-    return features.discrete_map(
-        omegas, probs, evaluate, p=1, d_v=1, kappa=kappa,
-        meta={"kind": "synthetic-basis", "d_max": d, "b": spec.b},
-    )
+    return features.discrete_map(omegas, probs, evaluate, p=1, d_v=1, kappa=kappa)
 
 
 def make_problem(spec: SpectrumSpec, r: float, R: float, seed: int) -> SyntheticProblem:

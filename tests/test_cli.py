@@ -204,6 +204,12 @@ class TestVerify:
         assert code == 3
         assert "event E6 failed: need at least 50 trials" in capsys.readouterr().err
 
+    def test_delta_beyond_the_pinelis_range_exits_3(self, tmp_path, capsys):
+        """The bound of E3-E9 holds only for delta < 1/2."""
+        code, _ = run("verify", tmp_path, dict(self.CFG, delta=0.6))
+        assert code == 3
+        assert "event E6 failed: delta must be in (0, 1/2)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [("event_lambda", -1.0), ("event_n", 0),
                                            ("event_M", 0)])
     def test_event_range_exits_3(self, key, value, tmp_path, capsys):

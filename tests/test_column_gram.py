@@ -35,13 +35,12 @@ def heatmap_design(M=512, n=1000):
 
 def ntk_design():
     """An ntk-compare tangent design: 32 inputs on a 16-point grid (d_v = 16),
-    512 distinct draws of width 1024 x 4 summands, the psi'_2 summand frozen."""
+    512 distinct draws of width 1024 x 4 summands."""
     arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 16), d_y=1)
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, tau=1.0, seed=3))
     rng = np.random.default_rng(4)
     U, V = 0.5 * rng.normal(size=(32, 16, 1)), rng.normal(size=(32, 16))
-    summands = np.array([True, True, False, True])
-    return features.build_design(fs, U, normalize=False, summands=summands), V
+    return features.build_design(fs, U, normalize=False), V
 
 
 def rff_design():

@@ -86,17 +86,15 @@ def ntk_case(M=64, n=40):
 
 
 def tangent_case(n=8):
-    """Unnormalized tangent design on a 4-point grid (d_v = 4), with the psi'_1
-    summand frozen: 16 distinct draws x 4 summands on the 4 n rows of n
-    inputs."""
+    """Unnormalized tangent design on a 4-point grid (d_v = 4): 16 distinct
+    draws x 4 summands on the 4 n rows of n inputs."""
     arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
     no = neuralop.init_symmetric(arch, 32, tau=0.5, seed=3)
     fs = neuralop.tangent_feature_set(no)
     rng = np.random.default_rng(4)
     U, U_te = 0.5 * rng.normal(size=(n, 4, 1)), 0.5 * rng.normal(size=(30, 4, 1))
     V, V_te = rng.normal(size=(n, 4)), rng.normal(size=(30, 4))
-    summands = np.array([True, False, True, True])
-    design = features.build_design(fs, U, normalize=False, summands=summands)
+    design = features.build_design(fs, U, normalize=False)
     # ||Sigma_hat|| is not bounded by 1 without normalization; step inside 1/||Sigma_hat||
     alpha = min(1.0, 0.9 * design.n / np.linalg.norm(design.Z, 2) ** 2)
     return design, V, U_te, V_te, alpha

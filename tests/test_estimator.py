@@ -90,6 +90,18 @@ class TestFitGD:
         with pytest.raises(EstimatorError):
             fit_gd(design, V, alpha=1.5, n_steps=3)
 
+    @pytest.mark.parametrize("fit", [
+        lambda design, V: fit_closed(design, V, spectral.tikhonov(), 0.5),
+        lambda design, V: fit_gd(design, V, alpha=0.5, n_steps=3),
+    ], ids=["closed", "gd"])
+    def test_rejects_outputs_of_the_wrong_length(self, fit):
+        """One output too few is a FeatureError, which the CLI reports as a
+        bad input, not numpy's reshape error."""
+        _, design, _, V = problem_design()
+        with pytest.raises(features.FeatureError, match="length") as raised:
+            fit(design, V[:-1])
+        assert isinstance(raised.value, cli.CHECK_ERRORS)
+
     def test_closed_form_equivalence_50_instances(self):
         rng = np.random.default_rng(0)
         for trial in range(50):

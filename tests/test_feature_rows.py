@@ -18,15 +18,14 @@ from test_merged_design import vector_omega_case
 from test_normal_equations import chunk_inputs
 
 
-def copied_rows(fs, U, kappa_scale, v_weight=1.0, summands=None):
+def copied_rows(fs, U, kappa_scale, v_weight=1.0):
     """The rows as a transposed copy of evaluate's values times the weights."""
     omegas, counts = fs.distinct
     phi = fs.map.evaluate(U, omegas)                  # (n, M_distinct, p, d_v)
     n, m, p, d_v = phi.shape
     weights = math.sqrt(v_weight) / (kappa_scale * math.sqrt(fs.M)) * np.sqrt(counts)
-    keep = np.ones(p) if summands is None else np.asarray(summands, dtype=float)
     return np.transpose(phi, (0, 3, 1, 2)).reshape(n * d_v, m * p) \
-        * np.outer(weights, keep).reshape(-1)
+        * np.outer(weights, np.ones(p)).reshape(-1)
 
 
 def einsum_values(arch, U, omegas, deriv_scale):
@@ -50,13 +49,13 @@ def synthetic_case():
     fs = features.sample_features(problem.feature_map, 40, seed=1)
     assert np.any(np.diff(fs.distinct[0]) < 0)
     U = synthetic.sample_inputs(70, seed=2)
-    return fs, U, problem.kappa, 1.0, None
+    return fs, U, problem.kappa, 1.0
 
 
 def rff_case():
     fs = features.sample_features(features.rff_map(3, lengthscale=0.7), 25, seed=3)
     U = np.random.default_rng(4).uniform(-1.0, 1.0, size=(30, 3))
-    return fs, U, math.sqrt(2.0), 1.0, None
+    return fs, U, math.sqrt(2.0), 1.0
 
 
 def ntk_arch(n_x):
@@ -65,19 +64,16 @@ def ntk_arch(n_x):
 
 
 def ntk_case(n_x):
-    """Symmetric tangent features (every draw twice) with deriv_scale 0.5 and
-    the second summand frozen."""
+    """Symmetric tangent features (every draw twice) with deriv_scale 0.5."""
     no = neuralop.init_symmetric(ntk_arch(n_x), 24, tau=1.0, seed=5)
     fs = neuralop.tangent_feature_set(no, deriv_scale=0.5)
     U = 0.5 * np.random.default_rng(6).normal(size=(20, n_x, 1))
-    summands = np.ones(fs.map.p, dtype=bool)
-    summands[1] = False
-    return fs, U, 1.0, fs.map.v_weight, summands
+    return fs, U, 1.0, fs.map.v_weight
 
 
 def vector_omega_rows_case():
     fs, U, _, _, _ = vector_omega_case()
-    return fs, U, fs.map.kappa, fs.map.v_weight, None
+    return fs, U, fs.map.kappa, fs.map.v_weight
 
 
 CASES = {
@@ -91,19 +87,18 @@ CASES = {
 
 @pytest.mark.parametrize("name", CASES)
 def test_rows_are_bit_identical_to_the_copied_construction(name):
-    fs, U, kappa_scale, v_weight, summands = CASES[name]()
-    rows = features.feature_rows(fs, U, kappa_scale, v_weight, summands)
-    np.testing.assert_array_equal(rows, copied_rows(fs, U, kappa_scale, v_weight,
-                                                    summands))
+    fs, U, kappa_scale, v_weight = CASES[name]()
+    rows = features.feature_rows(fs, U, kappa_scale, v_weight)
+    np.testing.assert_array_equal(rows, copied_rows(fs, U, kappa_scale, v_weight))
     buffer = np.full_like(rows, np.nan)
-    written = features.feature_rows(fs, U, kappa_scale, v_weight, summands, out=buffer)
+    written = features.feature_rows(fs, U, kappa_scale, v_weight, out=buffer)
     assert written is buffer
     np.testing.assert_array_equal(buffer, rows)
 
 
 @pytest.mark.parametrize("n_x", [16, 1])
 def test_ntk_values_match_the_einsum_construction(n_x):
-    fs, U, _, _, _ = ntk_case(n_x)
+    fs, U, _, _ = ntk_case(n_x)
     arch, omegas = ntk_arch(n_x), fs.distinct[0]
     for deriv_scale in (1.0, 0.5):
         phi = features.ntk_feature_map(arch, deriv_scale=deriv_scale).evaluate(U, omegas)
@@ -124,8 +119,7 @@ def test_design_across_the_chunk_boundary(monkeypatch):
     theta = np.random.default_rng(9).normal(size=(design.Z.shape[1], 3))
     expected = np.einsum("ij,kj->ik", copied_rows(fs, U, design.kappa_scale),
                          np.ascontiguousarray(theta.T))
-    np.testing.assert_array_equal(features.predict_values(fs, theta, U, design.kappa_scale,
-                                                          chunk=512),
+    np.testing.assert_array_equal(features.predict_values(fs, theta, U, design.kappa_scale),
                                   expected.reshape(1100, 1, 3))
 
 
@@ -152,7 +146,7 @@ def rff_test_batch():
 
 
 @pytest.mark.parametrize("batch", [ntk_test_batch, rates_test_batch, rff_test_batch])
-def test_predictions_do_not_depend_on_the_chunk(batch):
+def test_predictions_do_not_depend_on_the_chunk(batch, monkeypatch):
     """Predictions are byte-identical at chunks of 1, 7 and 512 inputs and
     at the default chunk of runtime.BLOCK_BYTES of rows (4 inputs of the ntk
     batch, over 300 of the synthetic and rff ones), for one coefficient vector and for
@@ -160,7 +154,8 @@ def test_predictions_do_not_depend_on_the_chunk(batch):
     the vector alone does."""
     fs, U = batch()
     width = len(fs.distinct[1]) * fs.map.p
-    default = runtime.BLOCK_BYTES // (8 * fs.map.d_v * width)
+    row_bytes = 8 * fs.map.d_v * width                # one input's rows
+    default = runtime.BLOCK_BYTES // row_bytes
     assert 1 < default < len(U) and default not in (7, 512)
     stacked = np.random.default_rng(12).normal(size=(width, 4))
     single = stacked[:, 0].copy()
@@ -168,9 +163,11 @@ def test_predictions_do_not_depend_on_the_chunk(batch):
     for name, theta in (("gemv", single), ("gemm", stacked)):
         predictions[name] = features.predict_values(fs, theta, U, 2.0)
         assert predictions[name].shape == (len(U), fs.map.d_v) + theta.shape[1:]
-        for chunk in (1, 7, 512):
+    for chunk in (1, 7, 512):
+        monkeypatch.setattr(runtime, "BLOCK_BYTES", chunk * row_bytes)
+        for name, theta in (("gemv", single), ("gemm", stacked)):
             np.testing.assert_array_equal(
-                features.predict_values(fs, theta, U, 2.0, chunk=chunk), predictions[name])
+                features.predict_values(fs, theta, U, 2.0), predictions[name])
     np.testing.assert_array_equal(predictions["gemm"][..., 0], predictions["gemv"])
 
 
@@ -201,7 +198,7 @@ def test_evaluator_must_write_into_out():
 
 
 def test_row_buffer_must_fit():
-    fs, U, kappa_scale, _, _ = rff_case()
+    fs, U, kappa_scale, _ = rff_case()
     rows = features.feature_rows(fs, U, kappa_scale)
     for bad in (np.empty((rows.shape[0] + 1, rows.shape[1])),
                 np.empty(rows.shape[::-1]).T):   # right shape, not C-contiguous

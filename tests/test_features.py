@@ -74,7 +74,7 @@ class TestSampling:
 class TestKernels:
     def test_sign_map_reproduces_linear_kernel(self):
         fmap = sign_map()
-        fs = feature_set_from_samples(fmap, np.array([1.0, -1.0]), 2)
+        fs = feature_set_from_samples(fmap, np.array([1.0, -1.0]))
         for u, u2 in [(0.3, 0.5), (1.0, -2.0), (0.0, 4.0)]:
             assert kernel_approx(fs, u, u2)[0, 0] == pytest.approx(u * u2)
             assert kernel_exact(fmap, u, u2)[0, 0] == pytest.approx(u * u2)
@@ -137,19 +137,17 @@ class TestKernels:
 class TestBoundedness:
     def test_feature_norm_bound_monte_carlo(self):
         rng = np.random.default_rng(7)
+        # (map, lower end of its input range, input shape)
         maps = [
-            sign_map(),
-            rff_map(3, lengthscale=0.7),
-            synthetic.make_problem(
+            (sign_map(), 0.0, 25),
+            (rff_map(3, lengthscale=0.7), -1.0, (25, 3)),
+            (synthetic.make_problem(
                 synthetic.spectrum_spec(1.0, 24), 0.5, 1.0, seed=1
-            ).feature_map,
+            ).feature_map, 0.0, 25),
         ]
-        for fmap in maps:
+        for fmap, low, shape in maps:
             fs = sample_features(fmap, 40, seed=3)
-            if fmap.meta.get("kind") == "rff":
-                U = rng.uniform(-1.0, 1.0, size=(25, 3))
-            else:
-                U = rng.uniform(0.0, 1.0, size=25)
+            U = rng.uniform(low, 1.0, size=shape)
             phi = fmap.evaluate(U, fs.samples)  # (n, M, p, d_v)
             sq = np.sum(phi ** 2, axis=(2, 3)) * fmap.v_weight
             assert np.max(sq) <= fmap.kappa ** 2 + 1e-9

@@ -61,11 +61,11 @@ def vector_omega_case():
     return fs, U, V, U_te, True
 
 
-def tangent_case():
+def tangent_case(deriv_scale=None):
     """Symmetric initialisation duplicates every row of B."""
     arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
     no = neuralop.init_symmetric(arch, 16, tau=0.5, seed=6)
-    fs = neuralop.tangent_feature_set(no)
+    fs = neuralop.tangent_feature_set(no, deriv_scale)
     rng = np.random.default_rng(7)
     U, U_te = 0.3 * rng.normal(size=(20, 4, 1)), 0.3 * rng.normal(size=(15, 4, 1))
     V = rng.normal(size=(20, 4))
@@ -124,7 +124,7 @@ def test_rff_design_unchanged():
 
 def test_distinct_keeps_first_appearance_order():
     fmap = synthetic.make_problem(synthetic.spectrum_spec(1.0, 8), 0.5, 1.0, 0).feature_map
-    fs = features.feature_set_from_samples(fmap, np.array([3, 1, 3, 3, 2, 1]), 6)
+    fs = features.feature_set_from_samples(fmap, np.array([3, 1, 3, 3, 2, 1]))
     omegas, counts = fs.distinct
     np.testing.assert_array_equal(omegas, [3, 1, 2])
     np.testing.assert_array_equal(counts, [3.0, 2.0, 1.0])
@@ -132,12 +132,14 @@ def test_distinct_keeps_first_appearance_order():
 
 
 def test_frozen_summands_match_zeroed_unmerged_columns():
-    fs, U, V, U_te, _ = tangent_case()
-    summands = np.zeros(fs.map.p, dtype=bool)
-    summands[0] = True                                 # train only the psi block
-    design = features.build_design(fs, U, normalize=False, summands=summands)
+    """The tangent map at deriv_scale 0, compare_cell's twin of a frozen B,
+    is the tangent design with its psi' columns zeroed: only the psi block
+    (the a-direction) is left."""
+    fs, U, _, _, _ = tangent_case()
+    frozen, _, _, _, _ = tangent_case(deriv_scale=0.0)
+    design = features.build_design(frozen, U, normalize=False)
     full = unmerged_rows(fs, U, 1.0)
-    full[:, np.tile(~summands, fs.M)] = 0.0
+    full[:, np.tile(np.arange(fs.map.p) > 0, fs.M)] = 0.0
     assert rel(design.Z @ design.Z.T, full @ full.T) <= TOL
     assert np.all(design.Z.reshape(len(design.Z), design.M_distinct, -1)[:, :, 1:] == 0)
 

@@ -219,14 +219,6 @@ class TestKernelGDComparison:
         assert small > 1e-10
         assert large < small
 
-    def test_tau_zero_frozen_output_weights(self):
-        rows = compare_to_kernel_gd(
-            self.arch_tanh, self.U, self.V, self.U_test,
-            widths=[8], alpha=0.25, n_steps=10, seeds=[0],
-            tau=0.0, train_a=False,
-        )
-        assert rows[0]["discrepancy"] == 0.0
-
     def test_tanh_medians_decrease_with_width(self):
         rows = compare_to_kernel_gd(
             self.arch_tanh, self.U, self.V, self.U_test,
