@@ -324,6 +324,12 @@ def validate_config(command: str, cfg: dict) -> None:
         raise ConfigError("rates filter must be 'tikhonov' or 'landweber'")
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
         raise ConfigError("fit filter must be tikhonov, landweber, or cutoff")
+    if command == "verify" and cfg["delta"] >= 0.5:
+        # the Pinelis bound of E3-E9 holds only below 1/2, Bernstein's (E1, E2) below 1
+        pinelis = [e for e in cfg["events"] if e not in ("E1", "E2")]
+        if pinelis:
+            raise ConfigError(f"delta must be in (0, 1/2) for events {', '.join(pinelis)}, "
+                              f"got {cfg['delta']}")
 
 
 def _activation(name: str) -> features.Activation:

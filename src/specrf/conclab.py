@@ -92,7 +92,6 @@ class EventSpec:
     z_bound: float | None = None       # Z of the moment assumption
     r: float | None = None
     R: float | None = None
-    filter_d: float = 1.0              # D constant of the filter defining F*_lambda
     pop_error: float | None = None     # ||G_rho - S_M F*_lambda||_{L2}
 
     def require(self, *names: str) -> None:
@@ -170,7 +169,8 @@ def event_rhs(spec: EventSpec) -> float:
                              2.0 * q * math.sqrt(spec.n_eff_lm), spec.n, d)
     if eid == "E9":
         spec.require("lam", "n", "r", "R", "pop_error", "q_bound")
-        c_krd = 2.0 * spec.kappa ** (2.0 * spec.r + 1.0) * spec.R * spec.filter_d
+        # F*_lambda is the tikhonov estimator, whose D constant is 1
+        c_krd = 2.0 * spec.kappa ** (2.0 * spec.r + 1.0) * spec.R
         mis = max(0.0, 0.5 - spec.r)
         sup_f = c_krd * spec.lam ** (-mis)
         b_lam = 4.0 * (spec.q_bound ** 2 + sup_f ** 2)

@@ -27,10 +27,10 @@ its operator in one pass and owns it, leaving nothing on the design, and
 each route reads "identically zero" off what its own pass formed (a zero
 diagonal of Sigma_hat or G, or ||Z||_F = 0).
 
-Either operator is exactly symmetric, so each step reads one triangle of it:
-one BLAS dsymv on numpy's OpenBLAS (`runtime.symmetric_step`, np.matmul
-where that symbol is missing), writing into work arrays reused for the whole
-descent; only the iterates at the stopping times are copied out.
+Each step is one np.matmul of the operator with the iterate, written into
+work arrays reused for the whole descent; only the iterates at the stopping
+times are copied out.  On the primal side that is the arithmetic of the
+textbook iteration above, bit for bit.
 
 A long trajectory takes the landweber filter in closed form instead of the
 loop (`closed_forms`):
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features, runtime, spectral
+from . import features, spectral
 from .features import DesignMatrix, FeatureSet
 from .spectral import SpectralFilter
 
@@ -267,10 +267,10 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float,
     A long trajectory takes a closed form (`closed_forms`): the low-rank one
     (`_low_rank_descent`), which forms no operator, where Z certifies as of
     low rank, else the landweber filter on the operator's eigendecomposition
-    (np.linalg.eigh, `_landweber_iterates`).  Otherwise each step is one
-    symmetric matrix-vector product reading one triangle
-    (`runtime.symmetric_step`), into an iterate and a gradient allocated once
-    per fit and updated in place, and the iterate is copied at each stop."""
+    (np.linalg.eigh, `_landweber_iterates`).  Otherwise each step is
+    x -= alpha (op @ x - target), in an iterate and a gradient allocated
+    once per fit and updated in place, and the iterate is copied at each
+    stop."""
     if not 0.0 < alpha <= 1.0:
         raise EstimatorError(f"step size must be in (0, 1], got {alpha}")
     v = design.stack_outputs(outputs)
@@ -292,10 +292,10 @@ def _descend(design: DesignMatrix, outputs: np.ndarray, alpha: float,
     else:
         x = np.zeros_like(target)
         grad = np.empty_like(target)
-        gradient = runtime.symmetric_step(op, x, target, grad)   # grad = op @ x - target
         snapshots = []
         for step in range(1, stops[-1] + 1):
-            gradient()
+            np.matmul(op, x, out=grad)
+            grad -= target
             grad *= alpha
             x -= grad
             while len(snapshots) < len(stops) and stops[len(snapshots)] == step:

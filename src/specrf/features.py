@@ -38,7 +38,6 @@ __all__ = [
     "DesignMatrix",
     "OperatorArchitecture",
     "sample_features",
-    "feature_set_from_samples",
     "kernel_approx",
     "kernel_exact",
     "build_design",
@@ -182,11 +181,6 @@ def sample_features(fmap: FeatureMap, M: int, seed: int) -> FeatureSet:
         raise FeatureError(f"M must be >= 1, got {M}")
     rng = np.random.default_rng(seed)
     return FeatureSet(map=fmap, samples=fmap.draw(rng, M))
-
-
-def feature_set_from_samples(fmap: FeatureMap, samples: Any) -> FeatureSet:
-    """Wrap explicit omega samples (e.g. network weights at initialization)."""
-    return FeatureSet(map=fmap, samples=samples)
 
 
 def _as_batch(u: Any) -> np.ndarray:

@@ -68,17 +68,6 @@ class TrainRecord:
     def drift_budget(self) -> float:
         return float(self.drifts.max())
 
-    def to_manifest(self) -> dict:
-        return {
-            "risks": self.risks.tolist(),
-            "drifts": self.drifts.tolist(),
-            "a": self.model.a.tolist(),
-            "B": self.model.B.reshape(-1).tolist(),
-            "M": self.model.M,
-            "tau": self.model.tau,
-            "activation": self.model.arch.activation.name,
-        }
-
 
 def init_symmetric(
     arch: OperatorArchitecture, M: int, tau: float, seed: int
@@ -228,7 +217,7 @@ def tangent_feature_set(no: ShallowNO, deriv_scale: float | None = None) -> Feat
     """
     scale = abs(no.tau) if deriv_scale is None else deriv_scale
     fmap = features.ntk_feature_map(no.arch, deriv_scale=scale)
-    return features.feature_set_from_samples(fmap, no.B.copy())
+    return FeatureSet(fmap, no.B.copy())
 
 
 def compare_cell(

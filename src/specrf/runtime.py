@@ -1,6 +1,6 @@
 """The process the experiments run in: one BLAS thread, a raised heap mmap
-threshold, the byte budget of every streamed buffer, the symmetric BLAS
-kernels, order statistics that keep numpy.ma out of the process, the CPUs a
+threshold, the byte budget of every streamed buffer, the symmetric rank-k
+update, order statistics that keep numpy.ma out of the process, the CPUs a
 process may use, and a record of the environment that produced an output.
 
 numpy's bundled OpenBLAS is found once with ctypes among the libraries mapped
@@ -9,17 +9,12 @@ into this process (/proc/self/maps).  The symbols used:
 - `*_set_num_threads` pins it to one thread.  Where no such symbol exists
   (another BLAS, or no /proc/self/maps) pinning does nothing and the thread
   count is reported as null.
-- `scipy_cblas_dsymv64_` (ILP64 CBLAS) computes a symmetric matrix-vector
-  product from one triangle, half the bytes of a general product.
-  `symmetric_step` uses it for every gradient-descent step; where the symbol
-  is missing the step is `np.matmul`.  The two sum in different orders, so
-  the environment block records which kernel ran (`gd_kernel`).
-- `scipy_cblas_dsyrk64_` adds a block's A A^T or A^T A into one triangle of
-  an operator in place (`symmetric_update`), so a covariance or Gram matrix
-  summed over blocks of rows or columns needs no operator-sized temporary
-  and is mirrored once (`mirror_upper`).  Where the symbol is missing the
-  update is `np.matmul` plus an addition; the environment block records which
-  (`operator_kernel`).
+- `scipy_cblas_dsyrk64_` (ILP64 CBLAS) adds a block's A A^T or A^T A into
+  one triangle of an operator in place (`symmetric_update`), so a covariance
+  or Gram matrix summed over blocks of rows or columns needs no
+  operator-sized temporary and is mirrored once (`mirror_upper`).  Where the
+  symbol is missing the update is `np.matmul` plus an addition; the
+  environment block records which (`operator_kernel`).
 """
 from __future__ import annotations
 
@@ -28,7 +23,6 @@ import functools
 import math
 import os
 import platform
-from typing import Callable
 
 import numpy as np
 
@@ -71,26 +65,17 @@ def _openblas_threads() -> tuple:
     return None, None
 
 
-def _cblas(name: str, argtypes: list):
-    """The ILP64 CBLAS routine `name` of the loaded OpenBLAS, or None."""
-    for lib in _openblas_libs():
-        fn = getattr(lib, f"scipy_cblas_{name}64_", None)
-        if fn is not None:
-            fn.argtypes, fn.restype = argtypes, None
-            return fn
-    return None
-
-
-@functools.cache
-def _dsymv():
-    """cblas_dsymv(Order, Uplo, N, alpha, A, lda, X, incX, beta, Y, incY), or None."""
-    return _cblas("dsymv", [_ENUM, _ENUM, _I64, _DBL, _PTR, _I64, _PTR, _I64, _DBL, _PTR, _I64])
-
-
 @functools.cache
 def _dsyrk():
-    """cblas_dsyrk(Order, Uplo, Trans, N, K, alpha, A, lda, beta, C, ldc), or None."""
-    return _cblas("dsyrk", [_ENUM, _ENUM, _ENUM, _I64, _I64, _DBL, _PTR, _I64, _DBL, _PTR, _I64])
+    """cblas_dsyrk(Order, Uplo, Trans, N, K, alpha, A, lda, beta, C, ldc) of
+    the loaded OpenBLAS (ILP64), or None."""
+    for lib in _openblas_libs():
+        fn = getattr(lib, "scipy_cblas_dsyrk64_", None)
+        if fn is not None:
+            fn.argtypes = [_ENUM, _ENUM, _ENUM, _I64, _I64, _DBL, _PTR, _I64, _DBL, _PTR, _I64]
+            fn.restype = None
+            return fn
+    return None
 
 
 #: the block `init_process` allocates and frees to raise glibc's mmap threshold
@@ -183,48 +168,9 @@ def blas_threads() -> int | None:
     return None if get_fn is None else int(get_fn())
 
 
-def gd_kernel() -> str:
-    """The kernel `symmetric_step` runs: 'dsymv' or 'matmul'."""
-    return "matmul" if _dsymv() is None else "dsymv"
-
-
 def operator_kernel() -> str:
     """The kernel `symmetric_update` runs: 'dsyrk' or 'matmul'."""
     return "matmul" if _dsyrk() is None else "dsyrk"
-
-
-def symmetric_step(a: np.ndarray, x: np.ndarray, target: np.ndarray,
-                   out: np.ndarray) -> Callable[[], None]:
-    """A callable writing out = a @ x - target for a symmetric a.
-
-    `a` must be a C-contiguous float64 (d, d) array, exactly symmetric: only
-    its upper triangle is read.  `x`, `target` and `out` are contiguous
-    float64 vectors of length d, fixed for the life of the callable, which
-    reads x as it is at each call.  No array is copied or allocated per call.
-    """
-    d = a.shape[0]
-    if a.dtype != np.float64 or a.shape != (d, d) or not a.flags.c_contiguous:
-        raise ValueError("symmetric_step needs a C-contiguous float64 square matrix")
-    for vec in (x, target, out):
-        if vec.dtype != np.float64 or vec.shape != (d,) or not vec.flags.c_contiguous:
-            raise ValueError(f"symmetric_step needs contiguous float64 vectors of length {d}")
-    dsymv = _dsymv()
-    if dsymv is None:
-        def step() -> None:
-            np.matmul(a, x, out=out)
-            np.subtract(out, target, out=out)
-        return step
-
-    # out = 1.0 * a @ x + (-1.0) * out, with out holding the target first;
-    # each data_as pointer keeps its array alive
-    ptr = ctypes.c_void_p
-    call = functools.partial(dsymv, _ROW_MAJOR, _UPPER, d, 1.0, a.ctypes.data_as(ptr), d,
-                             x.ctypes.data_as(ptr), 1, -1.0, out.ctypes.data_as(ptr), 1)
-
-    def step() -> None:
-        np.copyto(out, target)
-        call()
-    return step
 
 
 def symmetric_update(c: np.ndarray, a: np.ndarray, transpose: bool = False) -> None:
@@ -278,9 +224,9 @@ def usable_cpus() -> int:
 
 def environment(jobs: int) -> dict:
     """What produced a run's bytes: versions, BLAS threads, the kernel that
-    formed the operators, the GD step kernel, --jobs and usable cores."""
+    formed the operators, --jobs and usable cores."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
             "blas_threads": blas_threads(), "operator_kernel": operator_kernel(),
-            "gd_kernel": gd_kernel(), "jobs": jobs, "nproc": usable_cpus()}
+            "jobs": jobs, "nproc": usable_cpus()}

@@ -8,8 +8,9 @@ operator to estimator coefficients.  The three classical instances are
   cutoff:     phi_lambda(t) = 1/t if t >= lambda else 0
 
 together with the residual r_lambda(t) = 1 - t*phi_lambda(t).  Every filter
-carries certified constants (D, E, c0) and a qualification nu with constants
-c_q; `verify_filter_constants` checks all of them empirically on grids.
+has the certified constants D = E = c0 = 1 (FILTER_D, FILTER_E, FILTER_C0)
+and carries a qualification nu with constants c_q; `verify_filter_constants`
+checks all of them empirically on grids.
 
 All filters assume the operator spectrum has been rescaled into [0, 1]
 (the design-matrix builder in `features` guarantees this).
@@ -43,6 +44,9 @@ NEG_EIG_TOL = 1e-10
 POS_EIG_TOL = 1e-9
 #: landweber iteration count 1/(alpha*lambda) must be integral to this tolerance
 SCHEDULE_TOL = 1e-9
+#: the constants every filter is certified for: sup_t |t phi_lambda(t)| <= D,
+#: sup_t |phi_lambda(t)| lambda <= E and sup_t |r_lambda(t)| <= c0
+FILTER_D = FILTER_E = FILTER_C0 = 1.0
 
 
 class FilterDomainError(ValueError):
@@ -55,7 +59,8 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralFilter:
-    """A regularization family with certified constants.
+    """A regularization family with its qualification and constants c_q
+    (D, E and c0 are the module constants FILTER_D, FILTER_E, FILTER_C0).
 
     `kind` is one of "tikhonov", "landweber", "cutoff" or "custom".  The
     custom kind evaluates `custom_phi(lam, t)` and exists so that broken
@@ -65,9 +70,6 @@ class SpectralFilter:
 
     kind: str
     step_size: float = 1.0  # landweber only; alpha in (0, 1]
-    D: float = 1.0
-    E: float = 1.0
-    c0: float = 1.0
     qualification: float = 1.0  # nu; math.inf for landweber and cutoff
     c_q_provider: Callable[[float], float] = field(default=lambda q: 1.0)
     custom_phi: Callable[[float, np.ndarray], np.ndarray] | None = None
@@ -343,8 +345,9 @@ def verify_filter_constants(
 ) -> FilterReport:
     """Check the filter axioms and qualification on finite grids.
 
-    Flags any lambda at which an empirical supremum exceeds the stored
-    constant.  Grids must lie in (0, 1]; q_grid must lie in [0, nu].
+    Flags any lambda at which an empirical supremum exceeds its constant
+    (FILTER_D, FILTER_E, FILTER_C0, or 1 for the qualification ratio).
+    Grids must lie in (0, 1]; q_grid must lie in [0, nu].
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     lams = np.asarray(sorted(lam_grid), dtype=float)
@@ -381,9 +384,9 @@ def verify_filter_constants(
         sup_phi_lam=sup_phi_lam,
         sup_residual=sup_res,
         worst_q_ratio=worst_q,
-        d_flag=sup_t_phi > filt.D * (1.0 + _VERIFY_SLACK),
-        e_flag=sup_phi_lam > filt.E * (1.0 + _VERIFY_SLACK),
-        c0_flag=sup_res > filt.c0 * (1.0 + _VERIFY_SLACK),
+        d_flag=sup_t_phi > FILTER_D * (1.0 + _VERIFY_SLACK),
+        e_flag=sup_phi_lam > FILTER_E * (1.0 + _VERIFY_SLACK),
+        c0_flag=sup_res > FILTER_C0 * (1.0 + _VERIFY_SLACK),
         cq_flag=worst_q > 1.0 + _VERIFY_SLACK,
     )
 

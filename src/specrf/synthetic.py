@@ -17,7 +17,6 @@ minimax rate statement and a log-log slope fitter for rate experiments.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -100,7 +99,6 @@ class NoiseModel:
     int ||v||^l rho(dv|u) <= (1/2) l! Z^(l-2) Q^2.
     """
 
-    kind: str
     half_width: float
     Q: float
     Z: float
@@ -144,7 +142,6 @@ class SyntheticProblem:
     source: SourceTarget
     feature_map: FeatureMap = field(compare=False)
     kappa: float
-    seed: int
 
     @property
     def d_max(self) -> int:
@@ -173,22 +170,6 @@ class SyntheticProblem:
 
     def target_l2_norm(self) -> float:
         return float(np.linalg.norm(self.source.coefficients))
-
-    def to_manifest(self) -> dict:
-        return {
-            "kind": "synthetic",
-            "b": self.spectrum.b,
-            "d_max": self.spectrum.d_max,
-            "c_b": self.spectrum.c_b,
-            "r": self.source.r,
-            "R": self.source.R,
-            "seed": self.seed,
-            "kappa": self.kappa,
-            "target_l2": self.target_l2_norm(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_manifest(), sort_keys=True)
 
 
 def _cos_table(u: np.ndarray, K: int) -> np.ndarray:
@@ -276,17 +257,15 @@ def make_problem(spec: SpectrumSpec, r: float, R: float, seed: int) -> Synthetic
     coeffs = spec.eigenvalues ** r * h
     source = SourceTarget(r=float(r), R=float(R), h=h, coefficients=coeffs)
     fmap = _problem_feature_map(spec)
-    return SyntheticProblem(
-        spectrum=spec, source=source, feature_map=fmap,
-        kappa=fmap.kappa, seed=int(seed),
-    )
+    return SyntheticProblem(spectrum=spec, source=source, feature_map=fmap,
+                            kappa=fmap.kappa)
 
 
 def noise_model(problem: SyntheticProblem, half_width: float) -> NoiseModel:
     if half_width < 0:
         raise SyntheticError("half_width must be nonnegative")
     q = problem.target_sup_bound() + float(half_width)
-    return NoiseModel(kind="bounded-uniform", half_width=float(half_width), Q=q, Z=q)
+    return NoiseModel(half_width=float(half_width), Q=q, Z=q)
 
 
 def sample_inputs(n: int, seed: int | np.random.Generator) -> np.ndarray:

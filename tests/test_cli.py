@@ -208,7 +208,29 @@ class TestVerify:
         """The bound of E3-E9 holds only for delta < 1/2."""
         code, _ = run("verify", tmp_path, dict(self.CFG, delta=0.6))
         assert code == 3
-        assert "event E6 failed: delta must be in (0, 1/2)" in capsys.readouterr().err
+        assert ("config error: delta must be in (0, 1/2) for events E6, E7, got 0.6"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("events,simulated", [(["E1", "E3"], []),
+                                                  (["E1", "E2"], ["E1", "E2"])])
+    def test_delta_is_checked_before_any_trial(self, events, simulated, tmp_path,
+                                               monkeypatch):
+        """delta = 0.6 is rejected before any event runs where an E3-E9 event is
+        asked for, and E1 and E2, whose Bernstein bound needs only delta < 1,
+        still run with it."""
+        real, calls = conclab.simulate_event, []
+
+        def spy(spec, *args, **kwargs):
+            calls.append(spec.event_id)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(conclab, "simulate_event", spy)
+        code, out = run("verify", tmp_path, dict(self.CFG, events=events, delta=0.6))
+        assert code == (0 if simulated else 3)
+        assert calls == simulated
+        if simulated:
+            header, body = dataio.load_results(out / "verify_events.csv")
+            assert body.shape[0] == len(simulated)
 
     @pytest.mark.parametrize("key,value", [("event_lambda", -1.0), ("event_n", 0),
                                            ("event_M", 0)])
@@ -276,9 +298,8 @@ class TestCLIContract:
         assert env["numpy"] == np.__version__
         assert env["jobs"] == 1 and env["nproc"] == runtime.usable_cpus()
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
-                            "operator_kernel", "gd_kernel", "jobs", "nproc"}
+                            "operator_kernel", "jobs", "nproc"}
         assert env["operator_kernel"] == runtime.operator_kernel() in ("dsyrk", "matmul")
-        assert env["gd_kernel"] == runtime.gd_kernel() in ("dsymv", "matmul")
         if runtime.blas_threads() is None:
             pytest.skip("no OpenBLAS thread symbol in this numpy build")
         assert env["blas_threads"] == 1

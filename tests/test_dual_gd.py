@@ -5,10 +5,9 @@ c_{t+1} = c_t - alpha (G c_t - v) on the Gram matrix G = Z Z^T / n and maps
 back with theta = Z^T c / n.  Each test runs the primal loop
 theta_{t+1} = theta_t - alpha (Sigma_hat theta_t - Z^T v / n), written out
 here, and checks the iterates, and the risks of `fit_gd_path`'s iterates at
-every step, against it.  Each step, on either route, is one symmetric
-matrix-vector product (`runtime.symmetric_step`); it is checked against its
-np.matmul fallback, which on the primal route does the oracle's arithmetic
-bit for bit.
+every step, against it.  Each step, on either route, is one np.matmul of
+the operator with the iterate; on the primal route the loop does the
+oracle's arithmetic, so it is checked against the oracle bit for bit.
 A trajectory at least as long as a wide operator (LOW_RANK_MIN_WIDTH) on
 a design of full rank instead takes the landweber closed form on the
 operator's eigendecomposition; it is checked against the dense loop and the
@@ -23,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from specrf import estimator, features, neuralop, runtime, spectral
+from specrf import estimator, features, neuralop, spectral
 
 TOL = 1e-10
 
@@ -153,7 +152,7 @@ def test_dual_path_snapshots_match_primal_oracle(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CASES)
 def test_operators_are_exactly_symmetric(name):
-    """The GD step reads one triangle of cov() or gram(); both must be
+    """np.linalg.eigh reads one triangle of cov() or gram(); both must be
     symmetric to the last bit, not just to rounding."""
     design, *_ = CASES[name]()
     for op in (design.cov(), design.gram()):
@@ -163,11 +162,11 @@ def test_operators_are_exactly_symmetric(name):
 
 @pytest.mark.parametrize("route", ["primal", "dual"])
 @pytest.mark.parametrize("name", CASES)
-def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
-    """1024 steps of fit_gd and fit_gd_path (with the risks at every step) on
-    the symmetric kernel against the np.matmul fallback it replaces.  On the
-    primal route the fallback does the oracle's arithmetic, so it gives the
-    oracle's iterates bit for bit."""
+def test_dense_loop_matches_primal_oracle_bit_for_bit(name, route, monkeypatch):
+    """1024 steps of fit_gd and fit_gd_path forced onto the dense loop.  On
+    the primal route the loop does the oracle's arithmetic, so it gives the
+    oracle's iterates bit for bit; on either route fit_gd gives the bits of
+    the path's last stop."""
     design, V, _, _, alpha = (PRIMAL_CASES if route == "primal" else CASES)[name]()
     rows, dim = design.shape
     assert (dim <= rows) == (route == "primal")
@@ -177,26 +176,13 @@ def test_symmetric_step_matches_matmul_fallback(name, route, monkeypatch):
     assert operator_width(design) < estimator.LOW_RANK_MIN_WIDTH
     assert estimator.closed_forms(operator_width(design), stops[-1]) == ("eigh",)
     dense_loop(monkeypatch)
-
-    def fits():
-        return (estimator.fit_gd(design, V, alpha, stops[-1]),
-                estimator.fit_gd_path(design, V, alpha, range(1, stops[-1] + 1)))
-
-    fast, fast_path = fits()
-    monkeypatch.setattr(runtime, "_dsymv", lambda: None)
-    assert runtime.gd_kernel() == "matmul"
-    slow, slow_path = fits()
-    assert rel(fast.theta, slow.theta) < 1e-12
-    np.testing.assert_allclose(path_risks(design, V, fast_path),
-                               path_risks(design, V, slow_path), rtol=1e-12, atol=0.0)
-    np.testing.assert_array_equal(fast_path[-1].theta, fast.theta)
-    for step in stops:
-        assert rel(fast_path[step - 1].theta, slow_path[step - 1].theta) < 1e-12, step
+    single = estimator.fit_gd(design, V, alpha, stops[-1])
+    path = estimator.fit_gd_path(design, V, alpha, stops)
+    np.testing.assert_array_equal(single.theta, path[-1].theta)
     if route == "primal":
         thetas, _ = primal_oracle(design, V, alpha, stops[-1])
-        np.testing.assert_array_equal(slow.theta, thetas[-1])
-        for step in stops:
-            np.testing.assert_array_equal(slow_path[step - 1].theta, thetas[step - 1])
+        for step, model in zip(stops, path):
+            np.testing.assert_array_equal(model.theta, thetas[step - 1])
 
 
 # wide enough for a closed form and of full rank, so the low-rank route
@@ -243,26 +229,6 @@ def test_reduced_route_matches_dense_loop_and_oracle(route, monkeypatch):
     for step, r in zip(REDUCED_STOPS, reduced):
         assert rel(r.theta, thetas[step - 1]) < TOL, step
         assert rel(r.theta, dense[step - 1].theta) < 1e-12, step
-
-
-@pytest.mark.parametrize("fallback", [False, True])
-def test_symmetric_step_writes_the_gradient(fallback, monkeypatch):
-    if fallback:
-        monkeypatch.setattr(runtime, "_dsymv", lambda: None)
-    rng = np.random.default_rng(5)
-    Z = rng.normal(size=(60, 50))
-    a = Z.T @ Z / 60
-    x, target, out = rng.normal(size=50), rng.normal(size=50), np.empty(50)
-    step = runtime.symmetric_step(a, x, target, out)
-    for _ in range(2):              # reads x as it is at each call
-        step()
-        expected = a @ x - target
-        assert rel(out, expected) < 1e-14
-        x += 1.0
-    with pytest.raises(ValueError):
-        runtime.symmetric_step(np.asfortranarray(a), x, target, out)
-    with pytest.raises(ValueError):
-        runtime.symmetric_step(a, x[:-1], target, out)
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from specrf import features, synthetic
 from specrf.features import (
     FeatureError,
+    FeatureSet,
     OperatorArchitecture,
     UnsupportedOracleError,
     build_design,
     discrete_map,
-    feature_set_from_samples,
     gaussian_kernel,
     identity_act,
     kernel_approx,
@@ -74,7 +74,7 @@ class TestSampling:
 class TestKernels:
     def test_sign_map_reproduces_linear_kernel(self):
         fmap = sign_map()
-        fs = feature_set_from_samples(fmap, np.array([1.0, -1.0]))
+        fs = FeatureSet(fmap, np.array([1.0, -1.0]))
         for u, u2 in [(0.3, 0.5), (1.0, -2.0), (0.0, 4.0)]:
             assert kernel_approx(fs, u, u2)[0, 0] == pytest.approx(u * u2)
             assert kernel_exact(fmap, u, u2)[0, 0] == pytest.approx(u * u2)

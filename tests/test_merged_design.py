@@ -124,7 +124,7 @@ def test_rff_design_unchanged():
 
 def test_distinct_keeps_first_appearance_order():
     fmap = synthetic.make_problem(synthetic.spectrum_spec(1.0, 8), 0.5, 1.0, 0).feature_map
-    fs = features.feature_set_from_samples(fmap, np.array([3, 1, 3, 3, 2, 1]))
+    fs = features.FeatureSet(fmap, np.array([3, 1, 3, 3, 2, 1]))
     omegas, counts = fs.distinct
     np.testing.assert_array_equal(omegas, [3, 1, 2])
     np.testing.assert_array_equal(counts, [3.0, 2.0, 1.0])

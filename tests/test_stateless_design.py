@@ -95,7 +95,7 @@ def probe_design(U, width, last):
 
     fmap = features.discrete_map(samples, np.full(width, 1.0 / width), evaluate,
                                  p=1, d_v=1, kappa=1.0)
-    return features.DesignMatrix(features.feature_set_from_samples(fmap, samples), U)
+    return features.DesignMatrix(features.FeatureSet(fmap, samples), U)
 
 
 ROWS, COLUMNS = {"rows": 1, "columns": 0}, {"rows": 0, "columns": 1}

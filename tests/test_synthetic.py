@@ -73,14 +73,6 @@ class TestProblemConstruction:
         problem = make_problem(spec, r=0.7, R=1.5, seed=4)
         assert np.linalg.norm(problem.source.h) == pytest.approx(1.5)
 
-    def test_manifest_roundtrip(self):
-        spec = spectrum_spec(b=1.0, d_max=16)
-        problem = make_problem(spec, r=0.5, R=1.0, seed=5)
-        import json
-
-        doc = json.loads(problem.to_json())
-        assert doc["d_max"] == 16 and doc["seed"] == 5
-
 
 #: inputs per `_cos_table` block at K = 512, the largest K tested, with the
 #: budget TestCosineKernel sets
@@ -159,7 +151,7 @@ class TestCosineKernel:
         spec = spectrum_spec(b=1.0, d_max=512)
         fmap = make_problem(spec, r=0.5, R=1.0, seed=0).feature_map
         draws = np.array([37, 5, 5, 200, 0, 511, 37, 63, 5])
-        omegas, _ = features.feature_set_from_samples(fmap, draws).distinct
+        omegas, _ = features.FeatureSet(fmap, draws).distinct
         assert list(omegas) == [37, 5, 200, 0, 511, 63]
         U = kernel_inputs(BLOCK + 1)
         for subset in (omegas, omegas[[3, 1]]):    # the second needs K = 6 only
@@ -327,7 +319,7 @@ class TestLMEigenvalues:
         spec = spectrum_spec(b=1.0, d_max=8)
         problem = make_problem(spec, r=0.5, R=1.0, seed=0)
         fmap = problem.feature_map
-        fs = features.feature_set_from_samples(fmap, np.array([0, 0, 3]))
+        fs = features.FeatureSet(fmap, np.array([0, 0, 3]))
         nu = synthetic.lm_eigenvalues(problem, fs)
         expected = np.zeros(8)
         expected[0] = 8 * spec.eigenvalues[0] * 2 / 3
