@@ -153,7 +153,6 @@ DEFAULTS: dict[str, dict] = {
         "max_landweber_steps": 100,
         "landweber_alpha": 1.0,
         "q_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "broken_filter": False,       # inject an E-violating filter (for tests)
         "problem": {"r": 0.5, "b": 1.0, "d_max": 32, "R": 1.0,
                     "noise_half_width": 0.3},
         "events": list(conclab.ALL_EVENTS),
@@ -320,6 +319,10 @@ def validate_config(command: str, cfg: dict) -> None:
     # symmetric initialization pairs the hidden units
     if command == "ntk-compare" and any(m % 2 for m in cfg["M_grid"]):
         raise ConfigError("ntk-compare M_grid entries must be even and >= 2")
+    # an identity map's kappa is infinite, and sweep-heatmap normalizes its designs
+    if command == "sweep-heatmap" and cfg["activation"] == "identity":
+        raise ConfigError("sweep-heatmap needs a bounded activation: 'identity' "
+                          "gives an unbounded feature map")
     if command == "rates" and cfg["filter"] not in ("tikhonov", "landweber"):
         raise ConfigError("rates filter must be 'tikhonov' or 'landweber'")
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
@@ -334,6 +337,11 @@ def validate_config(command: str, cfg: dict) -> None:
 
 def _activation(name: str) -> features.Activation:
     return features.tanh_act() if name == "tanh" else features.identity_act()
+
+
+def _seeds(seed: int, k: int) -> list[int]:
+    """k independent integer seeds spawned from `seed`."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(k)]
 
 
 def _build_problem(pcfg: dict, seed: int):
@@ -400,14 +408,14 @@ def cmd_gen(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
 
 def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     seed = cfg["seed"]
-    rng_seeds = np.random.SeedSequence(seed).spawn(3)
+    data_seed, test_seed, feat_seed = _seeds(seed, 3)
     oracle = None
     if cfg["csv"] is not None:
         ds = dataio.load_csv(cfg["csv"], label_column=cfg["label_column"],
                              feature_columns=cfg["feature_columns"],
                              row_limit=cfg["row_limit"])
         train, test = dataio.split(ds, int(cfg["n_train"]), int(cfg["n_test"]),
-                                   seed=int(rng_seeds[0].generate_state(1)[0]))
+                                   seed=data_seed)
         if cfg["standardize"]:
             train, params = dataio.standardize(train)
             test = dataio.apply_standardize(test, params)
@@ -417,18 +425,15 @@ def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
         inputs_hash = dataio.file_sha256(cfg["csv"])
     else:
         problem, noise = _build_problem(cfg["problem"], seed)
-        U_tr, V_tr = synthetic.sample_dataset(
-            problem, int(cfg["n_train"]), noise,
-            seed=int(rng_seeds[0].generate_state(1)[0]))
-        U_te, V_te = synthetic.sample_dataset(
-            problem, int(cfg["n_test"]), noise,
-            seed=int(rng_seeds[1].generate_state(1)[0]))
+        U_tr, V_tr = synthetic.sample_dataset(problem, int(cfg["n_train"]), noise,
+                                              seed=data_seed)
+        U_te, V_te = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise,
+                                              seed=test_seed)
         fmap = problem.feature_map
         oracle = problem.target
         inputs_hash = None
 
-    fs = features.sample_features(fmap, int(cfg["M"]),
-                                  seed=int(rng_seeds[2].generate_state(1)[0]))
+    fs = features.sample_features(fmap, int(cfg["M"]), seed=feat_seed)
     design = features.build_design(fs, U_tr)
     name = cfg["filter"]
     if name == "landweber":
@@ -461,10 +466,7 @@ def _heatmap_cell(args: dict) -> list[dict]:
     """All T-grid errors for one (M, repetition): a single GD trajectory."""
     cfg = args["cfg"]
     problem, noise = _build_problem(cfg["problem"], cfg["seed"])
-    data_seed, test_seed, feat_seed = [
-        int(s.generate_state(1)[0])
-        for s in np.random.SeedSequence(args["cell_seed"]).spawn(3)
-    ]
+    data_seed, test_seed, feat_seed = _seeds(args["cell_seed"], 3)
     U_tr, V_tr = synthetic.sample_dataset(problem, int(cfg["n_train"]), noise, data_seed)
     U_te, V_te = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise, test_seed)
 
@@ -491,16 +493,10 @@ def cmd_sweep_heatmap(cfg: dict, out: Path,
                       flags: argparse.Namespace) -> tuple[int, list, dict]:
     reps = int(cfg["repetitions"])
     m_grid, t_grid = sorted(set(cfg["M_grid"])), sorted(set(cfg["T_grid"]))
-    cells = []
-    root = np.random.SeedSequence(cfg["seed"])
-    cell_seeds = root.spawn(len(m_grid) * reps)
-    k = 0
-    for m in m_grid:
-        for rep in range(reps):
-            cells.append({"cfg": cfg, "M": m, "rep": rep, "T_grid": t_grid,
-                          "cell_seed": int(cell_seeds[k].generate_state(1)[0]),
-                          "label": f"heatmap cell M={m} rep={rep}"})
-            k += 1
+    cell_seeds = iter(_seeds(cfg["seed"], len(m_grid) * reps))
+    cells = [{"cfg": cfg, "M": m, "rep": rep, "T_grid": t_grid,
+              "cell_seed": next(cell_seeds), "label": f"heatmap cell M={m} rep={rep}"}
+             for m in m_grid for rep in range(reps)]
     nested = _pmap(functools.partial(_run_cell, _heatmap_cell), cells, flags.jobs,
                    size=lambda cell: cell["M"])
     flat = [row for rows in nested for row in rows]
@@ -554,10 +550,7 @@ def _rates_cell(args: dict) -> dict:
     cfg = args["cfg"]
     problem, noise = _build_problem(cfg, cfg["problem_seed"])
     sched: dict = args["schedule"]
-    data_seed, test_seed, feat_seed = [
-        int(s.generate_state(1)[0])
-        for s in np.random.SeedSequence(args["cell_seed"]).spawn(3)
-    ]
+    data_seed, test_seed, feat_seed = _seeds(args["cell_seed"], 3)
     U_tr, V_tr = synthetic.sample_dataset(problem, args["n"], noise, data_seed)
     U_te = synthetic.sample_inputs(int(cfg["n_test"]), test_seed)
     fs = features.sample_features(problem.feature_map, sched["M_n"], feat_seed)
@@ -582,18 +575,12 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
     mult = synthetic.ScheduleMultipliers(C=cfg["C_multiplier"], M=cfg["M_multiplier"], p=1)
     n_grid = sorted(set(cfg["n_grid"]))
     reps = int(cfg["repetitions"])
-    cells = []
-    root = np.random.SeedSequence(cfg["seed"])
-    cell_seeds = root.spawn(len(n_grid) * reps)
-    k = 0
-    for n in n_grid:
-        sched = synthetic.rate_schedule(n, cfg["r"], cfg["b"], cfg["delta"], mult)
-        for rep in range(reps):
-            cells.append({"cfg": cfg, "n": n, "rep": rep,
-                          "schedule": sched.to_dict(),
-                          "cell_seed": int(cell_seeds[k].generate_state(1)[0]),
-                          "label": f"rates cell n={n} rep={rep}"})
-            k += 1
+    schedules = {n: synthetic.rate_schedule(n, cfg["r"], cfg["b"], cfg["delta"], mult)
+                 for n in n_grid}
+    cell_seeds = iter(_seeds(cfg["seed"], len(n_grid) * reps))
+    cells = [{"cfg": cfg, "n": n, "rep": rep, "schedule": schedules[n].to_dict(),
+              "cell_seed": next(cell_seeds), "label": f"rates cell n={n} rep={rep}"}
+             for n in n_grid for rep in range(reps)]
     rows = _pmap(functools.partial(_run_cell, _rates_cell), cells, flags.jobs,
                  size=lambda cell: cell["n"])
 
@@ -622,13 +609,6 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
 # ---------------------------------------------------------------------------
 # verify
 
-def _broken_filter() -> spectral.SpectralFilter:
-    """phi_lambda(t) = 2/lambda violates the E bound (|phi| * lambda = 2)."""
-    return spectral.SpectralFilter(
-        kind="custom", custom_phi=lambda lam, t: np.full_like(t, 2.0 / lam)
-    )
-
-
 def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     n_pts = int(cfg["grid_points"])
     t_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
@@ -645,8 +625,6 @@ def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, li
         ),
         (spectral.cutoff(), lam_grid, q_full),
     ]
-    if cfg["broken_filter"]:
-        checks.append((_broken_filter(), lam_grid, []))
 
     filter_rows = []
     any_flag = False
@@ -659,8 +637,7 @@ def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, li
 
     problem, noise = _build_problem(cfg["problem"], cfg["seed"])
     event_rows = []
-    event_seeds = np.random.SeedSequence(cfg["seed"]).spawn(len(cfg["events"]))
-    for eid, eseed in zip(cfg["events"], event_seeds):
+    for eid, eseed in zip(cfg["events"], _seeds(cfg["seed"], len(cfg["events"]))):
         espec = conclab.EventSpec(
             event_id=eid, kappa=problem.kappa, delta=cfg["delta"],
             lam=cfg["event_lambda"], n=int(cfg["event_n"]), M=int(cfg["event_M"]),
@@ -668,7 +645,7 @@ def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, li
         try:
             report = conclab.simulate_event(espec, problem, noise,
                                             trials=int(cfg["trials"]),
-                                            seed=int(eseed.generate_state(1)[0]))
+                                            seed=eseed)
         except conclab.ConcentrationConfigError as exc:
             raise ConfigError(f"event {eid} failed: {exc}") from exc
         except Exception as exc:
@@ -715,8 +692,7 @@ def _ntk_cell(args: dict) -> dict:
 
 
 def cmd_ntk_compare(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
-    seeds = [int(s.generate_state(1)[0])
-             for s in np.random.SeedSequence(cfg["seed"]).spawn(int(cfg["repetitions"]))]
+    seeds = _seeds(cfg["seed"], int(cfg["repetitions"]))
     cells = [{"cfg": cfg, "M": m, "seed": seed,
               "label": f"ntk-compare cell M={m} seed={seed}"}
              for m in sorted(set(cfg["M_grid"])) for seed in seeds]

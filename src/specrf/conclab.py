@@ -83,7 +83,6 @@ class EventSpec:
     lam: float | None = None
     n: int | None = None
     M: int | None = None
-    p: int = 1
     n_eff_l: float | None = None       # N_L(lambda)
     n_eff_lm: float | None = None      # N_{L_M}(lambda)
     norm_l: float | None = None        # ||L||
@@ -141,7 +140,7 @@ def event_rhs(spec: EventSpec) -> float:
                                v_norm * k2 * (spec.n_eff_lm + 1.0) / spec.norm_lm, spec.n, d)
     if eid == "E2":
         spec.require("lam", "M", "n_eff_l", "norm_l")
-        v_norm = spec.p * k2 / spec.lam
+        v_norm = k2 / spec.lam     # p k^2 / lambda at the synthetic map's p = 1
         return bernstein_bound(2.0 * k2 / spec.lam, v_norm,
                                v_norm * k2 * (spec.n_eff_l + 1.0) / spec.norm_l, spec.M, d)
     if eid == "E3":

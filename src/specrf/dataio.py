@@ -5,7 +5,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,6 @@ class ParseError(DataError):
 class Dataset:
     inputs: np.ndarray           # (n, d_in)
     outputs: np.ndarray          # (n, d_v)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -102,46 +101,32 @@ def load_csv(
     bad = [c for c in feature_columns if not 0 <= c < n_cols or c == label_column]
     if bad:
         raise DataError(f"invalid feature columns: {bad}")
-    return Dataset(
-        inputs=table[:, feature_columns],
-        outputs=table[:, [label_column]],
-        meta={"source": str(path), "label_column": label_column,
-              "feature_columns": feature_columns},
-    )
+    return Dataset(inputs=table[:, feature_columns], outputs=table[:, [label_column]])
 
 
 @dataclass(frozen=True)
 class StandardizeParams:
     mean: np.ndarray
     scale: np.ndarray            # 1.0 where the column had zero variance
-    constant_columns: tuple[int, ...]
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, StandardizeParams]:
     """Center and scale features to mean 0, variance 1 (population convention).
 
-    Zero-variance columns are left unscaled and flagged in the params.
+    Zero-variance columns are centered and left unscaled.
     """
     if ds.n < 2:
         raise DataError("standardize needs at least 2 rows")
-    mean = ds.inputs.mean(axis=0)
     var = ds.inputs.var(axis=0)
-    constant = np.flatnonzero(var == 0.0)
-    scale = np.sqrt(np.where(var == 0.0, 1.0, var))
-    params = StandardizeParams(
-        mean=mean, scale=scale, constant_columns=tuple(int(c) for c in constant)
-    )
+    params = StandardizeParams(mean=ds.inputs.mean(axis=0),
+                               scale=np.sqrt(np.where(var == 0.0, 1.0, var)))
     return apply_standardize(ds, params), params
 
 
 def apply_standardize(ds: Dataset, params: StandardizeParams) -> Dataset:
     """Apply previously fitted parameters (e.g. train statistics to a test split)."""
     inputs = (ds.inputs - params.mean) / params.scale
-    meta = dict(ds.meta)
-    meta["standardized"] = True
-    if params.constant_columns:
-        meta["constant_columns"] = list(params.constant_columns)
-    return Dataset(inputs=inputs, outputs=ds.outputs.copy(), meta=meta)
+    return Dataset(inputs=inputs, outputs=ds.outputs.copy())
 
 
 def split(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
@@ -152,12 +137,7 @@ def split(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, D
         )
     perm = np.random.default_rng(seed).permutation(ds.n)
     tr, te = perm[:n_train], perm[n_train:n_train + n_test]
-    meta_tr = dict(ds.meta, split="train", split_seed=seed)
-    meta_te = dict(ds.meta, split="test", split_seed=seed)
-    return (
-        Dataset(ds.inputs[tr], ds.outputs[tr], meta_tr),
-        Dataset(ds.inputs[te], ds.outputs[te], meta_te),
-    )
+    return Dataset(ds.inputs[tr], ds.outputs[tr]), Dataset(ds.inputs[te], ds.outputs[te])
 
 
 def _format_cell(value) -> str:

@@ -71,7 +71,6 @@ __all__ = [
     "fit_closed",
     "fit_gd",
     "fit_gd_path",
-    "predict",
     "predict_batch",
     "evaluate",
     "evaluate_path",
@@ -94,7 +93,6 @@ class RFModel:
     feature_set: FeatureSet
     theta: np.ndarray
     kappa_scale: float
-    filter_kind: str
     lam: float
 
     @property
@@ -127,12 +125,11 @@ def _reject_degenerate(norm: float) -> None:
         raise EstimatorError("design matrix is identically zero")
 
 
-def _model(design: DesignMatrix, theta: np.ndarray, filter_kind: str, lam: float) -> RFModel:
+def _model(design: DesignMatrix, theta: np.ndarray, lam: float) -> RFModel:
     return RFModel(
         feature_set=design.feature_set,
         theta=theta,
         kappa_scale=design.kappa_scale,
-        filter_kind=filter_kind,
         lam=lam,
     )
 
@@ -159,7 +156,7 @@ def fit_closed(
         theta = spectral.tikhonov_solve(cov, lam, rhs)
     else:
         theta = spectral.apply_filter(filt, lam, cov, rhs)
-    return _model(design, theta, filt.kind, lam)
+    return _model(design, theta, lam)
 
 
 #: Columns k of the Gaussian test matrix of the low-rank route
@@ -320,7 +317,7 @@ def fit_gd(
     if n_steps < 1:
         raise EstimatorError(f"n_steps must be >= 1, got {n_steps}")
     theta, = _descend(design, outputs, alpha, [n_steps])
-    return _model(design, theta, "landweber", 1.0 / (alpha * n_steps))
+    return _model(design, theta, 1.0 / (alpha * n_steps))
 
 
 def fit_gd_path(
@@ -343,19 +340,14 @@ def fit_gd_path(
     if not stops or stops[0] < 1:
         raise EstimatorError("checkpoints must be positive iteration counts")
     thetas = _descend(design, outputs, alpha, stops)
-    return [_model(design, theta, "landweber", 1.0 / (alpha * step))
+    return [_model(design, theta, 1.0 / (alpha * step))
             for step, theta in zip(stops, thetas)]
 
 
-def predict(model: RFModel, u) -> np.ndarray:
-    """Prediction (1/sqrt(M)) sum_{m,i} theta_mi phi_i(u, w_m), kappa-consistent,
-    with the sum over M draws folded onto the distinct ones."""
-    return predict_batch(model, np.asarray(u, dtype=float)[None, ...])[0]
-
-
 def predict_batch(model: RFModel, U) -> np.ndarray:
-    """Predictions for a batch of inputs, shape (len(U), d_v)
-    (`features.predict_values`)."""
+    """Predictions (1/sqrt(M)) sum_{m,i} theta_mi phi_i(u, w_m) for a batch of
+    inputs, kappa-consistent, shape (len(U), d_v), with the sum over M draws
+    folded onto the distinct ones (`features.predict_values`)."""
     return features.predict_values(model.feature_set, model.theta, U, model.kappa_scale)
 
 

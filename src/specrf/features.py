@@ -63,31 +63,23 @@ class UnsupportedOracleError(FeatureError):
 
 @dataclass(frozen=True)
 class Activation:
-    """sigma and sigma'.  `f`, `df` and `df_of_f` take an optional `out`
-    array to write into, as numpy ufuncs do."""
+    """sigma, and sigma' written as a function of sigma(z).  `f` and
+    `df_of_f` take an optional `out` array to write into, as numpy ufuncs do."""
 
     name: str
     f: Callable[..., np.ndarray]
-    df: Callable[..., np.ndarray]
+    df_of_f: Callable[..., np.ndarray]
     sup_abs: float        # sup |sigma|
     sup_abs_deriv: float  # sup |sigma'|
-    # sigma' written as a function of sigma(z), when it is one
-    df_of_f: Callable[..., np.ndarray] | None = None
 
     def f_and_df(self, z: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma(z), sigma'(z)), deriving sigma' from sigma(z) where possible.
+        """(sigma(z), sigma'(z)), sigma' derived from sigma(z).
 
         With out=(f_out, df_out) both are written in place; df_out may be z
         itself, because z is last read before sigma' is written."""
         f_out, df_out = (None, None) if out is None else out
         fz = self.f(z, out=f_out)
-        if self.df_of_f is None:
-            return fz, self.df(z, out=df_out)
         return fz, self.df_of_f(fz, out=df_out)
-
-
-def _sech_squared(z, out=None):
-    return np.divide(1.0, np.cosh(z) ** 2, out=out)
 
 
 def _one_minus_square(t, out=None):
@@ -110,8 +102,7 @@ def _ones(z, out=None):
 
 
 def tanh_act() -> Activation:
-    return Activation("tanh", np.tanh, _sech_squared, 1.0, 1.0,
-                      df_of_f=_one_minus_square)
+    return Activation("tanh", np.tanh, _one_minus_square, 1.0, 1.0)
 
 
 def identity_act() -> Activation:
@@ -564,14 +555,13 @@ class OperatorArchitecture:
     values in R^{d_y}; plain-vector inputs are the n_X = 1 case.  The combined
     representation is J(u)(x) = (A(u)(x), u(x), c(x)) with A the identity lift
     duplicating the input channels (d_k = d_y) when `use_lift` is set, and c
-    the bias channel (constant 1 by default).
+    the bias channel, the constant 1.
     """
 
     activation: Activation
     grid: np.ndarray
     d_y: int = 1
     use_lift: bool = True
-    bias: np.ndarray | None = None
 
     @property
     def n_x(self) -> int:
@@ -582,19 +572,8 @@ class OperatorArchitecture:
         return self.d_y if self.use_lift else 0
 
     @property
-    def bias_values(self) -> np.ndarray:
-        if self.bias is None:
-            return np.ones((self.n_x, 1))
-        b = np.asarray(self.bias, dtype=float)
-        return b.reshape(self.n_x, -1)
-
-    @property
-    def d_b(self) -> int:
-        return self.bias_values.shape[1]
-
-    @property
     def d_tilde(self) -> int:
-        return self.d_k + self.d_y + self.d_b
+        return self.d_k + self.d_y + 1
 
     def coerce_inputs(self, U: Any) -> np.ndarray:
         """Normalize input batches to shape (n, n_X, d_y)."""
@@ -621,8 +600,7 @@ class OperatorArchitecture:
         if self.use_lift:
             parts.append(U)
         parts.append(U)
-        bias = np.broadcast_to(self.bias_values, (U.shape[0],) + self.bias_values.shape)
-        parts.append(bias)
+        parts.append(np.ones(U.shape[:2] + (1,)))
         return np.concatenate(parts, axis=2)
 
     def preactivations(self, U: Any, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -652,8 +630,6 @@ def ntk_feature_map(
     infinite and designs must be built unnormalized.
     """
     act = arch.activation
-    if act.df is None:
-        raise FeatureError("NTK feature map requires a differentiable activation")
     d_tilde = arch.d_tilde
     if input_bound is not None and math.isfinite(act.sup_abs):
         kappa = math.sqrt(

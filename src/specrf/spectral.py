@@ -18,8 +18,8 @@ All filters assume the operator spectrum has been rescaled into [0, 1]
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -59,28 +59,29 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralFilter:
-    """A regularization family with its qualification and constants c_q
-    (D, E and c0 are the module constants FILTER_D, FILTER_E, FILTER_C0).
-
-    `kind` is one of "tikhonov", "landweber", "cutoff" or "custom".  The
-    custom kind evaluates `custom_phi(lam, t)` and exists so that broken
-    filters can be injected into `verify_filter_constants` (the residual is
-    always derived as 1 - t*phi, keeping complementarity exact).
-    """
+    """A regularization family, "tikhonov", "landweber" or "cutoff", and its
+    step size alpha in (0, 1] (landweber only).  The kind fixes the
+    qualification nu and the constants c_q; D, E and c0 are the module
+    constants FILTER_D, FILTER_E, FILTER_C0."""
 
     kind: str
-    step_size: float = 1.0  # landweber only; alpha in (0, 1]
-    qualification: float = 1.0  # nu; math.inf for landweber and cutoff
-    c_q_provider: Callable[[float], float] = field(default=lambda q: 1.0)
-    custom_phi: Callable[[float, np.ndarray], np.ndarray] | None = None
+    step_size: float = 1.0
+
+    @property
+    def qualification(self) -> float:
+        """nu: 1 for tikhonov, unbounded for landweber and cutoff."""
+        return 1.0 if self.kind == "tikhonov" else math.inf
 
     def c_q(self, q: float) -> float:
-        return self.c_q_provider(q)
+        """(q/alpha)^q for landweber at q > 0, else 1."""
+        if self.kind == "landweber" and q > 0.0:
+            return (q / self.step_size) ** q
+        return 1.0
 
 
 def tikhonov() -> SpectralFilter:
     """Tikhonov filter: qualification 1, all constants equal to 1."""
-    return SpectralFilter(kind="tikhonov", qualification=1.0)
+    return SpectralFilter(kind="tikhonov")
 
 
 def landweber(step_size: float = 1.0) -> SpectralFilter:
@@ -91,22 +92,12 @@ def landweber(step_size: float = 1.0) -> SpectralFilter:
     """
     if not 0.0 < step_size <= 1.0:
         raise FilterDomainError(f"landweber step size must be in (0, 1], got {step_size}")
-    alpha = float(step_size)
-
-    def c_q(q: float) -> float:
-        return 1.0 if q == 0.0 else (q / alpha) ** q
-
-    return SpectralFilter(
-        kind="landweber",
-        step_size=alpha,
-        qualification=math.inf,
-        c_q_provider=c_q,
-    )
+    return SpectralFilter(kind="landweber", step_size=float(step_size))
 
 
 def cutoff() -> SpectralFilter:
     """Spectral cutoff (truncated inversion): unbounded qualification, c_q = 1."""
-    return SpectralFilter(kind="cutoff", qualification=math.inf)
+    return SpectralFilter(kind="cutoff")
 
 
 def _landweber_steps(filt: SpectralFilter, lam: float) -> int:
@@ -152,10 +143,6 @@ def _phi_array(filt: SpectralFilter, lam: float, t: np.ndarray) -> np.ndarray:
         keep = t >= lam
         out[keep] = 1.0 / t[keep]
         return out
-    if filt.kind == "custom":
-        if filt.custom_phi is None:
-            raise FilterDomainError("custom filter requires custom_phi")
-        return np.asarray(filt.custom_phi(lam, t), dtype=float)
     raise FilterDomainError(f"unknown filter kind {filt.kind!r}")
 
 

@@ -168,9 +168,6 @@ class SyntheticProblem:
         """sup_u |G_rho(u)| <= sqrt(2) sum |g_i|."""
         return math.sqrt(2.0) * float(np.sum(np.abs(self.source.coefficients)))
 
-    def target_l2_norm(self) -> float:
-        return float(np.linalg.norm(self.source.coefficients))
-
 
 def _cos_table(u: np.ndarray, K: int) -> np.ndarray:
     """cos(pi k u_j) for k = 1..K, shape (K, len(u)): row k-1 holds frequency k.

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specrf import cli, conclab, dataio, estimator, neuralop, runtime
+from specrf import cli, conclab, dataio, estimator, neuralop, runtime, spectral
 
 
 def run(command, tmp_path, config=None, seed=3, extra_args=()):
@@ -33,6 +33,13 @@ def assert_jobs_do_not_change_the_bytes(command, config, names, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["environment"]["jobs"] == 2
+
+
+def break_filters(monkeypatch):
+    """Every filter becomes phi_lambda(t) = 2/lambda, whose |phi| lambda = 2
+    breaks the E bound of the filter axioms."""
+    monkeypatch.setattr(spectral, "_phi_array",
+                        lambda filt, lam, t: np.full_like(t, 2.0 / lam))
 
 
 TINY_PROBLEM = {"r": 0.5, "b": 1.0, "d_max": 32, "R": 1.0, "noise_half_width": 0.3}
@@ -117,6 +124,14 @@ class TestSweepHeatmap:
         assert_jobs_do_not_change_the_bytes("sweep-heatmap", self.CFG, ["heatmap.csv"],
                                             tmp_path)
 
+    def test_identity_activation_exits_3_before_any_cell(self, tmp_path, capsys):
+        # sweep-heatmap normalizes its designs; an identity map's kappa is infinite
+        code, out = run("sweep-heatmap", tmp_path, dict(self.CFG, activation="identity"))
+        assert code == 3
+        assert ("config error: sweep-heatmap needs a bounded activation"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_jobs_do_not_change_the_bytes_on_the_low_rank_route(self, tmp_path, monkeypatch):
         """400 training inputs at M = 160 (400 x 480 designs) and T = 512 take
         the low-rank route (estimator._low_rank_descent) in every cell."""
@@ -178,9 +193,9 @@ class TestVerify:
         rates = body[:, header.index("violation_rate")]
         assert np.all(rates <= 0.1)
 
-    def test_broken_filter_exits_2(self, tmp_path):
-        cfg = dict(self.CFG, broken_filter=True)
-        code, out = run("verify", tmp_path, cfg)
+    def test_broken_filter_exits_2(self, tmp_path, monkeypatch):
+        break_filters(monkeypatch)
+        code, out = run("verify", tmp_path, self.CFG)
         assert code == 2
         header, body = dataio.load_results(out / "verify_filters.csv")
         eflags = body[:, header.index("e_flag")]
@@ -612,10 +627,11 @@ class TestPaper:
             self, tmp_path, monkeypatch):
         heat = dict(TestSweepHeatmap.CFG, M_grid=[8],
                     paper_scale={"n_train": 40, "n_test": 40, "repetitions": 1})
+        break_filters(monkeypatch)     # of the presets, only "broken" applies a filter
         monkeypatch.setattr(cli, "PRESETS", {
             "gen": ("gen", {"n": 10, "d_max": 16}),
             "heat": ("sweep-heatmap", heat),
-            "broken": ("verify", dict(TestVerify.CFG, broken_filter=True)),
+            "broken": ("verify", TestVerify.CFG),
             "bad": ("rates", {"n_grid": [100, 200]}),
         })
         out = tmp_path / "paper"
@@ -716,3 +732,19 @@ def test_order_statistics_equal_numpy(n):
         assert runtime.median(values) == float(np.median(values))
     values[n // 2] = np.nan
     assert math.isnan(runtime.quantile(values, 0.5)) and math.isnan(runtime.median(values))
+
+
+def test_benchmark_trace_hooks_install():
+    """perfbench/trace_child.py wraps the layers' functions by name
+    (`spectral.eigensystem`, `DesignMatrix.cov`, the feature-map factories
+    and more); installing its tracer succeeds, so none of them is gone.  It
+    runs in a subprocess, so nothing stays patched here."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH"))
+        if p)
+    code = "import trace_child; trace_child.install(trace_child.Tracer()); print('ok')"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

@@ -85,7 +85,7 @@ class TestEventRHS:
         common = dict(kappa=1.1, delta=0.1, lam=0.2)
         e1 = EventSpec(event_id="E1", n=150, M=1,
                        n_eff_lm=5.0, norm_lm=0.9, **common)
-        e2 = EventSpec(event_id="E2", M=150, p=1,
+        e2 = EventSpec(event_id="E2", M=150,
                        n_eff_l=5.0, norm_l=0.9, **common)
         assert event_rhs(e1) == pytest.approx(event_rhs(e2), rel=1e-12)
 

@@ -56,7 +56,7 @@ class TestLoadCSV:
         path.write_text("\n".join(rows) + "\n")
         ds = load_csv(path, label_column=0)
         assert ds.inputs.shape == (3, 14)
-        assert ds.meta["feature_columns"] == list(range(1, 15))
+        np.testing.assert_array_equal(ds.inputs, np.tile(np.arange(14.0), (3, 1)))
 
 
 class TestStandardize:
@@ -79,10 +79,10 @@ class TestStandardize:
         np.testing.assert_allclose(out.inputs.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.inputs.var(axis=0), 1.0, atol=1e-10)
 
-    def test_zero_variance_column_flagged(self):
+    def test_zero_variance_column_unscaled(self):
         ds = Dataset(np.array([[1.0, 5.0], [2.0, 5.0]]), np.zeros((2, 1)))
         out, params = standardize(ds)
-        assert params.constant_columns == (1,)
+        assert params.scale[1] == 1.0
         np.testing.assert_array_equal(out.inputs[:, 1], [0.0, 0.0])  # centered only
 
     def test_train_params_applied_to_test(self):

@@ -8,7 +8,7 @@ from specrf.estimator import (
     fit_closed,
     fit_gd,
     fit_gd_path,
-    predict,
+    predict_batch,
 )
 
 
@@ -164,25 +164,25 @@ class TestPredictEvaluate:
     def test_zero_theta_predicts_zero(self):
         _, design, _, _ = problem_design()
         model = fit_closed(design, np.zeros(40), spectral.tikhonov(), 0.5)
-        assert np.all(predict(model, 0.3) == 0.0)
+        assert np.all(predict_batch(model, [0.3]) == 0.0)
 
     def test_training_predictions_match_design_rows(self):
         _, design, U, V = problem_design(n=20, M=8, seed=2)
         model = fit_gd(design, V, 0.5, 20)
         stacked = design.Z @ model.theta / np.sqrt(design.v_weight)
-        preds = np.array([predict(model, u)[0] for u in U])
+        preds = predict_batch(model, U)[:, 0]
         np.testing.assert_allclose(preds, stacked, atol=1e-12)
 
     def test_constant_feature_hand_assembled(self):
         design = constant_design(n=3)
         model = fit_closed(design, np.full(3, 2.0), spectral.tikhonov(), 1.0)
         # Z column is the constant 1 (kappa = 1, M = 1): prediction = theta
-        assert predict(model, 0.0)[0] == pytest.approx(model.theta[0])
+        assert predict_batch(model, [0.0])[0, 0] == pytest.approx(model.theta[0])
 
     def test_perfect_model_zero_risk(self):
         _, design, U, V = problem_design(n=25, M=10, seed=3)
         model = fit_gd(design, V, 0.5, 30)
-        preds = np.array([predict(model, u)[0] for u in U])
+        preds = predict_batch(model, U)[:, 0]
         report = evaluate(model, U, preds)
         assert report.empirical_risk == pytest.approx(0.0, abs=1e-20)
 
@@ -199,7 +199,7 @@ class TestPredictEvaluate:
         n_test = 4000
         U_test = np.random.default_rng(10).uniform(size=n_test)
         report = evaluate(model, U_test, np.zeros(n_test), oracle=problem.target)
-        target_norm = problem.target_l2_norm()
+        target_norm = np.linalg.norm(problem.source.coefficients)
         assert abs(report.excess_l2 - target_norm) < 3.0 / np.sqrt(n_test)
 
     def test_empty_test_set_rejected(self):

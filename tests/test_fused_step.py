@@ -17,6 +17,8 @@ from specrf.features import OperatorArchitecture, identity_act, tanh_act
 
 RTOL = 1e-12
 ACTIVATIONS = {"tanh": tanh_act, "identity": identity_act}
+#: sigma' as a function of z
+DERIVATIVES = {"tanh": lambda z: 1.0 / np.cosh(z) ** 2, "identity": np.ones_like}
 
 
 def _arch(activation, d_y=1):
@@ -43,7 +45,8 @@ def _two_pass_gradients(no, U, V):
     n, n_x = resid.shape
     scale = 1.0 / (n * n_x * math.sqrt(no.M))
     grad_a = scale * np.einsum("nx,nxm->m", resid, s)
-    grad_b = scale * no.a[:, None] * np.einsum("nx,nxm,nxd->md", resid, act.df(z), J)
+    dsigma = DERIVATIVES[act.name](z)
+    grad_b = scale * no.a[:, None] * np.einsum("nx,nxm,nxd->md", resid, dsigma, J)
     return grad_a, grad_b
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +69,27 @@ class TestFilterValues:
         exact = alpha * sum((1.0 - alpha * t) ** k for k in range(steps))
         value = filter_value(landweber(alpha), 1.0 / (alpha * steps), t)
         assert value == pytest.approx(exact, rel=1e-12)
+
+
+FILTERS = {"tikhonov": tikhonov, "cutoff": cutoff,
+           "landweber": landweber, "landweber-0.5": lambda: landweber(0.5)}
+
+
+@pytest.mark.parametrize("make", FILTERS.values(), ids=FILTERS.keys())
+def test_a_filter_is_its_kind(make):
+    """A filter holds its kind and step size only: rebuilt or pickled, it
+    equals itself."""
+    filt = make()
+    assert filt == make()
+    assert pickle.loads(pickle.dumps(filt)) == filt
+
+
+def test_qualification_and_c_q_follow_the_kind():
+    assert tikhonov().qualification == 1.0
+    assert landweber(0.5).qualification == cutoff().qualification == math.inf
+    assert landweber(0.5).c_q(2.0) == 16.0      # (q / alpha)^q
+    assert landweber(0.5).c_q(0.0) == 1.0
+    assert tikhonov().c_q(1.0) == cutoff().c_q(3.0) == 1.0
 
 
 class TestResiduals:
@@ -216,11 +238,11 @@ class TestVerifyConstants:
         report = verify_filter_constants(cutoff(), self.T_GRID, self.LAM_GRID, self.Q_GRID)
         assert report.passed
 
-    def test_broken_filter_raises_e_flag(self):
-        broken = spectral.SpectralFilter(
-            kind="custom", custom_phi=lambda lam, t: np.full_like(t, 2.0 / lam)
-        )
-        report = verify_filter_constants(broken, self.T_GRID, self.LAM_GRID, [])
+    def test_broken_filter_raises_e_flag(self, monkeypatch):
+        # phi_lambda(t) = 2/lambda: |phi| lambda = 2 breaks the E bound
+        monkeypatch.setattr(spectral, "_phi_array",
+                            lambda filt, lam, t: np.full_like(t, 2.0 / lam))
+        report = verify_filter_constants(tikhonov(), self.T_GRID, self.LAM_GRID, [])
         assert not report.passed
         assert report.e_flag.any()
 
