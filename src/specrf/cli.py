@@ -122,9 +122,7 @@ DEFAULTS: dict[str, dict] = {
         "T_grid": [1, 4, 16, 64, 256, 1024],
         "alpha": 0.5,
         "repetitions": 10,
-        "activation": "tanh",
         "use_lift": False,            # J(u) = (u, 1): p = d + 2
-        "input_bound": None,          # default: sqrt(d_y + d_k + 1) for unit inputs
         "svg": False,
         "paper_scale": {"n_train": 5000, "n_test": 5000, "repetitions": 50},
     },
@@ -285,8 +283,6 @@ CHECKS: dict[str, tuple] = {
     # the filters are defined for lambda in (0, 1], the design's spectral range
     "lambda": (lambda v: v is None or _same_type(v, 0.0) and 0 < v <= 1,
                "must be in (0, 1] or null"),
-    "input_bound": (lambda v: v is None or _same_type(v, 0.0) and v > 0,
-                    "must be positive or null"),
 }
 
 
@@ -319,10 +315,6 @@ def validate_config(command: str, cfg: dict) -> None:
     # symmetric initialization pairs the hidden units
     if command == "ntk-compare" and any(m % 2 for m in cfg["M_grid"]):
         raise ConfigError("ntk-compare M_grid entries must be even and >= 2")
-    # an identity map's kappa is infinite, and sweep-heatmap normalizes its designs
-    if command == "sweep-heatmap" and cfg["activation"] == "identity":
-        raise ConfigError("sweep-heatmap needs a bounded activation: 'identity' "
-                          "gives an unbounded feature map")
     if command == "rates" and cfg["filter"] not in ("tikhonov", "landweber"):
         raise ConfigError("rates filter must be 'tikhonov' or 'landweber'")
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
@@ -471,14 +463,9 @@ def _heatmap_cell(args: dict) -> list[dict]:
     U_te, V_te = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise, test_seed)
 
     arch = features.OperatorArchitecture(
-        _activation(cfg["activation"]), np.zeros(1), d_y=1,
-        use_lift=bool(cfg["use_lift"]),
-    )
-    bound = cfg["input_bound"]
-    if bound is None:
-        # J(u) = ((u,) u, 1) with |u| <= 1 on the synthetic input domain
-        bound = math.sqrt(arch.d_k + arch.d_y + 1.0)
-    fmap = features.ntk_feature_map(arch, input_bound=bound)
+        features.tanh_act(), np.zeros(1), d_y=1, use_lift=bool(cfg["use_lift"]))
+    # J(u) = ((u,) u, 1) with |u| <= 1 on the synthetic input domain
+    fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(arch.d_k + arch.d_y + 1.0))
     fs = features.sample_features(fmap, args["M"], feat_seed)
     design = features.build_design(fs, U_tr.reshape(-1, 1))
 
@@ -549,15 +536,15 @@ def _rates_cell(args: dict) -> dict:
     """Excess risk of one (n, repetition) fit at the rate schedule for n."""
     cfg = args["cfg"]
     problem, noise = _build_problem(cfg, cfg["problem_seed"])
-    sched: dict = args["schedule"]
+    sched: synthetic.RateSchedule = args["schedule"]
     data_seed, test_seed, feat_seed = _seeds(args["cell_seed"], 3)
     U_tr, V_tr = synthetic.sample_dataset(problem, args["n"], noise, data_seed)
     U_te = synthetic.sample_inputs(int(cfg["n_test"]), test_seed)
-    fs = features.sample_features(problem.feature_map, sched["M_n"], feat_seed)
+    fs = features.sample_features(problem.feature_map, sched.M_n, feat_seed)
     design = features.build_design(fs, U_tr)
     # schedule lambdas live on the raw kernel scale; the design is
     # kappa-normalized, so divide by kappa^2 (exact for tikhonov)
-    lam = min(1.0, sched["lambda_n"] / problem.kappa ** 2)
+    lam = min(1.0, sched.lambda_n / problem.kappa ** 2)
     if cfg["filter"] == "tikhonov":
         model = estimator.fit_closed(design, V_tr, spectral.tikhonov(), lam)
     else:
@@ -566,9 +553,7 @@ def _rates_cell(args: dict) -> dict:
         steps = max(1, round(1.0 / lam))
         model = estimator.fit_closed(design, V_tr, spectral.landweber(1.0), 1.0 / steps)
     report = estimator.evaluate(model, U_te, np.zeros_like(U_te), oracle=problem.target)
-    return {"n": args["n"], "rep": args["rep"], "excess_l2": report.excess_l2,
-            "lambda_n": sched["lambda_n"], "T_n": sched["T_n"], "M_n": sched["M_n"],
-            "meets_n0": sched["meets_n0"]}
+    return {"n": args["n"], "rep": args["rep"], "excess_l2": report.excess_l2}
 
 
 def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
@@ -578,7 +563,7 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
     schedules = {n: synthetic.rate_schedule(n, cfg["r"], cfg["b"], cfg["delta"], mult)
                  for n in n_grid}
     cell_seeds = iter(_seeds(cfg["seed"], len(n_grid) * reps))
-    cells = [{"cfg": cfg, "n": n, "rep": rep, "schedule": schedules[n].to_dict(),
+    cells = [{"cfg": cfg, "n": n, "rep": rep, "schedule": schedules[n],
               "cell_seed": next(cell_seeds), "label": f"rates cell n={n} rep={rep}"}
              for n in n_grid for rep in range(reps)]
     rows = _pmap(functools.partial(_run_cell, _rates_cell), cells, flags.jobs,
@@ -587,11 +572,11 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
     per_n = []
     for n in n_grid:
         vals = np.array([r["excess_l2"] for r in rows if r["n"] == n])
-        first = next(r for r in rows if r["n"] == n)
+        sched = schedules[n]
         per_n.append({"n": n, "excess_l2": float(vals.mean()),
                       "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                      "lambda_n": first["lambda_n"], "T_n": first["T_n"],
-                      "M_n": first["M_n"], "meets_n0": first["meets_n0"]})
+                      "lambda_n": sched.lambda_n, "T_n": sched.T_n,
+                      "M_n": sched.M_n, "meets_n0": sched.meets_n0})
     slope = synthetic.fit_rate([p["n"] for p in per_n],
                                [p["excess_l2"] for p in per_n])
     target = -cfg["r"] / (2.0 * cfg["r"] + cfg["b"])
@@ -611,51 +596,36 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
 
 def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     n_pts = int(cfg["grid_points"])
-    t_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
-    lam_grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
-    q_full = list(cfg["q_grid"])
-
-    checks = [
-        (spectral.tikhonov(), lam_grid, [q for q in q_full if q <= 1.0]),
-        (
-            spectral.landweber(cfg["landweber_alpha"]),
-            spectral.landweber_lambda_grid(cfg["landweber_alpha"],
-                                           int(cfg["max_landweber_steps"])),
-            q_full,
-        ),
-        (spectral.cutoff(), lam_grid, q_full),
-    ]
-
+    grid = np.linspace(1.0 / n_pts, 1.0, n_pts)
+    alpha = cfg["landweber_alpha"]
+    landweber_lams = spectral.landweber_lambda_grid(alpha, int(cfg["max_landweber_steps"]))
     filter_rows = []
-    any_flag = False
-    for filt, lams, qs in checks:
-        report = spectral.verify_filter_constants(filt, t_grid, lams, qs)
-        any_flag = any_flag or not report.passed
-        filter_rows.extend(report.rows())
+    for filt, lams in ((spectral.tikhonov(), grid),
+                       (spectral.landweber(alpha), landweber_lams),
+                       (spectral.cutoff(), grid)):
+        qs = [q for q in cfg["q_grid"] if q <= filt.qualification]
+        filter_rows += spectral.verify_filter_constants(filt, grid, lams, qs)
     filters_path = out / "verify_filters.csv"
     dataio.save_results(filter_rows, filters_path)
 
     problem, noise = _build_problem(cfg["problem"], cfg["seed"])
     event_rows = []
     for eid, eseed in zip(cfg["events"], _seeds(cfg["seed"], len(cfg["events"]))):
-        espec = conclab.EventSpec(
-            event_id=eid, kappa=problem.kappa, delta=cfg["delta"],
-            lam=cfg["event_lambda"], n=int(cfg["event_n"]), M=int(cfg["event_M"]),
-        )
         try:
-            report = conclab.simulate_event(espec, problem, noise,
-                                            trials=int(cfg["trials"]),
-                                            seed=eseed)
+            event_rows.append(conclab.simulate_event(
+                eid, problem, noise, int(cfg["event_n"]), int(cfg["event_M"]),
+                cfg["event_lambda"], cfg["delta"], trials=int(cfg["trials"]), seed=eseed))
         except conclab.ConcentrationConfigError as exc:
             raise ConfigError(f"event {eid} failed: {exc}") from exc
         except Exception as exc:
             raise _failure(f"event {eid}", exc) from exc
-        any_flag = any_flag or report.violation_rate > cfg["delta"]
-        event_rows.append(report.to_row())
     events_path = out / "verify_events.csv"
     dataio.save_results(event_rows, events_path)
 
-    return EXIT_VIOLATION if any_flag else EXIT_OK, [filters_path, events_path], {}
+    flagged = any(row[flag] for row in filter_rows
+                  for flag in ("d_flag", "e_flag", "c0_flag", "cq_flag"))
+    violated = any(row["violation_rate"] > cfg["delta"] for row in event_rows)
+    return EXIT_VIOLATION if flagged or violated else EXIT_OK, [filters_path, events_path], {}
 
 
 # ---------------------------------------------------------------------------

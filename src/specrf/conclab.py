@@ -14,7 +14,7 @@ against the closed-form right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .synthetic import NoiseModel, SyntheticProblem
 
 __all__ = [
     "EventSpec",
-    "TrialReport",
     "bernstein_bound",
     "pinelis_bound",
     "event_rhs",
@@ -70,12 +69,10 @@ def pinelis_bound(B: float, V: float, n: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Parameters of one concentration event.
-
-    Population quantities (effective dimensions, operator norms, the ideal
-    estimator error for E9) are filled in by `simulate_event`; construct with
-    the experiment-level parameters only.
-    """
+    """Parameters of one concentration event: the experiment's (id, delta,
+    lambda, n, M) and the population quantities its bound reads, which
+    `simulate_event` computes from the problem and the noise.  Unset fields
+    stay None; `event_rhs` names any its event needs."""
 
     event_id: str
     kappa: float
@@ -99,31 +96,6 @@ class EventSpec:
             raise ConcentrationConfigError(
                 f"{self.event_id} needs parameters: {', '.join(missing)}"
             )
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    event_id: str
-    trials: int
-    violations: int
-    rhs: float
-    lhs_quantiles: dict = field(default_factory=dict)
-
-    @property
-    def violation_rate(self) -> float:
-        return self.violations / self.trials
-
-    def to_row(self) -> dict:
-        return {
-            "event": self.event_id,
-            "trials": self.trials,
-            "violations": self.violations,
-            "violation_rate": self.violation_rate,
-            "rhs": self.rhs,
-            "lhs_q50": self.lhs_quantiles.get("q50"),
-            "lhs_q90": self.lhs_quantiles.get("q90"),
-            "lhs_max": self.lhs_quantiles.get("max"),
-        }
 
 
 def event_rhs(spec: EventSpec) -> float:
@@ -212,12 +184,11 @@ def _data_setup(spec: EventSpec, problem: SyntheticProblem,
     norm_lm = float(np.max(nu))
     if norm_lm == 0.0:
         raise ConcentrationConfigError("sampled operator is zero; increase M")
-    n_eff_lm = float(np.sum(nu / (nu + spec.lam))) if spec.lam else None
+    n_eff_lm = float(np.sum(nu / (nu + spec.lam)))
     spec = replace(spec, n_eff_lm=n_eff_lm, norm_lm=norm_lm)
     sigma = nu[np.asarray(fs.distinct[0], dtype=int)]
-    fixed = {"fs": fs, "sigma_pop": np.diag(sigma)}
-    if spec.lam:
-        fixed["w_half"] = 1.0 / np.sqrt(sigma + spec.lam)
+    fixed = {"fs": fs, "sigma_pop": np.diag(sigma),
+             "w_half": 1.0 / np.sqrt(sigma + spec.lam)}
     if spec.event_id == "E9":
         spec = replace(spec, r=problem.source.r, R=problem.source.R)
         smoothed, pop_err_sq = _fstar_quantities(problem, nu, spec.lam)
@@ -273,49 +244,42 @@ def _trial_lhs(
 
 
 def simulate_event(
-    spec: EventSpec,
+    event_id: str,
     problem: SyntheticProblem,
     noise: NoiseModel,
+    n: int,
+    M: int,
+    lam: float,
+    delta: float,
     trials: int = 200,
     seed: int = 0,
-) -> TrialReport:
-    """Monte Carlo check that the event holds with probability >= 1 - delta.
+) -> dict:
+    """Monte Carlo check that the event holds with probability >= 1 - delta,
+    at n inputs, M features and a positive lambda.
 
     For data events the feature draw is fixed (from `seed`) and the inputs /
     noise are resampled per trial; for feature events the features are
     resampled.  Population quantities are computed exactly from the
-    finite-rank problem.
+    finite-rank problem.  Returns the event's row of `verify_events.csv`.
     """
     if trials < 50:
         raise ConcentrationConfigError("need at least 50 trials")
-    if spec.event_id not in ALL_EVENTS:
-        raise ConcentrationConfigError(f"unknown event id {spec.event_id!r}")
+    if event_id not in ALL_EVENTS:
+        raise ConcentrationConfigError(f"unknown event id {event_id!r}")
 
-    mu = problem.spectrum.eigenvalues
-    spec = replace(
-        spec,
-        kappa=problem.kappa,
-        n_eff_l=(synthetic.effective_dimension(problem.spectrum, spec.lam)
-                 if spec.lam else None),
-        norm_l=float(mu[0]),
-        q_bound=noise.Q,
-        z_bound=noise.Z,
+    spec = EventSpec(
+        event_id=event_id, kappa=problem.kappa, delta=delta, lam=lam, n=n, M=M,
+        n_eff_l=synthetic.effective_dimension(problem.spectrum, lam),
+        norm_l=float(problem.spectrum.eigenvalues[0]),
+        q_bound=noise.Q, z_bound=noise.Z,
     )
-
     fixed: dict = {}
     root = np.random.SeedSequence(seed)
     feature_seed, trial_seed = root.spawn(2)
-    if spec.event_id in DATA_EVENTS:
-        spec.require("n", "M")
-        if spec.event_id != "E7":
-            spec.require("lam")
+    if event_id in DATA_EVENTS:
         fs = sample_features(
-            problem.feature_map, spec.M, int(feature_seed.generate_state(1)[0]))
+            problem.feature_map, M, int(feature_seed.generate_state(1)[0]))
         spec, fixed = _data_setup(spec, problem, fs)
-    else:
-        spec.require("M")
-        if spec.event_id != "E6":
-            spec.require("lam")
 
     rhs = event_rhs(spec)
     rng = np.random.default_rng(trial_seed)
@@ -323,12 +287,9 @@ def simulate_event(
     for t in range(trials):
         lhs[t] = _trial_lhs(spec, problem, noise, fixed, rng)
     violations = int(np.sum(lhs > rhs))
-    quantiles = {
-        "q50": runtime.quantile(lhs, 0.5),
-        "q90": runtime.quantile(lhs, 0.9),
-        "max": float(np.max(lhs)),
+    return {
+        "event": event_id, "trials": trials, "violations": violations,
+        "violation_rate": violations / trials, "rhs": rhs,
+        "lhs_q50": runtime.quantile(lhs, 0.5), "lhs_q90": runtime.quantile(lhs, 0.9),
+        "lhs_max": float(np.max(lhs)),
     }
-    return TrialReport(
-        event_id=spec.event_id, trials=trials, violations=violations,
-        rhs=rhs, lhs_quantiles=quantiles,
-    )

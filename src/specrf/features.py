@@ -310,7 +310,6 @@ class DesignMatrix:
         self.inputs = inputs
         self.n = n
         self.d_v = fmap.d_v
-        self.M = feature_set.M
         self.M_distinct = len(feature_set.distinct[1])
         self.p = fmap.p
         self.v_weight = fmap.v_weight

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "SpectralFilter",
     "EigenSystem",
-    "FilterReport",
     "tikhonov",
     "landweber",
     "cutoff",
@@ -278,48 +277,6 @@ def tikhonov_solve(a: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-@dataclass(frozen=True)
-class FilterReport:
-    """Empirical suprema of the filter axioms per lambda, with exceedance flags."""
-
-    kind: str
-    lambdas: np.ndarray
-    sup_t_phi: np.ndarray        # sup_t |t phi_lambda(t)|, bound D
-    sup_phi_lam: np.ndarray      # sup_t |phi_lambda(t)| * lambda, bound E
-    sup_residual: np.ndarray     # sup_t |r_lambda(t)|, bound c0
-    worst_q_ratio: np.ndarray    # max_q sup_t |r(t)| t^q / (c_q lambda^q), bound 1
-    d_flag: np.ndarray
-    e_flag: np.ndarray
-    c0_flag: np.ndarray
-    cq_flag: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return not (
-            self.d_flag.any() or self.e_flag.any()
-            or self.c0_flag.any() or self.cq_flag.any()
-        )
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i, lam in enumerate(self.lambdas):
-            out.append(
-                {
-                    "kind": self.kind,
-                    "lambda": float(lam),
-                    "sup_t_phi": float(self.sup_t_phi[i]),
-                    "sup_phi_lam": float(self.sup_phi_lam[i]),
-                    "sup_residual": float(self.sup_residual[i]),
-                    "worst_q_ratio": float(self.worst_q_ratio[i]),
-                    "d_flag": int(self.d_flag[i]),
-                    "e_flag": int(self.e_flag[i]),
-                    "c0_flag": int(self.c0_flag[i]),
-                    "cq_flag": int(self.cq_flag[i]),
-                }
-            )
-        return out
-
-
 #: relative slack absorbing float round-off in the empirical suprema
 _VERIFY_SLACK = 1e-9
 
@@ -329,12 +286,15 @@ def verify_filter_constants(
     t_grid: Sequence[float],
     lam_grid: Sequence[float],
     q_grid: Sequence[float],
-) -> FilterReport:
+) -> list[dict]:
     """Check the filter axioms and qualification on finite grids.
 
-    Flags any lambda at which an empirical supremum exceeds its constant
-    (FILTER_D, FILTER_E, FILTER_C0, or 1 for the qualification ratio).
-    Grids must lie in (0, 1]; q_grid must lie in [0, nu].
+    Returns one row per lambda, ascending: the empirical suprema
+    sup_t |t phi_lambda(t)| (bound FILTER_D), sup_t |phi_lambda(t)| lambda
+    (FILTER_E), sup_t |r_lambda(t)| (FILTER_C0) and
+    max_q sup_t |r(t)| t^q / (c_q lambda^q) (bound 1), each with a flag set
+    where it exceeds its bound.  Grids must lie in (0, 1]; q_grid must lie
+    in [0, nu].
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     lams = np.asarray(sorted(lam_grid), dtype=float)
@@ -347,35 +307,26 @@ def verify_filter_constants(
     if qs.size and (qs.min() < 0.0 or qs.max() > filt.qualification):
         raise FilterDomainError("q_grid must lie in [0, qualification]")
 
-    n_lam = lams.size
-    sup_t_phi = np.zeros(n_lam)
-    sup_phi_lam = np.zeros(n_lam)
-    sup_res = np.zeros(n_lam)
-    worst_q = np.zeros(n_lam)
-    for i, lam in enumerate(lams):
-        phi = _phi_array(filt, float(lam), t)
-        res = 1.0 - t * phi
-        sup_t_phi[i] = np.max(np.abs(t * phi))
-        sup_phi_lam[i] = np.max(np.abs(phi)) * lam
-        sup_res[i] = np.max(np.abs(res))
-        ratios = []
-        for q in qs:
-            cq = filt.c_q(float(q))
-            ratios.append(np.max(np.abs(res) * t ** q) / (cq * lam ** q))
-        worst_q[i] = max(ratios) if ratios else 0.0
+    def flag(sup: float, bound: float) -> int:
+        return int(sup > bound * (1.0 + _VERIFY_SLACK))
 
-    return FilterReport(
-        kind=filt.kind,
-        lambdas=lams,
-        sup_t_phi=sup_t_phi,
-        sup_phi_lam=sup_phi_lam,
-        sup_residual=sup_res,
-        worst_q_ratio=worst_q,
-        d_flag=sup_t_phi > FILTER_D * (1.0 + _VERIFY_SLACK),
-        e_flag=sup_phi_lam > FILTER_E * (1.0 + _VERIFY_SLACK),
-        c0_flag=sup_res > FILTER_C0 * (1.0 + _VERIFY_SLACK),
-        cq_flag=worst_q > 1.0 + _VERIFY_SLACK,
-    )
+    rows = []
+    for lam in lams:
+        phi = _phi_array(filt, float(lam), t)
+        res = np.abs(1.0 - t * phi)
+        sup_t_phi = float(np.max(np.abs(t * phi)))
+        sup_phi_lam = float(np.max(np.abs(phi)) * lam)
+        sup_res = float(np.max(res))
+        worst_q = max((float(np.max(res * t ** q) / (filt.c_q(float(q)) * lam ** q))
+                       for q in qs), default=0.0)
+        rows.append({
+            "kind": filt.kind, "lambda": float(lam), "sup_t_phi": sup_t_phi,
+            "sup_phi_lam": sup_phi_lam, "sup_residual": sup_res,
+            "worst_q_ratio": worst_q,
+            "d_flag": flag(sup_t_phi, FILTER_D), "e_flag": flag(sup_phi_lam, FILTER_E),
+            "c0_flag": flag(sup_res, FILTER_C0), "cq_flag": flag(worst_q, 1.0),
+        })
+    return rows
 
 
 def landweber_lambda_grid(step_size: float, max_steps: int) -> np.ndarray:

@@ -126,15 +126,6 @@ class RateSchedule:
     meets_n0: bool
     multipliers: ScheduleMultipliers
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "r": self.r, "b": self.b, "delta": self.delta,
-            "lambda_n": self.lambda_n, "T_n": self.T_n, "M_n": self.M_n,
-            "n0": self.n0, "meets_n0": self.meets_n0,
-            "C_multiplier": self.multipliers.C, "M_multiplier": self.multipliers.M,
-            "p": self.multipliers.p,
-        }
-
 
 @dataclass(frozen=True)
 class SyntheticProblem:

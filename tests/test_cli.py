@@ -125,10 +125,10 @@ class TestSweepHeatmap:
                                             tmp_path)
 
     def test_identity_activation_exits_3_before_any_cell(self, tmp_path, capsys):
-        # sweep-heatmap normalizes its designs; an identity map's kappa is infinite
+        # sweep-heatmap runs tanh features only: an identity map's kappa is infinite
         code, out = run("sweep-heatmap", tmp_path, dict(self.CFG, activation="identity"))
         assert code == 3
-        assert ("config error: sweep-heatmap needs a bounded activation"
+        assert ("config error: unknown config key 'activation' for sweep-heatmap"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -204,10 +204,10 @@ class TestVerify:
     def test_failing_event_is_named(self, tmp_path, monkeypatch, capsys):
         real = conclab.simulate_event
 
-        def fail_on_e7(spec, *args, **kwargs):
-            if spec.event_id == "E7":
+        def fail_on_e7(event_id, *args, **kwargs):
+            if event_id == "E7":
                 raise FloatingPointError("overflow")
-            return real(spec, *args, **kwargs)
+            return real(event_id, *args, **kwargs)
 
         monkeypatch.setattr(conclab, "simulate_event", fail_on_e7)
         code, _ = run("verify", tmp_path, self.CFG)
@@ -235,9 +235,9 @@ class TestVerify:
         still run with it."""
         real, calls = conclab.simulate_event, []
 
-        def spy(spec, *args, **kwargs):
-            calls.append(spec.event_id)
-            return real(spec, *args, **kwargs)
+        def spy(event_id, *args, **kwargs):
+            calls.append(event_id)
+            return real(event_id, *args, **kwargs)
 
         monkeypatch.setattr(conclab, "simulate_event", spy)
         code, out = run("verify", tmp_path, dict(self.CFG, events=events, delta=0.6))
@@ -246,6 +246,32 @@ class TestVerify:
         if simulated:
             header, body = dataio.load_results(out / "verify_events.csv")
             assert body.shape[0] == len(simulated)
+
+    def test_filter_rows_are_keyed_by_the_csv_header(self, tmp_path):
+        """verify_filter_constants returns one row per lambda, ascending, with
+        the columns of verify_filters.csv in its order."""
+        _, out = run("verify", tmp_path, self.CFG)
+        header, _ = dataio.load_results(out / "verify_filters.csv")
+        lams = [0.5, 0.1, 1.0]
+        rows = spectral.verify_filter_constants(spectral.tikhonov(), [0.2, 1.0], lams, [0.5])
+        assert [list(row) for row in rows] == [header] * len(lams)
+        assert [row["lambda"] for row in rows] == sorted(lams)
+
+    def test_event_rows_are_the_csv_rows(self, tmp_path):
+        """simulate_event, at the run's problem and event seeds, returns the
+        rows of its verify_events.csv."""
+        _, out = run("verify", tmp_path, self.CFG)
+        header, body = dataio.load_results(out / "verify_events.csv")
+        cfg = cli.load_config("verify", json.dumps(self.CFG), 3, False)
+        problem, noise = cli._build_problem(cfg["problem"], cfg["seed"])
+        seeds = cli._seeds(cfg["seed"], len(cfg["events"]))
+        assert body.shape[0] == len(seeds)
+        for values, eid, seed in zip(body, cfg["events"], seeds):
+            row = conclab.simulate_event(eid, problem, noise, cfg["event_n"], cfg["event_M"],
+                                         cfg["event_lambda"], cfg["delta"],
+                                         trials=cfg["trials"], seed=seed)
+            assert list(row) == header and row["event"] == eid
+            assert [row[key] for key in header[1:]] == values[1:].tolist()
 
     @pytest.mark.parametrize("key,value", [("event_lambda", -1.0), ("event_n", 0),
                                            ("event_M", 0)])
@@ -462,7 +488,7 @@ class TestCLIContract:
         ("fit", {"rff_lengthscale": 0.0}, "rff_lengthscale must be positive"),
         ("fit", {"feature_columns": [1.5]}, "feature_columns must be a nonempty list"),
         ("fit", {"feature_columns": ["a"]}, "feature_columns must be a nonempty list"),
-        ("sweep-heatmap", {"input_bound": -1.0}, "input_bound must be positive"),
+        ("sweep-heatmap", {"input_bound": -1.0}, "unknown config key 'input_bound'"),
         ("gen", {"kind": "bogus"}, "kind must be 'synthetic' or 'susy-fixture'"),
         ("sweep-heatmap", {"paper_scale": {"n_train": 0}}, "paper_scale.n_train must be positive"),
         # json.dumps writes Infinity, which json.loads reads back
@@ -734,17 +760,36 @@ def test_order_statistics_equal_numpy(n):
     assert math.isnan(runtime.quantile(values, 0.5)) and math.isnan(runtime.median(values))
 
 
-def test_benchmark_trace_hooks_install():
+def test_benchmark_trace_hooks_install(tmp_path):
     """perfbench/trace_child.py wraps the layers' functions by name
     (`spectral.eigensystem`, `DesignMatrix.cov`, the feature-map factories
-    and more); installing its tracer succeeds, so none of them is gone.  It
-    runs in a subprocess, so nothing stays patched here."""
+    and more) and counts some of their arguments by name (`trials`,
+    `n_steps`, `checkpoints`), which bind only when a wrapped function is
+    called.  So the tracer runs every benchmark workload at its tiny size,
+    each in a subprocess (nothing stays patched here), and each argument
+    count it reads is positive."""
     root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        from workloads import WORKLOADS, write_config
+    finally:
+        sys.path.remove(str(root / "perfbench"))
     pythonpath = os.pathsep.join(
-        p for p in (str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH"))
-        if p)
-    code = "import trace_child; trace_child.install(trace_child.Tracer()); print('ok')"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok"]
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    counts = {}
+    for workload, cases in WORKLOADS.items():
+        for index, case in enumerate(cases):
+            casedir = tmp_path / f"{workload}{index}"
+            casedir.mkdir()
+            spans = casedir / "spans.json"
+            args = [case.command, "--config", str(write_config(case, "tiny", casedir)),
+                    "--seed", "0", "--out", str(casedir / "out"), "--jobs", "1"]
+            proc = subprocess.run(
+                [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans),
+                 "--", *args], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
+            assert proc.returncode == 0, (workload, proc.stderr)
+            for name, value in json.loads(spans.read_text())["counts"].items():
+                counts[name] = counts.get(name, 0) + value
+    for name in ("conclab.trials", "estimator.gd_steps", "neuralop.train_steps"):
+        assert counts.get(name, 0) > 0, name

@@ -23,11 +23,10 @@ def small_problem():
     return problem, noise
 
 
-def base_spec(problem, eid, **overrides):
-    params = dict(event_id=eid, kappa=problem.kappa, delta=0.1,
-                  lam=0.1, n=100, M=100)
+def simulate(eid, problem, noise, trials, seed, **overrides):
+    params = dict(n=100, M=100, lam=0.1, delta=0.1)
     params.update(overrides)
-    return EventSpec(**params)
+    return simulate_event(eid, problem, noise, trials=trials, seed=seed, **params)
 
 
 class TestBernstein:
@@ -102,11 +101,10 @@ class TestSimulate:
     def test_all_events_hold_at_design_delta(self, small_problem):
         problem, noise = small_problem
         for eid in ALL_EVENTS:
-            report = simulate_event(
-                base_spec(problem, eid), problem, noise, trials=60, seed=5)
-            assert report.violation_rate <= 0.1, eid
-            assert report.rhs > 0.0
-            assert report.trials == 60
+            row = simulate(eid, problem, noise, trials=60, seed=5)
+            assert row["violation_rate"] <= 0.1, eid
+            assert row["rhs"] > 0.0
+            assert row["trials"] == 60
 
     def test_rank_one_deterministic_features_give_zero_lhs(self):
         # singleton support: every feature draw is the same basis function, so
@@ -115,22 +113,20 @@ class TestSimulate:
                                       c_b=1.0)
         problem = synthetic.make_problem(spec, r=0.5, R=1.0, seed=3)
         noise = synthetic.noise_model(problem, 0.1)
-        report = simulate_event(
-            base_spec(problem, "E6", M=16), problem, noise, trials=50, seed=1)
-        assert report.lhs_quantiles["max"] == 0.0
-        assert report.violations == 0
+        row = simulate("E6", problem, noise, trials=50, seed=1, M=16)
+        assert row["lhs_max"] == 0.0
+        assert row["violations"] == 0
 
     def test_violation_counts_consistent(self, small_problem):
         problem, noise = small_problem
-        report = simulate_event(
-            base_spec(problem, "E7"), problem, noise, trials=50, seed=9)
-        assert 0 <= report.violations <= report.trials
-        assert report.violation_rate == report.violations / report.trials
+        row = simulate("E7", problem, noise, trials=50, seed=9)
+        assert 0 <= row["violations"] <= row["trials"]
+        assert row["violation_rate"] == row["violations"] / row["trials"]
 
     def test_rejects_too_few_trials(self, small_problem):
         problem, noise = small_problem
         with pytest.raises(ConcentrationConfigError):
-            simulate_event(base_spec(problem, "E7"), problem, noise, trials=10, seed=0)
+            simulate("E7", problem, noise, trials=10, seed=0)
 
     def test_e6_e7_median_scaling(self, small_problem):
         # doubling M (resp. n) shrinks the median LHS by roughly 1/sqrt(2)
@@ -138,10 +134,8 @@ class TestSimulate:
         for eid, key in (("E6", "M"), ("E7", "n")):
             med = {}
             for size in (100, 200):
-                report = simulate_event(
-                    base_spec(problem, eid, **{key: size}),
-                    problem, noise, trials=200, seed=11)
-                med[size] = report.lhs_quantiles["q50"]
+                row = simulate(eid, problem, noise, trials=200, seed=11, **{key: size})
+                med[size] = row["lhs_q50"]
             ratio = med[200] / med[100]
             assert 0.5 <= ratio <= 1.2 / math.sqrt(2.0)
 

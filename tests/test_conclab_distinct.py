@@ -95,9 +95,8 @@ def test_simulate_event_matches_raw_trials(problem_noise, eid):
     """End to end: the same feature draw and trial draws as simulate_event,
     replayed in raw coordinates, give the same quantiles."""
     problem, noise = problem_noise
-    spec = conclab.EventSpec(event_id=eid, kappa=problem.kappa, delta=0.1,
-                             lam=LAM, n=80, M=200)
-    report = conclab.simulate_event(spec, problem, noise, trials=50, seed=7)
+    row = conclab.simulate_event(eid, problem, noise, n=80, M=200, lam=LAM, delta=0.1,
+                                 trials=50, seed=7)
 
     feature_seed, trial_seed = np.random.SeedSequence(7).spawn(2)
     fs = features.sample_features(problem.feature_map, 200,
@@ -107,7 +106,7 @@ def test_simulate_event_matches_raw_trials(problem_noise, eid):
     rng = np.random.default_rng(trial_seed)
     lhs = np.array([raw_lhs(eid, fs, operators, *draw_inputs(eid, rng, 80, noise))
                     for _ in range(50)])
-    for key, q in (("q50", 0.5), ("q90", 0.9)):
+    for key, q in (("lhs_q50", 0.5), ("lhs_q90", 0.9)):
         expected = float(np.quantile(lhs, q))
-        assert abs(report.lhs_quantiles[key] - expected) <= TOL * expected
-    assert report.violations == int(np.sum(lhs > report.rhs))
+        assert abs(row[key] - expected) <= TOL * expected
+    assert row["violations"] == int(np.sum(lhs > row["rhs"]))

@@ -249,7 +249,7 @@ def test_landweber_rates_cell_is_the_gd_closed_form(monkeypatch):
 
     monkeypatch.setattr(estimator, "fit_closed", recording)
     cli._rates_cell({"cfg": cfg, "n": 500, "rep": 0,
-                     "schedule": sched.to_dict(), "cell_seed": 11})
+                     "schedule": sched, "cell_seed": 11})
     (design, V, filt, closed), = fits
     steps = round(1.0 / closed.lam)
     assert filt.kind == "landweber" and filt.step_size == 1.0 and steps > 20_000

@@ -74,7 +74,7 @@ def rates_case():
     estimator.fit_closed = recording
     try:
         cli._rates_cell({"cfg": cfg, "n": 8000, "rep": 0,
-                         "schedule": sched.to_dict(), "cell_seed": 11})
+                         "schedule": sched, "cell_seed": 11})
     finally:
         estimator.fit_closed = real
     (design, V, filt, lam), = fits
