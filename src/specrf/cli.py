@@ -320,8 +320,8 @@ def validate_config(command: str, cfg: dict) -> None:
     if command == "fit" and cfg["filter"] not in ("tikhonov", "landweber", "cutoff"):
         raise ConfigError("fit filter must be tikhonov, landweber, or cutoff")
     if command == "verify" and cfg["delta"] >= 0.5:
-        # the Pinelis bound of E3-E9 holds only below 1/2, Bernstein's (E1, E2) below 1
-        pinelis = [e for e in cfg["events"] if e not in ("E1", "E2")]
+        # the Pinelis bound holds only below 1/2, the Bernstein bound below 1
+        pinelis = [e for e in cfg["events"] if e not in conclab.BERNSTEIN_EVENTS]
         if pinelis:
             raise ConfigError(f"delta must be in (0, 1/2) for events {', '.join(pinelis)}, "
                               f"got {cfg['delta']}")
@@ -403,14 +403,19 @@ def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
     data_seed, test_seed, feat_seed = _seeds(seed, 3)
     oracle = None
     if cfg["csv"] is not None:
-        ds = dataio.load_csv(cfg["csv"], label_column=cfg["label_column"],
-                             feature_columns=cfg["feature_columns"],
-                             row_limit=cfg["row_limit"])
-        train, test = dataio.split(ds, int(cfg["n_train"]), int(cfg["n_test"]),
-                                   seed=data_seed)
-        if cfg["standardize"]:
-            train, params = dataio.standardize(train)
-            test = dataio.apply_standardize(test, params)
+        try:
+            ds = dataio.load_csv(cfg["csv"], label_column=cfg["label_column"],
+                                 feature_columns=cfg["feature_columns"],
+                                 row_limit=cfg["row_limit"])
+            train, test = dataio.split(ds, int(cfg["n_train"]), int(cfg["n_test"]),
+                                       seed=data_seed)
+            if cfg["standardize"]:
+                train, params = dataio.standardize(train)
+                test = dataio.apply_standardize(test, params)
+        except dataio.ParseError as exc:    # the file is not a numeric table
+            raise IOError(f"cannot read {cfg['csv']}: {exc}") from exc
+        except dataio.DataError as exc:     # the file refutes a config value
+            raise ConfigError(str(exc)) from exc
         fmap = features.rff_map(train.inputs.shape[1], cfg["rff_lengthscale"])
         U_tr, V_tr = train.inputs, train.outputs
         U_te, V_te = test.inputs, test.outputs
@@ -463,7 +468,7 @@ def _heatmap_cell(args: dict) -> list[dict]:
     U_te, V_te = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise, test_seed)
 
     arch = features.OperatorArchitecture(
-        features.tanh_act(), np.zeros(1), d_y=1, use_lift=bool(cfg["use_lift"]))
+        features.tanh_act(), 1, d_y=1, use_lift=bool(cfg["use_lift"]))
     # J(u) = ((u,) u, 1) with |u| <= 1 on the synthetic input domain
     fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(arch.d_k + arch.d_y + 1.0))
     fs = features.sample_features(fmap, args["M"], feat_seed)
@@ -632,8 +637,9 @@ def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, li
 # ntk-compare
 
 def _operator_dataset(n: int, n_x: int, noise_half_width: float, seed: int):
-    """Random smooth input functions on the grid and an integral-operator
-    target: v(x_k) = running mean of u up to x_k."""
+    """Random smooth input functions on n_x points of a uniform grid over
+    [0, 1] and an integral-operator target: v(x_k) = running mean of u up to
+    x_k."""
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, 1.0, n_x)
     coeff = rng.normal(size=(n, 3))
@@ -644,7 +650,7 @@ def _operator_dataset(n: int, n_x: int, noise_half_width: float, seed: int):
     V = np.cumsum(U, axis=1) / np.arange(1, n_x + 1)
     if noise_half_width > 0:
         V = V + rng.uniform(-noise_half_width, noise_half_width, size=V.shape)
-    return grid, U[:, :, None], V
+    return U[:, :, None], V
 
 
 def _ntk_cell(args: dict) -> dict:
@@ -652,11 +658,10 @@ def _ntk_cell(args: dict) -> dict:
     architecture and data rebuilt from the config where the cell runs."""
     cfg = args["cfg"]
     n_x = int(cfg["grid_size"])
-    grid, U_tr, V_tr = _operator_dataset(
+    U_tr, V_tr = _operator_dataset(
         int(cfg["n_train"]), n_x, cfg["noise_half_width"], cfg["seed"] + 1)
-    _, U_te, _ = _operator_dataset(
-        int(cfg["n_test"]), n_x, 0.0, cfg["seed"] + 2)
-    arch = features.OperatorArchitecture(_activation(cfg["activation"]), grid, d_y=1)
+    U_te, _ = _operator_dataset(int(cfg["n_test"]), n_x, 0.0, cfg["seed"] + 2)
+    arch = features.OperatorArchitecture(_activation(cfg["activation"]), n_x, d_y=1)
     return neuralop.compare_cell(arch, U_tr, V_tr, U_te, args["M"], args["seed"],
                                  cfg["alpha"], int(cfg["T"]), tau=cfg["tau"])
 

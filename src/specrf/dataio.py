@@ -59,8 +59,10 @@ def load_csv(
 
     A first row in which no cell is a finite number is a header and is
     skipped.  `feature_columns` defaults to the first 14 columns after the
-    label.  A malformed cell raises ParseError naming the row and column;
-    row_limit = 0 is rejected.
+    label.  A file that is not a numeric table raises ParseError: a malformed
+    cell (named by its row and column), rows of different lengths, or no data
+    rows.  Column indices the table does not have, and row_limit = 0, raise
+    DataError.
     """
     path = Path(path)
     if row_limit is not None and row_limit < 1:
@@ -85,11 +87,14 @@ def load_csv(
             if not all(finite):
                 j = finite.index(False)
                 raise ParseError(f"malformed cell at row {i}, column {j}: {raw[j]!r}")
+            if rows and len(parsed) != len(rows[0]):
+                raise ParseError(f"row {i} has {len(parsed)} cells, earlier rows "
+                                 f"{len(rows[0])}")
             rows.append(parsed)
             if row_limit is not None and len(rows) >= row_limit:
                 break
     if not rows:
-        raise DataError(f"{path} contains no data rows")
+        raise ParseError(f"{path} contains no data rows")
     table = np.asarray(rows, dtype=float)
     n_cols = table.shape[1]
     if not 0 <= label_column < n_cols:

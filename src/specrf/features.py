@@ -550,7 +550,7 @@ def gaussian_kernel(u: np.ndarray, u2: np.ndarray, lengthscale: float) -> float:
 class OperatorArchitecture:
     """Shared input pipeline of the shallow neural operator and its NTK map.
 
-    Inputs are functions sampled on `grid` (n_X second-stage points) with
+    Inputs are functions sampled at n_x = n_X second-stage grid points with
     values in R^{d_y}; plain-vector inputs are the n_X = 1 case.  The combined
     representation is J(u)(x) = (A(u)(x), u(x), c(x)) with A the identity lift
     duplicating the input channels (d_k = d_y) when `use_lift` is set, and c
@@ -558,13 +558,9 @@ class OperatorArchitecture:
     """
 
     activation: Activation
-    grid: np.ndarray
+    n_x: int
     d_y: int = 1
     use_lift: bool = True
-
-    @property
-    def n_x(self) -> int:
-        return int(np.asarray(self.grid).shape[0])
 
     @property
     def d_k(self) -> int:

@@ -115,16 +115,11 @@ class ScheduleMultipliers:
 
 @dataclass(frozen=True)
 class RateSchedule:
-    n: int
-    r: float
-    b: float
-    delta: float
     lambda_n: float
     T_n: int
     M_n: int
     n0: float
     meets_n0: bool
-    multipliers: ScheduleMultipliers
 
 
 @dataclass(frozen=True)
@@ -314,11 +309,8 @@ def rate_schedule(
     m_n = max(1, math.ceil(multipliers.p * multipliers.M * math.log(n)
                            * n ** _feature_exponent(r, b)))
     n0 = math.exp(s / (s - 1.0))
-    return RateSchedule(
-        n=int(n), r=float(r), b=float(b), delta=float(delta),
-        lambda_n=lam, T_n=max(1, round(1.0 / lam)), M_n=m_n,
-        n0=n0, meets_n0=n >= n0, multipliers=multipliers,
-    )
+    return RateSchedule(lambda_n=lam, T_n=max(1, round(1.0 / lam)), M_n=m_n,
+                        n0=n0, meets_n0=n >= n0)
 
 
 def fit_rate(ns, errors) -> float:

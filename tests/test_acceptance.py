@@ -110,7 +110,7 @@ def test_acceptance_4_feature_count_plateau():
     problem = synthetic.make_problem(spec, r=1.5, R=2.0, seed=0)
     noise = synthetic.noise_model(problem, 0.1)
     arch = features.OperatorArchitecture(
-        features.tanh_act(), np.zeros(1), d_y=1, use_lift=False)
+        features.tanh_act(), 1, d_y=1, use_lift=False)
     fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(2.0))
     assert fmap.p == p
 
@@ -197,7 +197,7 @@ def test_acceptance_7_ntk_correctness():
     to 1e-5 relative; symmetric init outputs <= 1e-12; < 1 min."""
     t0 = time.time()
     arch = features.OperatorArchitecture(
-        features.tanh_act(), np.linspace(0.0, 1.0, 8), d_y=1)
+        features.tanh_act(), 8, d_y=1)
     rng = np.random.default_rng(3)
 
     no = neuralop.init_symmetric(arch, 64, tau=1.0, seed=0)
@@ -276,17 +276,16 @@ def test_acceptance_8_linearization_sanity():
     rng = np.random.default_rng(0)
     U, V = _operator_task(rng, 32, n_x)
     U_test, _ = _operator_task(rng, 64, n_x)
-    grid = np.linspace(0.0, 1.0, n_x)
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(5).spawn(10)]
 
-    arch_id = features.OperatorArchitecture(features.identity_act(), grid, d_y=1)
+    arch_id = features.OperatorArchitecture(features.identity_act(), n_x, d_y=1)
     rows_id = neuralop.compare_to_kernel_gd(
         arch_id, U, V, U_test, widths=[64, 256, 1024],
         alpha=0.25, n_steps=1, seeds=seeds)
     worst_id = max(r["discrepancy"] for r in rows_id)
     assert worst_id <= 1e-10
 
-    arch_tanh = features.OperatorArchitecture(features.tanh_act(), grid, d_y=1)
+    arch_tanh = features.OperatorArchitecture(features.tanh_act(), n_x, d_y=1)
     rows_tanh = neuralop.compare_to_kernel_gd(
         arch_tanh, U, V, U_test, widths=[64, 256, 1024],
         alpha=0.25, n_steps=32, seeds=seeds)

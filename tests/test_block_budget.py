@@ -68,8 +68,8 @@ def ntk_passes():
     """The ntk-compare passes at width 1024: forward and one training step on
     its 32 x 16 training batch, predictions on its 64 x 16 test batch; the
     unit of the operator's passes is one pair's preactivations."""
-    grid, U, V = cli._operator_dataset(32, 16, 0.0, seed=1)
-    arch = features.OperatorArchitecture(features.tanh_act(), grid, d_y=1)
+    U, V = cli._operator_dataset(32, 16, 0.0, seed=1)
+    arch = features.OperatorArchitecture(features.tanh_act(), 16, d_y=1)
     no = neuralop.init_symmetric(arch, 1024, tau=1.0, seed=3)
     U = arch.coerce_inputs(U)
     fs, U_te = ntk_test_batch()

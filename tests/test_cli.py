@@ -94,6 +94,28 @@ class TestFit:
         code, _ = run("fit", tmp_path, cfg)
         assert code == 0
 
+    @pytest.mark.parametrize("overrides,content,code,message", [
+        ({"n_train": 100, "n_test": 100}, None, 3, "cannot split 50 rows"),
+        ({"label_column": 40}, None, 3, "label column 40 out of range"),
+        ({"feature_columns": [40]}, None, 3, "invalid feature columns: [40]"),
+        ({"n_train": 1}, None, 3, "standardize needs at least 2 rows"),
+        ({}, "1,2\n3,x\n", 4, "malformed cell at row 1, column 1"),
+        ({}, "1,2,3\n4,5\n", 4, "row 1 has 2 cells"),
+        ({}, "", 4, "contains no data rows"),
+    ])
+    def test_csv_the_config_does_not_fit_exits_3_and_a_bad_csv_4(
+            self, overrides, content, code, message, tmp_path, capsys):
+        """A config value the file refutes is a config error; a file that is
+        not a numeric table is an input error.  Neither is exit 2."""
+        path = tmp_path / "s.csv"
+        if content is None:
+            dataio.make_susy_fixture(path, n=50, seed=0)
+        else:
+            path.write_text(content)
+        cfg = {"csv": str(path), "n_train": 30, "n_test": 20, **overrides}
+        assert run("fit", tmp_path, cfg)[0] == code
+        assert message in capsys.readouterr().err
+
 
 class TestSweepHeatmap:
     CFG = {"problem": TINY_PROBLEM, "n_train": 80, "n_test": 80,

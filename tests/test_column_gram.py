@@ -24,7 +24,7 @@ def rel(a, b):
 
 def heatmap_design(M=512, n=1000):
     """The sweep-heatmap design at its largest width: 1000 x 1536, dual."""
-    arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
+    arch = features.OperatorArchitecture(features.tanh_act(), 1, d_y=1,
                                          use_lift=False)
     fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(3.0))
     fs = features.sample_features(fmap, M, seed=1)
@@ -36,7 +36,7 @@ def heatmap_design(M=512, n=1000):
 def ntk_design():
     """An ntk-compare tangent design: 32 inputs on a 16-point grid (d_v = 16),
     512 distinct draws of width 1024 x 4 summands."""
-    arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 16), d_y=1)
+    arch = features.OperatorArchitecture(features.tanh_act(), 16, d_y=1)
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, tau=1.0, seed=3))
     rng = np.random.default_rng(4)
     U, V = 0.5 * rng.normal(size=(32, 16, 1)), rng.normal(size=(32, 16))

@@ -1,13 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from specrf import conclab, features, synthetic
+from specrf import cli, features, synthetic
 from specrf.conclab import (
     ALL_EVENTS,
+    BERNSTEIN_EVENTS,
     ConcentrationConfigError,
-    EventSpec,
     bernstein_bound,
     event_rhs,
     pinelis_bound,
@@ -70,31 +71,53 @@ class TestPinelis:
 
 
 class TestEventRHS:
-    def test_e7_reference_value(self):
-        spec = EventSpec(event_id="E7", kappa=1.0, delta=0.1, n=100)
-        assert event_rhs(spec) == pytest.approx(0.22 * math.log(20.0), rel=1e-12)
+    """event_rhs at the population spectrum mu, which a data event reads as
+    its nu, so both sides of a shared formula see the same spectrum."""
 
-    def test_e6_matches_e7_at_equal_sizes(self):
-        e6 = EventSpec(event_id="E6", kappa=1.3, delta=0.2, M=77)
-        e7 = EventSpec(event_id="E7", kappa=1.3, delta=0.2, n=77)
-        assert event_rhs(e6) == pytest.approx(event_rhs(e7), rel=1e-12)
+    def rhs(self, eid, small_problem, n=100, M=100, lam=0.1, delta=0.1):
+        problem, noise = small_problem
+        return event_rhs(eid, problem, noise, n, M, lam, delta,
+                         nu=problem.spectrum.eigenvalues)
 
-    def test_e2_reduces_to_e1_shape_at_p_one(self):
-        # E2 with (M, beta_inf) plays the role of E1 with (n, beta_M)
-        common = dict(kappa=1.1, delta=0.1, lam=0.2)
-        e1 = EventSpec(event_id="E1", n=150, M=1,
-                       n_eff_lm=5.0, norm_lm=0.9, **common)
-        e2 = EventSpec(event_id="E2", M=150,
-                       n_eff_l=5.0, norm_l=0.9, **common)
-        assert event_rhs(e1) == pytest.approx(event_rhs(e2), rel=1e-12)
+    def test_e7_reference_value(self, small_problem):
+        k2 = small_problem[0].kappa ** 2
+        assert self.rhs("E7", small_problem) == pytest.approx(
+            pinelis_bound(k2, k2, 100, 0.1), rel=1e-12)
 
-    def test_missing_parameter_is_config_error(self):
+    @pytest.mark.parametrize("feature_event,data_event", [("E2", "E1"), ("E5", "E3"),
+                                                          ("E6", "E7")])
+    def test_shared_formula_at_equal_sizes(self, small_problem, feature_event, data_event):
+        # a feature event with M features is its data twin with n = M inputs
+        assert (self.rhs(feature_event, small_problem, n=1, M=77, delta=0.2)
+                == self.rhs(data_event, small_problem, n=77, M=1, delta=0.2))
+
+    def test_missing_parameter_is_config_error(self, small_problem):
+        # a data event's bound reads the spectrum of L_M at its feature draw
+        problem, noise = small_problem
+        with pytest.raises(ConcentrationConfigError, match="E1 needs the spectrum nu"):
+            event_rhs("E1", problem, noise, 10, 10, 0.1, 0.1)
+
+    def test_unknown_event(self, small_problem):
         with pytest.raises(ConcentrationConfigError):
-            event_rhs(EventSpec(event_id="E1", kappa=1.0, delta=0.1, lam=0.1, n=10))
+            self.rhs("E10", small_problem)
 
-    def test_unknown_event(self):
-        with pytest.raises(ConcentrationConfigError):
-            event_rhs(EventSpec(event_id="E10", kappa=1.0, delta=0.1))
+    @pytest.mark.parametrize("eid", ALL_EVENTS)
+    def test_delta_beyond_one_half_is_refused_outside_the_bernstein_events(
+            self, small_problem, eid, tmp_path):
+        """The Pinelis bound needs delta < 1/2 and the Bernstein bound only
+        delta < 1: at delta = 0.6 event_rhs raises, and verify exits 3, for
+        exactly the events outside BERNSTEIN_EVENTS."""
+        refused = eid not in BERNSTEIN_EVENTS
+        if refused:
+            with pytest.raises(ConcentrationConfigError):
+                self.rhs(eid, small_problem, delta=0.6)
+        else:
+            assert self.rhs(eid, small_problem, delta=0.6) > 0.0
+        cfg = {"problem": {"d_max": 16}, "events": [eid], "delta": 0.6, "trials": 50,
+               "event_n": 50, "event_M": 50, "grid_points": 10, "max_landweber_steps": 10}
+        code = cli.main(["verify", "--out", str(tmp_path), "--jobs", "1",
+                         "--config", json.dumps(cfg)])
+        assert (code == 3) == refused
 
 
 class TestSimulate:

@@ -76,16 +76,15 @@ def draw_inputs(eid, rng, n, noise):
 def test_trial_lhs_matches_raw_coordinates(problem_noise, eid, M, seed, duplicates):
     problem, noise = problem_noise
     fs = feature_set(problem, M, seed, duplicates)
-    spec = conclab.EventSpec(event_id=eid, kappa=problem.kappa, delta=0.1,
-                             lam=LAM, n=120, M=M)
-    spec, fixed = conclab._data_setup(spec, problem, fs)
+    _, fixed = conclab._data_setup(problem, fs, LAM)
     D = len(fs.distinct[1])
     assert fixed["sigma_pop"].shape == (D, D)
     operators = raw_operators(problem, fs, LAM)
+    n = 120
     for trial in range(5):
-        lhs = conclab._trial_lhs(spec, problem, noise, fixed,
+        lhs = conclab._trial_lhs(eid, problem, noise, n, M, LAM, fixed,
                                  np.random.default_rng(100 + trial))
-        U, eps = draw_inputs(eid, np.random.default_rng(100 + trial), spec.n, noise)
+        U, eps = draw_inputs(eid, np.random.default_rng(100 + trial), n, noise)
         expected = raw_lhs(eid, fs, operators, U, eps)
         assert abs(lhs - expected) <= TOL * expected
 

@@ -72,7 +72,7 @@ def dense_loop(mp):
 
 def ntk_case(M=64, n=40):
     """Normalized NTK design as in sweep-heatmap: M draws x 3 summands on n rows."""
-    arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
+    arch = features.OperatorArchitecture(features.tanh_act(), 1, d_y=1,
                                          use_lift=False)
     fmap = features.ntk_feature_map(arch, input_bound=math.sqrt(3.0))
     fs = features.sample_features(fmap, M, seed=1)
@@ -87,7 +87,7 @@ def ntk_case(M=64, n=40):
 def tangent_case(n=8):
     """Unnormalized tangent design on a 4-point grid (d_v = 4): 16 distinct
     draws x 4 summands on the 4 n rows of n inputs."""
-    arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
+    arch = features.OperatorArchitecture(features.tanh_act(), 4, d_y=1)
     no = neuralop.init_symmetric(arch, 32, tau=0.5, seed=3)
     fs = neuralop.tangent_feature_set(no)
     rng = np.random.default_rng(4)

@@ -126,7 +126,7 @@ class TestFitGD:
         problem = synthetic.make_problem(spec, r=1.5, R=2.0, seed=0)
         noise = synthetic.noise_model(problem, 0.1)
         U, V = synthetic.sample_dataset(problem, 1000, noise, seed=1)
-        arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
+        arch = features.OperatorArchitecture(features.tanh_act(), 1, d_y=1,
                                              use_lift=False)
         fmap = features.ntk_feature_map(arch, input_bound=np.sqrt(3.0))
         design = features.build_design(features.sample_features(fmap, M, seed=2),

@@ -59,8 +59,7 @@ def rff_case():
 
 
 def ntk_arch(n_x):
-    grid = np.linspace(0.0, 1.0, n_x) if n_x > 1 else np.zeros(1)
-    return features.OperatorArchitecture(features.tanh_act(), grid, d_y=1)
+    return features.OperatorArchitecture(features.tanh_act(), n_x, d_y=1)
 
 
 def ntk_case(n_x):
@@ -126,8 +125,8 @@ def test_design_across_the_chunk_boundary(monkeypatch):
 def ntk_test_batch():
     """The `ntk-compare` test batch at its largest default width: 64 inputs on
     16 grid points, symmetric width 1024 (512 distinct draws), 2048 columns."""
-    grid, U, _ = cli._operator_dataset(64, 16, 0.0, seed=2)
-    arch = features.OperatorArchitecture(features.tanh_act(), grid, d_y=1)
+    U, _ = cli._operator_dataset(64, 16, 0.0, seed=2)
+    arch = features.OperatorArchitecture(features.tanh_act(), 16, d_y=1)
     return neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, 1.0, seed=3)), U
 
 

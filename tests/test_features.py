@@ -155,7 +155,7 @@ class TestBoundedness:
             assert np.linalg.norm(k) * fmap.v_weight <= fmap.kappa ** 2 + 1e-9
 
     def test_ntk_bound_with_declared_input_bound(self):
-        arch = OperatorArchitecture(tanh_act(), np.linspace(0, 1, 6), d_y=1)
+        arch = OperatorArchitecture(tanh_act(), 6, d_y=1)
         fmap = ntk_feature_map(arch, input_bound=math.sqrt(3.0))
         fs = sample_features(fmap, 30, seed=2)
         U = np.random.default_rng(0).uniform(-1, 1, size=(20, 6, 1))
@@ -215,7 +215,7 @@ class TestDesign:
             build_design(fs, np.zeros(0))
 
     def test_unbounded_map_requires_unnormalized(self):
-        arch = OperatorArchitecture(identity_act(), np.zeros(1), d_y=1, use_lift=False)
+        arch = OperatorArchitecture(identity_act(), 1, d_y=1, use_lift=False)
         fmap = ntk_feature_map(arch)
         fs = sample_features(fmap, 4, seed=0)
         with pytest.raises(FeatureError):
@@ -248,7 +248,7 @@ class TestNTKMap:
 
     def test_identity_activation_gaussian_limit(self):
         # E[psi psi + sum_j psi'_j psi'_j] = 2 <J(u), J(u2)> pointwise for sigma = id
-        arch = OperatorArchitecture(identity_act(), np.linspace(0, 1, 3), d_y=1)
+        arch = OperatorArchitecture(identity_act(), 3, d_y=1)
         fmap = ntk_feature_map(arch)
         rng = np.random.default_rng(1)
         u, u2 = rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
@@ -259,12 +259,12 @@ class TestNTKMap:
         np.testing.assert_allclose(got, expected, atol=0.1)
 
     def test_p_equals_d_plus_2_without_lift(self):
-        arch = OperatorArchitecture(tanh_act(), np.zeros(1), d_y=4, use_lift=False)
+        arch = OperatorArchitecture(tanh_act(), 1, d_y=4, use_lift=False)
         assert ntk_feature_map(arch).p == 4 + 2
 
     def test_derivative_features_match_finite_differences(self):
         # psi'_j(u) = d/d(b_j) sigma(<b, J(u)>) = sigma'(<b, J>) J^(j)
-        arch = OperatorArchitecture(tanh_act(), np.linspace(0, 1, 5), d_y=1)
+        arch = OperatorArchitecture(tanh_act(), 5, d_y=1)
         fmap = ntk_feature_map(arch)
         fs = sample_features(fmap, 6, seed=3)
         b = np.asarray(fs.samples)               # (M, d_tilde)
@@ -284,7 +284,7 @@ class TestNTKMap:
             assert np.max(rel) < 1e-5
 
     def test_deriv_scale_scales_only_the_derivative_block(self):
-        arch = OperatorArchitecture(tanh_act(), np.linspace(0, 1, 5), d_y=1)
+        arch = OperatorArchitecture(tanh_act(), 5, d_y=1)
         fs = sample_features(ntk_feature_map(arch), 6, seed=3)
         U = np.random.default_rng(5).normal(size=(4, 5, 1))
         phi = ntk_feature_map(arch).evaluate(U, fs.samples)          # (n, M, p, n_X)

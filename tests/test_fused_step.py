@@ -22,7 +22,7 @@ DERIVATIVES = {"tanh": lambda z: 1.0 / np.cosh(z) ** 2, "identity": np.ones_like
 
 
 def _arch(activation, d_y=1):
-    return OperatorArchitecture(ACTIVATIONS[activation](), np.linspace(0.0, 1.0, 6), d_y=d_y)
+    return OperatorArchitecture(ACTIVATIONS[activation](), 6, d_y=d_y)
 
 
 def _two_pass_forward(no, U):

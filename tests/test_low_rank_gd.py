@@ -39,7 +39,7 @@ def ntk_design(M, input_bound, feature_seed=1, n=1000):
     problem, noise = cli._build_problem(cli.DEFAULTS["sweep-heatmap"]["problem"], 0)
     U, V = synthetic.sample_dataset(problem, n, noise, 5)
     U_te, _ = synthetic.sample_dataset(problem, 500, noise, 6)
-    arch = features.OperatorArchitecture(features.tanh_act(), np.zeros(1), d_y=1,
+    arch = features.OperatorArchitecture(features.tanh_act(), 1, d_y=1,
                                          use_lift=False)
     fs = features.sample_features(features.ntk_feature_map(arch, input_bound=input_bound),
                                   M, feature_seed)
@@ -84,9 +84,9 @@ def tangent():
     """ntk-compare's largest default width, M = 1024 (512 distinct draws x 4
     summands) on 32 inputs x 16 grid points, unnormalized: 512 x 2048, dual.
     Its certificate reads about 1e-11, above SKETCH_TOL."""
-    grid, U, V = cli._operator_dataset(32, 16, 0.0, seed=1)
-    _, U_te, _ = cli._operator_dataset(64, 16, 0.0, seed=2)
-    arch = features.OperatorArchitecture(features.tanh_act(), grid, d_y=1)
+    U, V = cli._operator_dataset(32, 16, 0.0, seed=1)
+    U_te, _ = cli._operator_dataset(64, 16, 0.0, seed=2)
+    arch = features.OperatorArchitecture(features.tanh_act(), 16, d_y=1)
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, 1.0, seed=5))
     design = features.build_design(fs, arch.coerce_inputs(U), normalize=False)
     return design, V, arch.coerce_inputs(U_te), 0.25

@@ -63,7 +63,7 @@ def vector_omega_case():
 
 def tangent_case(deriv_scale=None):
     """Symmetric initialisation duplicates every row of B."""
-    arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
+    arch = features.OperatorArchitecture(features.tanh_act(), 4, d_y=1)
     no = neuralop.init_symmetric(arch, 16, tau=0.5, seed=6)
     fs = neuralop.tangent_feature_set(no, deriv_scale)
     rng = np.random.default_rng(7)
@@ -147,7 +147,7 @@ def test_frozen_summands_match_zeroed_unmerged_columns():
 def test_output_weight_training_matches_kernel_gd_exactly():
     # with B frozen the operator is linear in a, so GD on a is kernel GD on
     # the psi block at every step, for any activation
-    arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 6), d_y=1)
+    arch = features.OperatorArchitecture(features.tanh_act(), 6, d_y=1)
     rng = np.random.default_rng(10)
     U, V = rng.normal(size=(8, 6, 1)), rng.normal(size=(8, 6))
     U_te = rng.normal(size=(12, 6, 1))

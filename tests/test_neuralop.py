@@ -19,7 +19,7 @@ from specrf.neuralop import (
 
 def make_arch(n_x=8, d_y=1, activation=None):
     return OperatorArchitecture(
-        activation or tanh_act(), np.linspace(0.0, 1.0, n_x), d_y=d_y
+        activation or tanh_act(), n_x, d_y=d_y
     )
 
 

@@ -51,7 +51,7 @@ def wide_case():
 
 def tangent_case():
     """Unnormalized tangent design on a 4-point grid (d_v = 4), 70 inputs."""
-    arch = features.OperatorArchitecture(features.tanh_act(), np.linspace(0, 1, 4), d_y=1)
+    arch = features.OperatorArchitecture(features.tanh_act(), 4, d_y=1)
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 32, tau=0.5, seed=3))
     rng = np.random.default_rng(4)
     U, V = 0.5 * rng.normal(size=(70, 4, 1)), rng.normal(size=(70, 4))
@@ -154,7 +154,7 @@ def test_primal_descent_does_not_build_the_design():
 def test_fit_closed_rejects_what_the_eigh_route_rejects(filt, monkeypatch):
     # tangent features of the identity activation are unbounded, so the
     # design is unnormalized; its spectrum reaches above 1
-    arch = features.OperatorArchitecture(features.identity_act(), np.zeros(1), d_y=1,
+    arch = features.OperatorArchitecture(features.identity_act(), 1, d_y=1,
                                          use_lift=False)
     fs = features.sample_features(features.ntk_feature_map(arch), 30, seed=6)
     U = np.random.default_rng(5).normal(size=(40, 1))
