@@ -18,7 +18,8 @@ The seed precedence is SPECRF_SEED environment variable > --seed flag >
 config file.  BLAS runs one thread per process, in the serial path and in
 every --jobs worker.
 
-Exit codes: 0 success, 2 invariant violation, 3 config error, 4 I/O error.
+Exit codes: 0 success, 2 invariant violation, 3 config or usage error (an
+unknown subcommand or flag, or a bad flag value), 4 I/O error.
 """
 from __future__ import annotations
 
@@ -343,23 +344,23 @@ def _build_problem(pcfg: dict, seed: int):
     return problem, noise
 
 
-def _pmap(fn, items, jobs: int, size=None):
-    """[fn(item) for item in items], on `jobs` worker processes set up as the
-    serial one is (`runtime.init_process`); the results keep the order of
-    `items`.  With `size`, the pool starts the items in decreasing
-    size(item), so the largest does not start last and set the tail.  The
-    pool module (with multiprocessing) is imported only when a pool runs,
-    which keeps it out of the start-up of every serial process."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _pmap(fn, cells: list[dict], jobs: int, size):
+    """[fn(cell) for cell in cells], each call named after its cell's
+    "label" if it fails (`_run_cell`), on `jobs` worker processes set up as
+    the serial one is (`runtime.init_process`); the results keep the order
+    of `cells`.  The pool starts the cells in decreasing size(cell), so the
+    largest does not start last and set the tail.  The pool module (with
+    multiprocessing) is imported only when a pool runs, which keeps it out
+    of the start-up of every serial process."""
+    run = functools.partial(_run_cell, fn)
+    if jobs <= 1 or len(cells) <= 1:
+        return [run(cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor
 
-    order = list(range(len(items)))
-    if size is not None:
-        order.sort(key=lambda i: -size(items[i]))
-    results = [None] * len(items)
+    order = sorted(range(len(cells)), key=lambda i: -size(cells[i]))
+    results = [None] * len(cells)
     with ProcessPoolExecutor(max_workers=jobs, initializer=runtime.init_process) as pool:
-        for i, result in zip(order, pool.map(fn, [items[i] for i in order])):
+        for i, result in zip(order, pool.map(run, [cells[i] for i in order])):
             results[i] = result
     return results
 
@@ -489,8 +490,7 @@ def cmd_sweep_heatmap(cfg: dict, out: Path,
     cells = [{"cfg": cfg, "M": m, "rep": rep, "T_grid": t_grid,
               "cell_seed": next(cell_seeds), "label": f"heatmap cell M={m} rep={rep}"}
              for m in m_grid for rep in range(reps)]
-    nested = _pmap(functools.partial(_run_cell, _heatmap_cell), cells, flags.jobs,
-                   size=lambda cell: cell["M"])
+    nested = _pmap(_heatmap_cell, cells, flags.jobs, size=lambda cell: cell["M"])
     flat = [row for rows in nested for row in rows]
     summary = []
     for m in m_grid:
@@ -547,9 +547,9 @@ def _rates_cell(args: dict) -> dict:
     U_te = synthetic.sample_inputs(int(cfg["n_test"]), test_seed)
     fs = features.sample_features(problem.feature_map, sched.M_n, feat_seed)
     design = features.build_design(fs, U_tr)
-    # schedule lambdas live on the raw kernel scale; the design is
-    # kappa-normalized, so divide by kappa^2 (exact for tikhonov)
-    lam = min(1.0, sched.lambda_n / problem.kappa ** 2)
+    # schedule lambdas live on the raw kernel scale; the design divides its
+    # rows by the bounded map's kappa, so divide by kappa^2 (exact for tikhonov)
+    lam = min(1.0, sched.lambda_n / problem.feature_map.kappa ** 2)
     if cfg["filter"] == "tikhonov":
         model = estimator.fit_closed(design, V_tr, spectral.tikhonov(), lam)
     else:
@@ -571,8 +571,7 @@ def cmd_rates(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, lis
     cells = [{"cfg": cfg, "n": n, "rep": rep, "schedule": schedules[n],
               "cell_seed": next(cell_seeds), "label": f"rates cell n={n} rep={rep}"}
              for n in n_grid for rep in range(reps)]
-    rows = _pmap(functools.partial(_run_cell, _rates_cell), cells, flags.jobs,
-                 size=lambda cell: cell["n"])
+    rows = _pmap(_rates_cell, cells, flags.jobs, size=lambda cell: cell["n"])
 
     per_n = []
     for n in n_grid:
@@ -671,8 +670,7 @@ def cmd_ntk_compare(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[in
     cells = [{"cfg": cfg, "M": m, "seed": seed,
               "label": f"ntk-compare cell M={m} seed={seed}"}
              for m in sorted(set(cfg["M_grid"])) for seed in seeds]
-    rows = _pmap(functools.partial(_run_cell, _ntk_cell), cells, flags.jobs,
-                 size=lambda cell: cell["M"])
+    rows = _pmap(_ntk_cell, cells, flags.jobs, size=lambda cell: cell["M"])
     medians = neuralop.median_discrepancies(rows)
     summary = [{"M": m, "median_discrepancy": med, "seeds": len(seeds)}
                for m, med in medians.items()]
@@ -748,7 +746,13 @@ def _timings(*marks: tuple[str, float]) -> dict:
 
 def main(argv=None) -> int:
     start = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    except SystemExit as stop:   # argparse's usage-error code 2 is EXIT_VIOLATION here
+        return EXIT_CONFIG if stop.code else EXIT_OK
     # The import-time heap lives until exit.  Frozen, it is left out of every
     # later collection, the interpreter's last one at exit included: a
     # `verify` process then exits 8-11 ms after main returns, not 29-40 ms.
@@ -764,7 +768,7 @@ def main(argv=None) -> int:
         done = time.perf_counter()
         timings = _timings(("load_config_s", loaded - start), ("run_s", done - loaded),
                            ("total_s", done - start))
-        dataio.write_manifest(out / "manifest.json", cfg, cfg["seed"], outputs,
+        dataio.write_manifest(out / "manifest.json", cfg, outputs,
                               extra={"version": __version__, "subcommand": args.command,
                                      "exit_code": code, "timings": timings, **extra},
                               environment=runtime.environment(args.jobs))
@@ -795,7 +799,7 @@ def _write_failure_manifest(out: Path, cfg: dict, args, failure: Exception,
     output hashes.  A failed write is reported and leaves the exit code."""
     try:
         dataio.write_manifest(
-            out / "manifest.json", cfg, cfg["seed"], [],
+            out / "manifest.json", cfg, [],
             extra={"version": __version__, "subcommand": args.command,
                    "exit_code": EXIT_VIOLATION, "error": str(failure),
                    "timings": _timings(("total_s", time.perf_counter() - start))},

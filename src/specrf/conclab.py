@@ -90,8 +90,8 @@ def event_rhs(event_id: str, problem: SyntheticProblem, noise: NoiseModel, n: in
     norm = float(np.max(spectrum))
     if norm == 0.0:
         raise ConcentrationConfigError("sampled operator is zero; increase M")
-    n_eff = float(np.sum(spectrum / (spectrum + lam)))
-    kappa = problem.kappa
+    n_eff = synthetic.effective_dimension(spectrum, lam)
+    kappa = problem.feature_map.kappa
     k2 = kappa ** 2
     if event_id in BERNSTEIN_EVENTS:
         v_norm = k2 / lam          # p k^2 / lambda at the synthetic map's p = 1

@@ -207,20 +207,19 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, config: dict, seed: int, outputs: Sequence, extra: dict | None = None,
-                   environment: dict | None = None) -> None:
-    """JSON manifest from which a run can be replayed: config echo, seed,
-    content hashes of every output file and, when given, the `environment`
-    that produced them (versions, BLAS threads, jobs, cores)."""
+def write_manifest(path, config: dict, outputs: Sequence, extra: dict,
+                   environment: dict) -> None:
+    """JSON manifest from which a run can be replayed: config echo, its
+    seed, content hashes of every output file, the `environment` that
+    produced them (versions, BLAS threads, jobs, cores) and the entries of
+    `extra`."""
     manifest = {
         "config": config,
-        "seed": seed,
+        "seed": config["seed"],
         "outputs": {Path(p).name: file_sha256(p) for p in outputs},
+        "environment": environment,
+        **extra,
     }
-    if environment is not None:
-        manifest["environment"] = environment
-    if extra:
-        manifest.update(extra)
     with Path(path).open("w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

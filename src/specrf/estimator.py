@@ -83,16 +83,16 @@ class EstimatorError(ValueError):
 
 @dataclass(frozen=True)
 class RFModel:
-    """Fitted coefficients plus the design metadata needed to predict.
+    """Fitted coefficients, the feature set they multiply and lambda.
 
     theta is indexed like the design's columns: one block of p coefficients
     per distinct omega draw of the feature set (`FeatureSet.distinct`), so it
-    has length M_distinct * p, not M * p.
+    has length M_distinct * p, not M * p.  Predictions scale the rows as the
+    design did, by the map's `scale`.
     """
 
     feature_set: FeatureSet
     theta: np.ndarray
-    kappa_scale: float
     lam: float
 
     @property
@@ -125,15 +125,6 @@ def _reject_degenerate(norm: float) -> None:
         raise EstimatorError("design matrix is identically zero")
 
 
-def _model(design: DesignMatrix, theta: np.ndarray, lam: float) -> RFModel:
-    return RFModel(
-        feature_set=design.feature_set,
-        theta=theta,
-        kappa_scale=design.kappa_scale,
-        lam=lam,
-    )
-
-
 def fit_closed(
     design: DesignMatrix,
     outputs: np.ndarray,
@@ -156,7 +147,7 @@ def fit_closed(
         theta = spectral.tikhonov_solve(cov, lam, rhs)
     else:
         theta = spectral.apply_filter(filt, lam, cov, rhs)
-    return _model(design, theta, lam)
+    return RFModel(design.feature_set, theta, lam)
 
 
 #: Columns k of the Gaussian test matrix of the low-rank route
@@ -317,7 +308,7 @@ def fit_gd(
     if n_steps < 1:
         raise EstimatorError(f"n_steps must be >= 1, got {n_steps}")
     theta, = _descend(design, outputs, alpha, [n_steps])
-    return _model(design, theta, 1.0 / (alpha * n_steps))
+    return RFModel(design.feature_set, theta, 1.0 / (alpha * n_steps))
 
 
 def fit_gd_path(
@@ -340,15 +331,15 @@ def fit_gd_path(
     if not stops or stops[0] < 1:
         raise EstimatorError("checkpoints must be positive iteration counts")
     thetas = _descend(design, outputs, alpha, stops)
-    return [_model(design, theta, 1.0 / (alpha * step))
+    return [RFModel(design.feature_set, theta, 1.0 / (alpha * step))
             for step, theta in zip(stops, thetas)]
 
 
 def predict_batch(model: RFModel, U) -> np.ndarray:
     """Predictions (1/sqrt(M)) sum_{m,i} theta_mi phi_i(u, w_m) for a batch of
-    inputs, kappa-consistent, shape (len(U), d_v), with the sum over M draws
-    folded onto the distinct ones (`features.predict_values`)."""
-    return features.predict_values(model.feature_set, model.theta, U, model.kappa_scale)
+    inputs, scaled as the design's rows, shape (len(U), d_v), with the sum
+    over M draws folded onto the distinct ones (`features.predict_values`)."""
+    return features.predict_values(model.feature_set, model.theta, U)
 
 
 def _test_inputs(test_inputs) -> np.ndarray:
@@ -383,9 +374,8 @@ def evaluate_path(models: list[RFModel], test_inputs, test_outputs) -> list[Risk
     """`evaluate` for each model of one `fit_gd_path` trajectory.  The models
     share a feature set, so the test inputs' feature rows are built once and
     multiply every checkpoint's coefficients together."""
-    first = models[0]
     U = _test_inputs(test_inputs)
     thetas = np.stack([m.theta for m in models], axis=1)
-    preds = features.predict_values(first.feature_set, thetas, U, first.kappa_scale)
+    preds = features.predict_values(models[0].feature_set, thetas, U)
     return [_report(model, preds[..., k], U, test_outputs)
             for k, model in enumerate(models)]

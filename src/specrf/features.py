@@ -9,7 +9,7 @@ the Monte Carlo kernel
 
 Design matrices form the empirical operators of a dataset: Sigma_hat =
 (1/n) Z^T Z, the Gram matrix (1/n) Z Z^T and the embedding adjoint
-(1/n) Z^T v, with features rescaled so their spectra lie in [0, 1].  Each is
+(1/n) Z^T v, with features divided by the map's `scale`.  Each is
 summed over blocks of Z's rows or columns in one pass and handed to the
 caller, so Z itself is built only where a caller asks for it and a fit
 leaves nothing on its design.
@@ -106,8 +106,8 @@ def tanh_act() -> Activation:
 
 
 def identity_act() -> Activation:
-    """Identity activation.  Unbounded, so the feature bound kappa is infinite;
-    designs built on it must stay unnormalized."""
+    """Identity activation.  Unbounded, so the feature bound kappa is infinite
+    and designs built on it keep raw features (`FeatureMap.scale` is 1)."""
     return Activation("identity", _identity, _ones, math.inf, 1.0)
 
 
@@ -136,6 +136,12 @@ class FeatureMap:
     evaluate: Callable[..., np.ndarray]
     support: tuple[Any, np.ndarray] | None = None  # (omegas, probabilities)
     v_weight: float = 1.0
+
+    @property
+    def scale(self) -> float:
+        """What designs and predictions divide feature rows by: kappa where
+        it is finite, which puts Sigma_hat's spectrum in [0, 1], else 1."""
+        return float(self.kappa) if math.isfinite(self.kappa) else 1.0
 
 
 @dataclass(frozen=True)
@@ -240,10 +246,9 @@ def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1
     return out
 
 
-def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any,
-                   kappa_scale: float) -> np.ndarray:
-    """Raw predictions (1/kappa_scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
-    over the distinct draws omega_m (counts c_m), shape (len(U), d_v).
+def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any) -> np.ndarray:
+    """Raw predictions (1/scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
+    over the distinct draws omega_m (counts c_m), scale = fs.map.scale, shape (len(U), d_v).
 
     A (dim, k) theta holds k coefficient vectors side by side; each chunk's
     rows are then built once for all of them and the result has shape
@@ -265,7 +270,7 @@ def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any,
     buffer = np.empty((min(chunk, n) * d_v, width))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        rows = feature_rows(fs, U[start:stop], kappa_scale,
+        rows = feature_rows(fs, U[start:stop], fs.map.scale,
                             out=buffer[:(stop - start) * d_v])
         np.einsum("ij,kj->ik", rows, coefs, out=out[start:stop].reshape(-1, k))
     return out.reshape((n, d_v) + theta.shape[1:])
@@ -278,10 +283,10 @@ class DesignMatrix:
     Z has shape (n*d_v, M_distinct*p): one block of p columns per distinct
     omega draw of the feature set (see `feature_rows`).  Row block j holds
     sqrt(v_weight)-scaled feature vectors at input u_j, weighted by
-    sqrt(count/M)/kappa_scale.  Z Z^T, and so every filtered prediction,
-    equals that of the unmerged (n*d_v, M*p) design.  With that scaling
-    Sigma_hat = cov() = (1/n) Z^T Z has spectral norm at most 1, and so has
-    the Gram matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum.
+    sqrt(count/M)/scale.  Z Z^T, and so every filtered prediction, equals
+    that of the unmerged (n*d_v, M*p) design.  On a bounded map Sigma_hat =
+    cov() = (1/n) Z^T Z then has spectral norm at most 1, and so has the
+    Gram matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum.
 
     No fit holds Z.  The primal side needs only Sigma_hat and
     S_hat^* v = (1/n) Z^T v, summed in one pass over the rows of `chunk`
@@ -298,14 +303,12 @@ class DesignMatrix:
     nothing on the design; no fit reads Z.
     """
 
-    def __init__(self, feature_set: FeatureSet, inputs: Any, normalize: bool = True):
+    def __init__(self, feature_set: FeatureSet, inputs: Any):
         fmap = feature_set.map
         inputs = np.asarray(inputs, dtype=float)
         n = inputs.shape[0]
         if n == 0:
             raise FeatureError("design requires at least one input")
-        if normalize and not math.isfinite(fmap.kappa):
-            raise FeatureError("cannot normalize a design for an unbounded feature map")
         self.feature_set = feature_set
         self.inputs = inputs
         self.n = n
@@ -313,7 +316,11 @@ class DesignMatrix:
         self.M_distinct = len(feature_set.distinct[1])
         self.p = fmap.p
         self.v_weight = fmap.v_weight
-        self.kappa_scale = float(fmap.kappa) if normalize else 1.0
+
+    @property
+    def kappa_scale(self) -> float:
+        """The divisor of every feature row, the map's `scale`."""
+        return self.feature_set.map.scale
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -469,9 +476,9 @@ class DesignMatrix:
         return math.sqrt(self.v_weight) * self._stacked(outputs)
 
 
-def build_design(fs: FeatureSet, inputs: Any, normalize: bool = True) -> DesignMatrix:
+def build_design(fs: FeatureSet, inputs: Any) -> DesignMatrix:
     """Assemble the design matrix for a list of inputs."""
-    return DesignMatrix(fs, inputs, normalize=normalize)
+    return DesignMatrix(fs, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +629,7 @@ def ntk_feature_map(
     `input_bound` is a declared bound on sup_{u,x} ||J(u)(x)||; with a bounded
     activation it certifies kappa^2 = sup|sigma|^2 + (deriv_scale * sup|sigma'|
     * input_bound)^2.  Without it (or with an unbounded activation) kappa is
-    infinite and designs must be built unnormalized.
+    infinite and designs keep raw features (`FeatureMap.scale` is 1).
     """
     act = arch.activation
     d_tilde = arch.d_tilde

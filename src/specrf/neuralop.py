@@ -243,7 +243,7 @@ def compare_cell(
     # psi is the a-direction and psi' the B-directions, which a frozen B
     # zeroes (deriv_scale 0)
     fs = tangent_feature_set(no0, deriv_scale=None if train_b else 0.0)
-    design = features.build_design(fs, U_tr, normalize=False)
+    design = features.build_design(fs, U_tr)
     model = estimator.fit_gd(design, V_tr, alpha, n_steps)
     rf_preds = estimator.predict_batch(model, U_te)
 

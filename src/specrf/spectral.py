@@ -41,6 +41,8 @@ __all__ = [
 #: eigenvalues below -NEG_EIG_TOL are rejected, above 1 + POS_EIG_TOL likewise
 NEG_EIG_TOL = 1e-10
 POS_EIG_TOL = 1e-9
+#: `eigensystem` rejects max |a - a^T| above SYM_TOL max(1, max |a|)
+SYM_TOL = 1e-10
 #: landweber iteration count 1/(alpha*lambda) must be integral to this tolerance
 SCHEDULE_TOL = 1e-9
 #: the constants every filter is certified for: sup_t |t phi_lambda(t)| <= D,
@@ -185,13 +187,13 @@ class EigenSystem:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
 
 
-def eigensystem(a: np.ndarray, sym_tol: float = 1e-10) -> EigenSystem:
+def eigensystem(a: np.ndarray) -> EigenSystem:
     """Symmetric eigendecomposition with the symmetry precondition enforced."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise FilterDomainError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > sym_tol * scale:
+    if np.max(np.abs(a - a.T)) > SYM_TOL * scale:
         raise FilterDomainError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]

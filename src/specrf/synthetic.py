@@ -64,6 +64,13 @@ class SpectrumSpec:
     c_b: float
 
 
+def effective_dimension(eigenvalues: np.ndarray, lam: float) -> float:
+    """N(lambda) = sum_i mu_i / (mu_i + lambda) of the spectrum `eigenvalues`."""
+    if lam <= 0:
+        raise SyntheticError(f"lambda must be positive, got {lam}")
+    return float(np.sum(eigenvalues / (eigenvalues + lam)))
+
+
 def spectrum_spec(b: float, d_max: int) -> SpectrumSpec:
     if not 0.0 < b <= 1.0:
         raise SyntheticError(f"b must be in (0, 1], got {b}")
@@ -71,7 +78,7 @@ def spectrum_spec(b: float, d_max: int) -> SpectrumSpec:
         raise SyntheticError(f"d_max must be >= 2, got {d_max}")
     idx = np.arange(1, d_max + 1, dtype=float)
     mu = idx ** (-1.0 / b)
-    n_eff = np.array([np.sum(mu / (mu + lam)) for lam in _CB_GRID])
+    n_eff = np.array([effective_dimension(mu, lam) for lam in _CB_GRID])
     c_b = float(np.max(n_eff * _CB_GRID ** b)) * (1.0 + 1e-9)
     return SpectrumSpec(b=float(b), d_max=int(d_max), eigenvalues=mu, c_b=c_b)
 
@@ -127,7 +134,6 @@ class SyntheticProblem:
     spectrum: SpectrumSpec
     source: SourceTarget
     feature_map: FeatureMap = field(compare=False)
-    kappa: float
 
     @property
     def d_max(self) -> int:
@@ -239,9 +245,8 @@ def make_problem(spec: SpectrumSpec, r: float, R: float, seed: int) -> Synthetic
     h *= R / np.linalg.norm(h)
     coeffs = spec.eigenvalues ** r * h
     source = SourceTarget(r=float(r), R=float(R), h=h, coefficients=coeffs)
-    fmap = _problem_feature_map(spec)
-    return SyntheticProblem(spectrum=spec, source=source, feature_map=fmap,
-                            kappa=fmap.kappa)
+    return SyntheticProblem(spectrum=spec, source=source,
+                            feature_map=_problem_feature_map(spec))
 
 
 def noise_model(problem: SyntheticProblem, half_width: float) -> NoiseModel:
@@ -269,14 +274,6 @@ def sample_dataset(
     if noise.half_width > 0:
         V = V + rng.uniform(-noise.half_width, noise.half_width, size=n)
     return U, V
-
-
-def effective_dimension(spec: SpectrumSpec, lam: float) -> float:
-    """N(lambda) = sum_i mu_i / (mu_i + lambda)."""
-    if lam <= 0:
-        raise SyntheticError(f"lambda must be positive, got {lam}")
-    mu = spec.eigenvalues
-    return float(np.sum(mu / (mu + lam)))
 
 
 def _feature_exponent(r: float, b: float) -> float:

@@ -59,8 +59,7 @@ def heatmap_passes():
         "normal_equations": (lambda: design.normal_equations(v), row),
         "gram": (lambda: design.gram(), column),
         "embed_adjoints": (lambda: design.embed_adjoints(cs), column),
-        "predict_values": (lambda: features.predict_values(fs, theta, design.inputs,
-                                                           design.kappa_scale), row),
+        "predict_values": (lambda: features.predict_values(fs, theta, design.inputs), row),
     }
 
 
@@ -79,7 +78,7 @@ def ntk_passes():
     return {
         "forward": (lambda: neuralop.forward(no, U), 8 * no.M),
         "train_step": (lambda: neuralop._risk_and_gradients(no, U, V), 8 * no.M),
-        "ntk_predict_values": (lambda: features.predict_values(fs, theta, U_te, 1.0),
+        "ntk_predict_values": (lambda: features.predict_values(fs, theta, U_te),
                                8 * fs.map.d_v * width),
     }
 

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -193,7 +194,9 @@ class TestRates:
 
     def test_pool_returns_results_in_item_order(self):
         # started largest first: 3, -2, -1, 1
-        assert cli._pmap(abs, [-1, 3, -2, 1], 2, size=abs) == [1, 3, 2, 1]
+        cells = [{"label": f"cell {x}", "x": x} for x in (-1, 3, -2, 1)]
+        assert cli._pmap(operator.itemgetter("x"), cells, 2,
+                         size=lambda cell: abs(cell["x"])) == [-1, 3, -2, 1]
 
     def test_jobs_do_not_change_the_bytes(self, tmp_path):
         # the pool starts the largest n first; rows still aggregate in cell order
@@ -597,6 +600,21 @@ class TestCLIContract:
         code, _ = run(command, tmp_path, config)
         assert code == 3
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["bogus"], ["gen", "--seed", "x"], ["gen", "--bogus-flag"],
+        ["gen", "--jobs", "-3"], ["gen", "--jobs", "0"], ["gen", "--jobs", "x"],
+    ], ids=["unknown-command", "seed-not-an-integer", "unknown-flag",
+            "jobs-negative", "jobs-zero", "jobs-not-an-integer"])
+    def test_usage_error_exits_3_before_the_output_directory(self, args, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(args + ["--out", str(out), "--config", '{"n": 5, "d_max": 4}']) == 3
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: specrf" in capsys.readouterr().out
 
     def test_unwritable_out_exits_4(self, tmp_path):
         blocker = tmp_path / "file"

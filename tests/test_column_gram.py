@@ -40,7 +40,7 @@ def ntk_design():
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, tau=1.0, seed=3))
     rng = np.random.default_rng(4)
     U, V = 0.5 * rng.normal(size=(32, 16, 1)), rng.normal(size=(32, 16))
-    return features.build_design(fs, U, normalize=False), V
+    return features.build_design(fs, U), V
 
 
 def rff_design():

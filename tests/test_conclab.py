@@ -80,7 +80,7 @@ class TestEventRHS:
                          nu=problem.spectrum.eigenvalues)
 
     def test_e7_reference_value(self, small_problem):
-        k2 = small_problem[0].kappa ** 2
+        k2 = small_problem[0].feature_map.kappa ** 2
         assert self.rhs("E7", small_problem) == pytest.approx(
             pinelis_bound(k2, k2, 100, 0.1), rel=1e-12)
 

@@ -93,7 +93,7 @@ def tangent_case(n=8):
     rng = np.random.default_rng(4)
     U, U_te = 0.5 * rng.normal(size=(n, 4, 1)), 0.5 * rng.normal(size=(30, 4, 1))
     V, V_te = rng.normal(size=(n, 4)), rng.normal(size=(30, 4))
-    design = features.build_design(fs, U, normalize=False)
+    design = features.build_design(fs, U)
     # ||Sigma_hat|| is not bounded by 1 without normalization; step inside 1/||Sigma_hat||
     alpha = min(1.0, 0.9 * design.n / np.linalg.norm(design.Z, 2) ** 2)
     return design, V, U_te, V_te, alpha

@@ -49,7 +49,7 @@ def synthetic_case():
     fs = features.sample_features(problem.feature_map, 40, seed=1)
     assert np.any(np.diff(fs.distinct[0]) < 0)
     U = synthetic.sample_inputs(70, seed=2)
-    return fs, U, problem.kappa, 1.0
+    return fs, U, problem.feature_map.kappa, 1.0
 
 
 def rff_case():
@@ -71,7 +71,7 @@ def ntk_case(n_x):
 
 
 def vector_omega_rows_case():
-    fs, U, _, _, _ = vector_omega_case()
+    fs, U, _, _ = vector_omega_case()
     return fs, U, fs.map.kappa, fs.map.v_weight
 
 
@@ -118,7 +118,7 @@ def test_design_across_the_chunk_boundary(monkeypatch):
     theta = np.random.default_rng(9).normal(size=(design.Z.shape[1], 3))
     expected = np.einsum("ij,kj->ik", copied_rows(fs, U, design.kappa_scale),
                          np.ascontiguousarray(theta.T))
-    np.testing.assert_array_equal(features.predict_values(fs, theta, U, design.kappa_scale),
+    np.testing.assert_array_equal(features.predict_values(fs, theta, U),
                                   expected.reshape(1100, 1, 3))
 
 
@@ -160,13 +160,13 @@ def test_predictions_do_not_depend_on_the_chunk(batch, monkeypatch):
     single = stacked[:, 0].copy()
     predictions = {}
     for name, theta in (("gemv", single), ("gemm", stacked)):
-        predictions[name] = features.predict_values(fs, theta, U, 2.0)
+        predictions[name] = features.predict_values(fs, theta, U)
         assert predictions[name].shape == (len(U), fs.map.d_v) + theta.shape[1:]
     for chunk in (1, 7, 512):
         monkeypatch.setattr(runtime, "BLOCK_BYTES", chunk * row_bytes)
         for name, theta in (("gemv", single), ("gemm", stacked)):
             np.testing.assert_array_equal(
-                features.predict_values(fs, theta, U, 2.0), predictions[name])
+                features.predict_values(fs, theta, U), predictions[name])
     np.testing.assert_array_equal(predictions["gemm"][..., 0], predictions["gemv"])
 
 

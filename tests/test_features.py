@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrf import features, synthetic
+from specrf import estimator, features, neuralop, synthetic
 from specrf.features import (
     FeatureError,
     FeatureSet,
@@ -193,7 +193,7 @@ class TestDesign:
         design = build_design(fs, U)
         theta = np.random.default_rng(6).normal(size=design.Z.shape[1])
         stacked = (design.Z @ theta).reshape(9, 1)
-        preds = features.predict_values(fs, theta, U, design.kappa_scale)
+        preds = features.predict_values(fs, theta, U)
         np.testing.assert_allclose(
             stacked / math.sqrt(design.v_weight), preds, atol=1e-12
         )
@@ -214,14 +214,32 @@ class TestDesign:
         with pytest.raises(FeatureError):
             build_design(fs, np.zeros(0))
 
-    def test_unbounded_map_requires_unnormalized(self):
-        arch = OperatorArchitecture(identity_act(), 1, d_y=1, use_lift=False)
-        fmap = ntk_feature_map(arch)
-        fs = sample_features(fmap, 4, seed=0)
-        with pytest.raises(FeatureError):
-            build_design(fs, np.zeros((3, 1)))
-        design = build_design(fs, np.zeros((3, 1)), normalize=False)
-        assert design.kappa_scale == 1.0
+    @pytest.mark.parametrize("case", ["bounded-synthetic", "identity-ntk", "tangent"])
+    def test_scale_follows_the_map(self, case):
+        """A design divides its rows by kappa where the map is bounded, else
+        by 1, and predictions use the same rows."""
+        rng = np.random.default_rng(7)
+        if case == "bounded-synthetic":
+            problem = synthetic.make_problem(synthetic.spectrum_spec(b=1.0, d_max=8),
+                                             r=0.5, R=1.0, seed=3)
+            fs, U = sample_features(problem.feature_map, 12, seed=4), rng.uniform(size=9)
+        elif case == "identity-ntk":
+            arch = OperatorArchitecture(identity_act(), 1, d_y=1, use_lift=False)
+            fs, U = sample_features(ntk_feature_map(arch), 4, seed=0), rng.normal(size=(3, 1))
+        else:
+            arch = OperatorArchitecture(tanh_act(), 4, d_y=1)
+            fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 8, 0.5, seed=1))
+            U = rng.normal(size=(6, 4, 1))
+        kappa = fs.map.kappa
+        scale = kappa if case == "bounded-synthetic" else 1.0
+        assert math.isfinite(kappa) == (case == "bounded-synthetic")
+        assert build_design(fs, U).kappa_scale == scale
+        theta = rng.normal(size=len(fs.distinct[1]) * fs.map.p)
+        model = estimator.RFModel(fs, theta, lam=0.1)
+        np.testing.assert_allclose(
+            estimator.predict_batch(model, U),
+            (features.feature_rows(fs, U, scale) @ theta).reshape(len(U), fs.map.d_v),
+            rtol=1e-12, atol=1e-12)
 
 
 #: sigma' as a function of z, the oracle for `Activation.f_and_df`

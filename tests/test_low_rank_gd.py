@@ -88,7 +88,7 @@ def tangent():
     U_te, _ = cli._operator_dataset(64, 16, 0.0, seed=2)
     arch = features.OperatorArchitecture(features.tanh_act(), 16, d_y=1)
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 1024, 1.0, seed=5))
-    design = features.build_design(fs, arch.coerce_inputs(U), normalize=False)
+    design = features.build_design(fs, arch.coerce_inputs(U))
     return design, V, arch.coerce_inputs(U_te), 0.25
 
 

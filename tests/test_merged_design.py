@@ -36,7 +36,7 @@ def synthetic_case():
     U, V = synthetic.sample_dataset(problem, 60, noise, seed=1)
     U_te, _ = synthetic.sample_dataset(problem, 40, noise, seed=2)
     fs = features.sample_features(problem.feature_map, 200, seed=3)
-    return fs, U, V, U_te, True
+    return fs, U, V, U_te
 
 
 def vector_omega_case():
@@ -58,7 +58,7 @@ def vector_omega_case():
     fs = features.sample_features(fmap, 120, seed=5)
     U, U_te = rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, 30)
     V = rng.normal(size=(50, 2))
-    return fs, U, V, U_te, True
+    return fs, U, V, U_te
 
 
 def tangent_case(deriv_scale=None):
@@ -69,7 +69,7 @@ def tangent_case(deriv_scale=None):
     rng = np.random.default_rng(7)
     U, U_te = 0.3 * rng.normal(size=(20, 4, 1)), 0.3 * rng.normal(size=(15, 4, 1))
     V = rng.normal(size=(20, 4))
-    return fs, U, V, U_te, False
+    return fs, U, V, U_te
 
 
 CASES = {"synthetic": synthetic_case, "vector-omega": vector_omega_case,
@@ -78,8 +78,8 @@ CASES = {"synthetic": synthetic_case, "vector-omega": vector_omega_case,
 
 @pytest.mark.parametrize("name", CASES)
 def test_merged_design_matches_unmerged(name):
-    fs, U, V, U_te, normalize = CASES[name]()
-    design = features.build_design(fs, U, normalize=normalize)
+    fs, U, V, U_te = CASES[name]()
+    design = features.build_design(fs, U)
     n, p = design.n, fs.map.p
     assert design.M_distinct < fs.M
     assert design.Z.shape == (n * fs.map.d_v, design.M_distinct * p)
@@ -135,9 +135,9 @@ def test_frozen_summands_match_zeroed_unmerged_columns():
     """The tangent map at deriv_scale 0, compare_cell's twin of a frozen B,
     is the tangent design with its psi' columns zeroed: only the psi block
     (the a-direction) is left."""
-    fs, U, _, _, _ = tangent_case()
-    frozen, _, _, _, _ = tangent_case(deriv_scale=0.0)
-    design = features.build_design(frozen, U, normalize=False)
+    fs, U, _, _ = tangent_case()
+    frozen, _, _, _ = tangent_case(deriv_scale=0.0)
+    design = features.build_design(frozen, U)
     full = unmerged_rows(fs, U, 1.0)
     full[:, np.tile(np.arange(fs.map.p) > 0, fs.M)] = 0.0
     assert rel(design.Z @ design.Z.T, full @ full.T) <= TOL

@@ -55,7 +55,7 @@ def tangent_case():
     fs = neuralop.tangent_feature_set(neuralop.init_symmetric(arch, 32, tau=0.5, seed=3))
     rng = np.random.default_rng(4)
     U, V = 0.5 * rng.normal(size=(70, 4, 1)), rng.normal(size=(70, 4))
-    return (lambda: features.DesignMatrix(fs, U, normalize=False)), V, 1e-3
+    return (lambda: features.DesignMatrix(fs, U)), V, 1e-3
 
 
 def rates_case():
@@ -158,7 +158,7 @@ def test_fit_closed_rejects_what_the_eigh_route_rejects(filt, monkeypatch):
                                          use_lift=False)
     fs = features.sample_features(features.ntk_feature_map(arch), 30, seed=6)
     U = np.random.default_rng(5).normal(size=(40, 1))
-    design = features.build_design(fs, U, normalize=False)
+    design = features.build_design(fs, U)
     assert np.linalg.eigvalsh(design.cov()).max() > 1.0 + spectral.POS_EIG_TOL
     with pytest.raises(FilterDomainError, match="above 1; rescale the design"):
         fit_closed(design, np.ones(40), filt, 0.1)
