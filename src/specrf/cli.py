@@ -14,9 +14,10 @@ Every run writes CSV artifacts plus a manifest JSON (config echo, seed,
 output hashes, environment, exit code, per-stage wall times) into the output
 directory.  A run that exits 2 on an error still writes one, with the error
 message and no output hashes.
-The seed precedence is SPECRF_SEED environment variable > --seed flag >
-config file.  BLAS runs one thread per process, in the serial path and in
-every --jobs worker.
+A run's config layers, each over the last: the subcommand's defaults, its
+paper-scale sizes (--paper-scale), the config file, --seed, SPECRF_SEED.
+BLAS runs one thread per process, in the serial path and in every --jobs
+worker.
 
 Exit codes: 0 success, 2 invariant violation, 3 config or usage error (an
 unknown subcommand or flag, or a bad flag value), 4 I/O error.
@@ -82,6 +83,8 @@ PRESETS: dict[str, tuple[str, dict]] = {
     "ntk-compare": ("ntk-compare", {"M_grid": [64, 128, 256, 512, 1024]}),
 }
 
+# Each subcommand's defaults.  "paper_scale" holds the sizes --paper-scale
+# lays over them (`load_config`); it is not a config key.
 DEFAULTS: dict[str, dict] = {
     "gen": {
         "seed": 0,
@@ -184,7 +187,11 @@ DEFAULTS: dict[str, dict] = {
 
 def load_config(command: str, path: str | None, seed_flag: int | None,
                 paper_scale: bool) -> dict:
+    """The run's config, in the layers of the module docstring."""
     cfg = json.loads(json.dumps(DEFAULTS[command]))  # deep copy
+    scale = cfg.pop("paper_scale", {})
+    if paper_scale:
+        cfg.update(scale)
     if path is not None:
         try:
             if path.lstrip().startswith("{"):   # inline JSON object
@@ -201,33 +208,22 @@ def load_config(command: str, path: str | None, seed_flag: int | None,
         for key, value in user.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
-            if isinstance(cfg.get(key), dict) and isinstance(value, dict):
-                # paper_scale overrides top-level keys; other objects merge their own
-                known = cfg if key == "paper_scale" else cfg[key]
+            if isinstance(cfg[key], dict) and isinstance(value, dict):
                 for sub in value:
-                    if sub not in known:
-                        raise ConfigError(
-                            f"unknown config key '{key}.{sub}' for {command}")
-                    if isinstance(known[sub], dict):   # replacing it would drop its other keys
-                        raise ConfigError(f"{key}.{sub} cannot be set: paper_scale "
-                                          f"overrides plain values, not objects")
+                    if sub not in cfg[key]:
+                        raise ConfigError(f"unknown config key '{key}.{sub}' for {command}")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
-    override = {}
     if seed_flag is not None:
-        override["seed"] = seed_flag
+        cfg["seed"] = seed_flag
     env_seed = os.environ.get("SPECRF_SEED")
     if env_seed is not None:
         try:
-            override["seed"] = int(env_seed)
+            cfg["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"SPECRF_SEED must be an integer: {env_seed!r}") from exc
-    cfg.update(override)
     _check(cfg, DEFAULTS[command])
-    scale = cfg.pop("paper_scale", {})
-    if paper_scale:
-        cfg.update(scale, **override)   # --seed and SPECRF_SEED outrank paper_scale too
     validate_config(command, cfg)
     return cfg
 
@@ -247,9 +243,9 @@ def _same_type(value, example) -> bool:
 
 
 # key -> (holds, requirement): the rule for that key's value in every
-# subcommand, under "problem" and "paper_scale" too.  `_check` compares the
-# value's JSON type with its default's first; where the default is None, the
-# rule alone checks the type.
+# subcommand, under "problem" too.  `_check` compares the value's JSON type
+# with its default's first; where the default is None, the rule alone checks
+# the type.
 CHECKS: dict[str, tuple] = {
     **dict.fromkeys(("seed", "problem_seed", "label_column", "noise_half_width"),
                     (lambda v: v >= 0, "must be nonnegative")),
@@ -275,6 +271,8 @@ CHECKS: dict[str, tuple] = {
                f"must be a nonempty list of {list(conclab.ALL_EVENTS)}"),
     "experiments": (lambda v: len(v) > 0 and len(set(v)) == len(v) and set(v) <= set(PRESETS),
                     f"must name distinct presets of {list(PRESETS)}"),
+    "filename": (lambda v: v not in ("", ".", "..") and "\0" not in v and Path(v).name == v,
+                 "must be a file name, not a path"),
     "csv": (lambda v: v is None or isinstance(v, str), "must be a file path or null"),
     "feature_columns": (lambda v: v is None or isinstance(v, list) and len(v) > 0
                         and all(_same_type(c, 0) and c >= 0 for c in v),
@@ -299,8 +297,7 @@ def _check(cfg: dict, defaults: dict, prefix: str = "") -> None:
             raise ConfigError(f"{name} entries must each be "
                               f"{_TYPE_NAMES[type(default[0])]}, got {value!r}")
         if isinstance(default, dict):
-            # paper_scale entries override top-level keys, so check them as such
-            _check(value, defaults if key == "paper_scale" else default, name + ".")
+            _check(value, default, name + ".")
         elif key in CHECKS:
             holds, requirement = CHECKS[key]
             if not holds(value):
@@ -346,9 +343,10 @@ def _build_problem(pcfg: dict, seed: int):
 
 def _pmap(fn, cells: list[dict], jobs: int, size):
     """[fn(cell) for cell in cells], each call named after its cell's
-    "label" if it fails (`_run_cell`), on `jobs` worker processes set up as
-    the serial one is (`runtime.init_process`); the results keep the order
-    of `cells`.  The pool starts the cells in decreasing size(cell), so the
+    "label" if it fails (`_run_cell`), on min(jobs, len(cells)) worker
+    processes (the pool forks them all at its first submit) set up as the
+    serial one is (`runtime.init_process`); the results keep the order of
+    `cells`.  The pool starts the cells in decreasing size(cell), so the
     largest does not start last and set the tail.  The pool module (with
     multiprocessing) is imported only when a pool runs, which keeps it out
     of the start-up of every serial process."""
@@ -359,7 +357,8 @@ def _pmap(fn, cells: list[dict], jobs: int, size):
 
     order = sorted(range(len(cells)), key=lambda i: -size(cells[i]))
     results = [None] * len(cells)
-    with ProcessPoolExecutor(max_workers=jobs, initializer=runtime.init_process) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
+                             initializer=runtime.init_process) as pool:
         for i, result in zip(order, pool.map(run, [cells[i] for i in order])):
             results[i] = result
     return results
@@ -477,9 +476,9 @@ def _heatmap_cell(args: dict) -> list[dict]:
 
     models = estimator.fit_gd_path(design, V_tr, cfg["alpha"], args["T_grid"])
     reports = estimator.evaluate_path(models, U_te.reshape(-1, 1), V_te)
-    return [{"M": args["M"], "T": round(1.0 / (cfg["alpha"] * model.lam)),
-             "rep": args["rep"], "error": rep.empirical_risk}
-            for model, rep in zip(models, reports)]
+    # fit_gd_path returns one model per checkpoint, in T_grid's ascending order
+    return [{"M": args["M"], "T": t, "rep": args["rep"], "error": rep.empirical_risk}
+            for t, rep in zip(args["T_grid"], reports)]
 
 
 def cmd_sweep_heatmap(cfg: dict, out: Path,

@@ -9,6 +9,8 @@ into this process (/proc/self/maps).  The symbols used:
 - `*_set_num_threads` pins it to one thread.  Where no such symbol exists
   (another BLAS, or no /proc/self/maps) pinning does nothing and the thread
   count is reported as null.
+- `*_get_corename` names the core type whose kernels it runs (`blas_core`,
+  null where the symbol is missing).
 - `scipy_cblas_dsyrk64_` (ILP64 CBLAS) adds a block's A A^T or A^T A into
   one triangle of an operator in place (`symmetric_update`), so a covariance
   or Gram matrix summed over blocks of rows or columns needs no
@@ -50,19 +52,38 @@ def _openblas_libs() -> tuple:
     return tuple(libs)
 
 
-@functools.cache
-def _openblas_threads() -> tuple:
-    """(set_num_threads, get_num_threads) of the loaded OpenBLAS, or (None, None)."""
+def _openblas_fn(stem: str):
+    """The loaded OpenBLAS's function `<prefix>_<stem><suffix>`, or None."""
     for lib in _openblas_libs():
         for prefix in _PREFIXES:
             for suffix in _SUFFIXES:
-                set_fn = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                get_fn = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                if set_fn is not None and get_fn is not None:
-                    set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
-                    get_fn.argtypes, get_fn.restype = [], ctypes.c_int
-                    return set_fn, get_fn
-    return None, None
+                fn = getattr(lib, f"{prefix}_{stem}{suffix}", None)
+                if fn is not None:
+                    return fn
+    return None
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(set_num_threads, get_num_threads) of the loaded OpenBLAS, or (None, None)."""
+    set_fn, get_fn = _openblas_fn("set_num_threads"), _openblas_fn("get_num_threads")
+    if set_fn is None or get_fn is None:
+        return None, None
+    set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+    get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+    return set_fn, get_fn
+
+
+@functools.cache
+def blas_core() -> str | None:
+    """The CPU core the loaded OpenBLAS chose its kernels for (`SkylakeX`),
+    or None where it cannot say."""
+    fn = _openblas_fn("get_corename")
+    if fn is None:
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+    core = fn()
+    return core.decode() if core else None
 
 
 @functools.cache
@@ -223,10 +244,11 @@ def usable_cpus() -> int:
 
 
 def environment(jobs: int) -> dict:
-    """What produced a run's bytes: versions, BLAS threads, the kernel that
-    formed the operators, --jobs and usable cores."""
+    """What produced a run's bytes: versions, BLAS threads and core, the
+    kernel that formed the operators, --jobs and usable cores."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "blas_threads": blas_threads(), "operator_kernel": operator_kernel(),
+            "blas_threads": blas_threads(), "blas_core": blas_core(),
+            "operator_kernel": operator_kernel(),
             "jobs": jobs, "nproc": usable_cpus()}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import operator
@@ -198,6 +199,31 @@ class TestRates:
         assert cli._pmap(operator.itemgetter("x"), cells, 2,
                          size=lambda cell: abs(cell["x"])) == [-1, 3, -2, 1]
 
+    def test_pool_opens_no_more_workers_than_cells(self, monkeypatch):
+        """The pool forks every worker at its first submit, so `_pmap` asks
+        for no more than it has cells; a fake pool that maps serially
+        records the request and starts no process."""
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cells = [{"label": f"cell {x}", "x": x} for x in (1, 2, 3)]
+        assert cli._pmap(operator.itemgetter("x"), cells, 64,
+                         size=lambda cell: cell["x"]) == [1, 2, 3]
+        assert opened == [3]
+
     def test_jobs_do_not_change_the_bytes(self, tmp_path):
         # the pool starts the largest n first; rows still aggregate in cell order
         cfg = {"n_grid": [100, 200, 400], "repetitions": 2, "d_max": 32,
@@ -337,7 +363,6 @@ class TestCLIContract:
     @pytest.mark.parametrize("command,config,name", [
         ("fit", {"problem": {"rr": 2.0}}, "problem.rr"),
         ("verify", {"problem": {"r": 0.5, "d_mx": 16}}, "problem.d_mx"),
-        ("sweep-heatmap", {"paper_scale": {"reps": 2}}, "paper_scale.reps"),
     ])
     def test_unknown_nested_config_key_exits_3(self, command, config, name,
                                                tmp_path, capsys):
@@ -346,16 +371,31 @@ class TestCLIContract:
         assert f"unknown config key '{name}'" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    def test_paper_scale_overrides_top_level_keys(self):
-        cfg = cli.load_config("sweep-heatmap", '{"paper_scale": {"M_grid": [8]}}',
-                              None, paper_scale=True)
-        assert cfg["M_grid"] == [8] and cfg["n_train"] == 5000
-
-    def test_paper_scale_override_type_exits_3(self, tmp_path, capsys):
-        code, _ = run("sweep-heatmap", tmp_path, {"paper_scale": {"alpha": "x"}},
-                      extra_args=("--paper-scale",))
+    def test_config_layers_in_one_precedence_order(self, tmp_path, monkeypatch, capsys):
+        """defaults < paper-scale sizes < config file < --seed < SPECRF_SEED."""
+        monkeypatch.delenv("SPECRF_SEED", raising=False)
+        scaled = {c: d["paper_scale"] for c, d in cli.DEFAULTS.items() if "paper_scale" in d}
+        assert set(scaled) == {"sweep-heatmap", "rates", "ntk-compare"}
+        for command, sizes in scaled.items():
+            plain = cli.load_config(command, None, None, False)
+            assert {k: plain[k] for k in sizes} == {k: cli.DEFAULTS[command][k] for k in sizes}
+            paper = cli.load_config(command, None, None, True)
+            assert {k: paper[k] for k in sizes} == sizes and "paper_scale" not in paper
+            mine = dict.fromkeys(sizes, 7)
+            cfg = cli.load_config(command, json.dumps(mine), None, True)
+            assert {k: cfg[k] for k in sizes} == mine
+        cfg = cli.load_config("sweep-heatmap", '{"repetitions": 3, "n_train": 200}', None, True)
+        assert (cfg["repetitions"], cfg["n_train"], cfg["n_test"]) == (3, 200, 5000)
+        assert cli.load_config("rates", '{"seed": 1}', None, True)["seed"] == 1
+        assert cli.load_config("rates", '{"seed": 1}', 2, True)["seed"] == 2
+        monkeypatch.setenv("SPECRF_SEED", "4")
+        assert cli.load_config("rates", '{"seed": 1}', 2, True)["seed"] == 4
+        # the sizes are not a config key
+        code, out = run("sweep-heatmap", tmp_path, {"paper_scale": {"n_train": 40}},
+                        extra_args=("--paper-scale",))
         assert code == 3
-        assert "paper_scale.alpha must be a number" in capsys.readouterr().err
+        assert "unknown config key 'paper_scale'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_records_environment(self, tmp_path):
         code, out = run("gen", tmp_path, {"n": 10, "d_max": 16})
@@ -364,7 +404,8 @@ class TestCLIContract:
         assert env["numpy"] == np.__version__
         assert env["jobs"] == 1 and env["nproc"] == runtime.usable_cpus()
         assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_threads",
-                            "operator_kernel", "jobs", "nproc"}
+                            "blas_core", "operator_kernel", "jobs", "nproc"}
+        assert env["blas_core"] == runtime.blas_core()
         assert env["operator_kernel"] == runtime.operator_kernel() in ("dsyrk", "matmul")
         if runtime.blas_threads() is None:
             pytest.skip("no OpenBLAS thread symbol in this numpy build")
@@ -515,17 +556,18 @@ class TestCLIContract:
         ("fit", {"feature_columns": ["a"]}, "feature_columns must be a nonempty list"),
         ("sweep-heatmap", {"input_bound": -1.0}, "unknown config key 'input_bound'"),
         ("gen", {"kind": "bogus"}, "kind must be 'synthetic' or 'susy-fixture'"),
-        ("sweep-heatmap", {"paper_scale": {"n_train": 0}}, "paper_scale.n_train must be positive"),
+        ("gen", {"filename": ""}, "filename must be a file name, not a path"),
         # json.dumps writes Infinity, which json.loads reads back
         ("gen", {"R": float("inf"), "n": 5, "d_max": 16}, "R must be a number, got inf"),
-        ("sweep-heatmap", {"paper_scale": {"problem": {"r": 2.0}}},
-         "paper_scale.problem cannot be set"),
+        ("gen", {"filename": "."}, "filename must be a file name, not a path"),
+        ("gen", {"filename": ".."}, "filename must be a file name, not a path"),
+        ("gen", {"filename": "sub/x.csv"}, "filename must be a file name, not a path"),
+        ("gen", {"filename": "../x.csv"}, "filename must be a file name, not a path"),
+        ("gen", {"filename": "x\0.csv"}, "filename must be a file name, not a path"),
     ])
     def test_bad_problem_parameter_exits_3(self, command, config, message, tmp_path,
                                            capsys):
-        # a paper_scale entry is checked as the top-level key it overrides
-        flags = ("--paper-scale",) if "paper_scale" in config else ()
-        code, out = run(command, tmp_path, config, extra_args=flags)
+        code, out = run(command, tmp_path, config)
         assert code == 3
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -663,8 +705,12 @@ class TestPaper:
     @pytest.mark.parametrize("paper_scale", [False, True])
     @pytest.mark.parametrize("name", list(cli.PRESETS))
     def test_preset_loads(self, name, paper_scale):
+        """A preset's own values survive --paper-scale."""
         command, overrides = cli.PRESETS[name]
-        cli.load_config(command, json.dumps(overrides), None, paper_scale)
+        cfg = cli.load_config(command, json.dumps(overrides), None, paper_scale)
+        for key, value in overrides.items():
+            assert cfg[key] == (dict(cli.DEFAULTS[command][key], **value)
+                                if isinstance(value, dict) else value)
 
     def test_leaves_no_temp_files(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
@@ -691,8 +737,7 @@ class TestPaper:
 
     def test_every_preset_runs_and_the_first_failure_in_the_table_sets_the_code(
             self, tmp_path, monkeypatch):
-        heat = dict(TestSweepHeatmap.CFG, M_grid=[8],
-                    paper_scale={"n_train": 40, "n_test": 40, "repetitions": 1})
+        heat = dict(TestSweepHeatmap.CFG, M_grid=[8], n_train=40, n_test=40, repetitions=1)
         break_filters(monkeypatch)     # of the presets, only "broken" applies a filter
         monkeypatch.setattr(cli, "PRESETS", {
             "gen": ("gen", {"n": 10, "d_max": 16}),
