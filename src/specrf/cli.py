@@ -251,7 +251,7 @@ CHECKS: dict[str, tuple] = {
                     (lambda v: v >= 0, "must be nonnegative")),
     **dict.fromkeys(("n", "n_train", "n_test", "M", "T", "r", "R", "rff_lengthscale",
                      "C_multiplier", "M_multiplier", "grid_points", "max_landweber_steps",
-                     "event_n", "event_M", "event_lambda", "trials"),
+                     "event_n", "event_M", "event_lambda"),
                     (lambda v: v > 0, "must be positive")),
     **dict.fromkeys(("repetitions", "grid_size"), (lambda v: v >= 1, "must be >= 1")),
     # the decay exponent b, and step sizes that keep every GD run inside the
@@ -262,6 +262,7 @@ CHECKS: dict[str, tuple] = {
                     (lambda v: len(v) > 0 and all(g >= 1 for g in v),
                      "must be a nonempty list of entries >= 1")),
     "d_max": (lambda v: v >= 2, "must be >= 2"),
+    "trials": (lambda v: v >= conclab.MIN_TRIALS, f"must be >= {conclab.MIN_TRIALS}"),
     "delta": (lambda v: 0 < v < 1, "must be in (0, 1)"),
     "q_grid": (lambda v: all(q >= 0 for q in v), "entries must be nonnegative"),
     "kind": (lambda v: v in ("synthetic", "susy-fixture"),
@@ -618,8 +619,6 @@ def cmd_verify(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, li
             event_rows.append(conclab.simulate_event(
                 eid, problem, noise, int(cfg["event_n"]), int(cfg["event_M"]),
                 cfg["event_lambda"], cfg["delta"], trials=int(cfg["trials"]), seed=eseed))
-        except conclab.ConcentrationConfigError as exc:
-            raise ConfigError(f"event {eid} failed: {exc}") from exc
         except Exception as exc:
             raise _failure(f"event {eid}", exc) from exc
     events_path = out / "verify_events.csv"

@@ -30,6 +30,7 @@ __all__ = [
     "FEATURE_EVENTS",
     "ALL_EVENTS",
     "BERNSTEIN_EVENTS",
+    "MIN_TRIALS",
 ]
 
 DATA_EVENTS = ("E1", "E3", "E7", "E8", "E9")
@@ -38,6 +39,8 @@ ALL_EVENTS = ("E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9")
 #: the events with an operator Bernstein bound, which holds for delta < 1; the
 #: Pinelis bound of the others needs delta < 1/2
 BERNSTEIN_EVENTS = ("E1", "E2")
+#: the fewest Monte Carlo trials an event's violation rate is estimated from
+MIN_TRIALS = 50
 
 
 class ConcentrationConfigError(ValueError):
@@ -203,8 +206,8 @@ def simulate_event(
     resampled.  Population quantities are computed exactly from the
     finite-rank problem.  Returns the event's row of `verify_events.csv`.
     """
-    if trials < 50:
-        raise ConcentrationConfigError("need at least 50 trials")
+    if trials < MIN_TRIALS:
+        raise ConcentrationConfigError(f"need at least {MIN_TRIALS} trials")
     if lam <= 0:
         raise ConcentrationConfigError(f"lambda must be positive, got {lam}")
     feature_seed, trial_seed = np.random.SeedSequence(seed).spawn(2)

@@ -155,26 +155,22 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def save_results(table: Sequence[dict] | Sequence[Sequence], path, header=None) -> None:
-    """Deterministic CSV: RFC-4180 quoting, '.' decimals, LF endings, floats
-    at 17 significant digits so values reparse bit-identically."""
+def save_results(rows: Sequence[dict], path) -> None:
+    """Deterministic CSV of dict rows, the first row's keys as the header:
+    RFC-4180 quoting, '.' decimals, LF endings, floats at 17 significant
+    digits so values reparse bit-identically."""
     path = Path(path)
-    rows = list(table)
-    if rows and isinstance(rows[0], dict):
-        header = list(rows[0].keys()) if header is None else list(header)
-        body = [[row[k] for k in header] for row in rows]
-    else:
-        body = [list(r) for r in rows]
-    if header is None:
-        raise DataError("save_results needs a header")
-    if any(len(row) != len(header) for row in body):
-        raise DataError("table is not rectangular")
+    if not rows:
+        raise DataError("save_results needs at least one row")
+    header = list(rows[0])
+    if any(row.keys() != rows[0].keys() for row in rows):
+        raise DataError("rows must all have the first row's keys")
     try:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in body:
-                writer.writerow([_format_cell(c) for c in row])
+            for row in rows:
+                writer.writerow([_format_cell(row[k]) for k in header])
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -232,6 +228,6 @@ def make_susy_fixture(path, n: int = 200, seed: int = 0, n_features: int = 18) -
     x = rng.normal(size=(n, n_features))
     logits = x[:, :4].sum(axis=1) / 2.0
     labels = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
-    rows = np.column_stack([labels, x])
     header = ["label"] + [f"f{i}" for i in range(1, n_features + 1)]
-    save_results(rows.tolist(), path, header=header)
+    save_results([dict(zip(header, row)) for row in np.column_stack([labels, x]).tolist()],
+                 path)

@@ -99,14 +99,6 @@ class RFModel:
     def M(self) -> int:
         return self.feature_set.M
 
-    @property
-    def v_weight(self) -> float:
-        return self.feature_set.map.v_weight
-
-    @property
-    def d_v(self) -> int:
-        return self.feature_set.map.d_v
-
 
 @dataclass(frozen=True)
 class RiskReport:
@@ -342,40 +334,31 @@ def predict_batch(model: RFModel, U) -> np.ndarray:
     return features.predict_values(model.feature_set, model.theta, U)
 
 
-def _test_inputs(test_inputs) -> np.ndarray:
-    U = np.asarray(test_inputs, dtype=float)
-    if U.shape[0] == 0:
-        raise EstimatorError("test set is empty")
-    return U
-
-
-def _report(model: RFModel, preds: np.ndarray, U: np.ndarray, test_outputs,
-            oracle=None) -> RiskReport:
-    n_test = U.shape[0]
-    v = np.asarray(test_outputs, dtype=float).reshape(n_test, model.d_v)
-    sq = np.sum((preds - v) ** 2, axis=1) * model.v_weight
-    empirical = 0.5 * float(np.mean(sq))
-    excess = None
-    if oracle is not None:
-        target = np.asarray(oracle(U), dtype=float).reshape(n_test, model.d_v)
-        sq_exc = np.sum((preds - target) ** 2, axis=1) * model.v_weight
-        excess = float(math.sqrt(np.mean(sq_exc)))
-    return RiskReport(empirical_risk=empirical, excess_l2=excess, n_test=n_test)
-
-
 def evaluate(model: RFModel, test_inputs, test_outputs, oracle=None) -> RiskReport:
-    """Empirical half-squared risk on a test set, plus the excess L2 distance
-    to the regression operator when an oracle evaluator is supplied."""
-    U = _test_inputs(test_inputs)
-    return _report(model, predict_batch(model, U), U, test_outputs, oracle)
+    """`evaluate_path` of one model."""
+    return evaluate_path([model], test_inputs, test_outputs, oracle)[0]
 
 
-def evaluate_path(models: list[RFModel], test_inputs, test_outputs) -> list[RiskReport]:
-    """`evaluate` for each model of one `fit_gd_path` trajectory.  The models
-    share a feature set, so the test inputs' feature rows are built once and
-    multiply every checkpoint's coefficients together."""
-    U = _test_inputs(test_inputs)
-    thetas = np.stack([m.theta for m in models], axis=1)
-    preds = features.predict_values(models[0].feature_set, thetas, U)
-    return [_report(model, preds[..., k], U, test_outputs)
-            for k, model in enumerate(models)]
+def evaluate_path(models: list[RFModel], test_inputs, test_outputs,
+                  oracle=None) -> list[RiskReport]:
+    """Empirical half-squared risk of each model on a test set, plus the
+    excess L2 distance to the regression operator when an oracle evaluator
+    is supplied.  The models share a feature set (one model, or those of one
+    `fit_gd_path` trajectory), so the test inputs' feature rows are built
+    once and multiply every model's coefficients together."""
+    U = np.asarray(test_inputs, dtype=float)
+    n_test = U.shape[0]
+    if n_test == 0:
+        raise EstimatorError("test set is empty")
+    fs = models[0].feature_set
+    preds = features.predict_values(fs, np.stack([m.theta for m in models], axis=1), U)
+    v = np.asarray(test_outputs, dtype=float).reshape(n_test, fs.map.d_v)
+    target = None if oracle is None else \
+        np.asarray(oracle(U), dtype=float).reshape(n_test, fs.map.d_v)
+
+    def mean_sq(pred, values):
+        return float(np.mean(np.sum((pred - values) ** 2, axis=1) * fs.map.v_weight))
+
+    return [RiskReport(0.5 * mean_sq(pred, v),
+                       None if target is None else math.sqrt(mean_sq(pred, target)), n_test)
+            for pred in np.moveaxis(preds, -1, 0)]

@@ -246,33 +246,39 @@ def feature_rows(fs: FeatureSet, U: Any, kappa_scale: float, v_weight: float = 1
     return out
 
 
+def _row_chunks(fs: FeatureSet, U: np.ndarray, kappa_scale: float, v_weight: float = 1.0):
+    """(first row, rows) of `feature_rows` of U, for chunks of as many inputs
+    as fit in runtime.BLOCK_BYTES (at least one), each built into one buffer
+    reused for every chunk.  Designs sum their normal equations over these
+    chunks and predictions take them, so both build rows in one way."""
+    d_v, n = fs.map.d_v, len(U)
+    width = len(fs.distinct[1]) * fs.map.p
+    chunk = runtime.per_block(8 * d_v * width)
+    buffer = np.empty((min(chunk, n) * d_v, width))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        yield start * d_v, feature_rows(fs, U[start:stop], kappa_scale, v_weight,
+                                        out=buffer[:(stop - start) * d_v])
+
+
 def predict_values(fs: FeatureSet, theta: np.ndarray, U: Any) -> np.ndarray:
     """Raw predictions (1/scale) sum_{m,i} theta_mi sqrt(c_m/M) phi_i(u, omega_m)
     over the distinct draws omega_m (counts c_m), scale = fs.map.scale, shape (len(U), d_v).
 
     A (dim, k) theta holds k coefficient vectors side by side; each chunk's
-    rows are then built once for all of them and the result has shape
-    (len(U), d_v, k).  The rows of as many inputs as fit in
-    runtime.BLOCK_BYTES (at least one) are written into one buffer at a time.
-    Each prediction is one dot product of a row with a coefficient vector,
-    taken by np.einsum in an order fixed by the row alone, so the bytes do
-    not depend on the budget or on how many vectors are stacked (a BLAS
-    product sums a row differently depending on where it falls in the
-    block)."""
+    rows (`_row_chunks`) are then built once for all of them and the result
+    has shape (len(U), d_v, k).  Each prediction is one dot product of a row
+    with a coefficient vector, taken by np.einsum in an order fixed by the
+    row alone, so the bytes do not depend on the budget or on how many
+    vectors are stacked (a BLAS product sums a row differently depending on
+    where it falls in the block)."""
     U = np.asarray(U, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    d_v = fs.map.d_v
-    width = len(fs.distinct[1]) * fs.map.p
-    chunk = runtime.per_block(8 * d_v * width)
-    coefs = np.ascontiguousarray(theta.reshape(width, -1).T)     # (k, width)
-    n, k = U.shape[0], coefs.shape[0]
-    out = np.empty((n, d_v, k))
-    buffer = np.empty((min(chunk, n) * d_v, width))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        rows = feature_rows(fs, U[start:stop], fs.map.scale,
-                            out=buffer[:(stop - start) * d_v])
-        np.einsum("ij,kj->ik", rows, coefs, out=out[start:stop].reshape(-1, k))
+    coefs = np.ascontiguousarray(theta.reshape(theta.shape[0], -1).T)     # (k, width)
+    n, d_v = U.shape[0], fs.map.d_v
+    out = np.empty((n * d_v, coefs.shape[0]))
+    for lo, rows in _row_chunks(fs, U, fs.map.scale):
+        np.einsum("ij,kj->ik", rows, coefs, out=out[lo:lo + rows.shape[0]])
     return out.reshape((n, d_v) + theta.shape[1:])
 
 
@@ -289,9 +295,8 @@ class DesignMatrix:
     Gram matrix gram() = (1/n) Z Z^T, which shares its nonzero spectrum.
 
     No fit holds Z.  The primal side needs only Sigma_hat and
-    S_hat^* v = (1/n) Z^T v, summed in one pass over the rows of `chunk`
-    inputs at a time (`normal_equations`), as many as fit in
-    runtime.BLOCK_BYTES, built into one reused buffer.  The dual side sums
+    S_hat^* v = (1/n) Z^T v, summed in one pass over the row chunks that
+    predictions take too (`_row_chunks`, `normal_equations`).  The dual side sums
     gram() over blocks of Z's columns, those of a contiguous range of
     distinct draws, built into one buffer of about runtime.BLOCK_BYTES
     (`_column_blocks`); `embed_adjoints` maps dual coefficients back over the
@@ -327,42 +332,15 @@ class DesignMatrix:
         """The shape of Z, (n*d_v, M_distinct*p), known without building it."""
         return self.n * self.d_v, self.M_distinct * self.p
 
-    def _feature_rows(self, U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows of Z for a batch of inputs, shape (len(U)*d_v, M_distinct*p),
-        written into `out` when given."""
-        return feature_rows(self.feature_set, U, self.kappa_scale, self.v_weight, out)
-
-    @property
-    def chunk(self) -> int:
-        """Inputs per row chunk: as many as fit in runtime.BLOCK_BYTES."""
-        return runtime.per_block(8 * self.d_v * self.shape[1])
-
-    def _chunks(self):
-        """(first input, stop input) of each chunk of `chunk` inputs."""
-        chunk = self.chunk
-        for start in range(0, self.n, chunk):
-            yield start, min(start + chunk, self.n)
-
     @cached_property
     def Z(self) -> np.ndarray:
-        """The design matrix, built on first access, chunk by chunk in place,
-        and kept.  No fit reads it: fits build rows by `_row_chunks` and
-        `_column_blocks` alone."""
+        """The design matrix, built on first access from the row chunks of
+        `_row_chunks` and kept.  No fit reads it."""
         z = np.empty(self.shape)
-        for start, stop in self._chunks():
-            self._feature_rows(self.inputs[start:stop],
-                               out=z[start * self.d_v:stop * self.d_v])
+        for lo, rows in _row_chunks(self.feature_set, self.inputs, self.kappa_scale,
+                                    self.v_weight):
+            z[lo:lo + rows.shape[0]] = rows
         return z
-
-    def _row_chunks(self):
-        """(first row, rows) for each chunk, built into one buffer reused for
-        every chunk."""
-        buffer = None
-        for start, stop in self._chunks():
-            lo, hi = start * self.d_v, stop * self.d_v
-            if buffer is None:
-                buffer = np.empty((hi - lo, self.shape[1]))   # the first chunk is the largest
-            yield lo, self._feature_rows(self.inputs[start:stop], out=buffer[:hi - lo])
 
     def _column_blocks(self):
         """(first column, columns) of Z for each block of contiguous distinct
@@ -383,7 +361,8 @@ class DesignMatrix:
         place, which is mirrored once at the end."""
         cov = np.zeros((self.shape[1],) * 2)
         rhs = None
-        for lo, rows in self._row_chunks():
+        for lo, rows in _row_chunks(self.feature_set, self.inputs, self.kappa_scale,
+                                    self.v_weight):
             runtime.symmetric_update(cov, rows, transpose=True)
             if v is not None:
                 part = rows.T @ v[lo:lo + rows.shape[0]]

@@ -15,8 +15,8 @@ into this process (/proc/self/maps).  The symbols used:
   one triangle of an operator in place (`symmetric_update`), so a covariance
   or Gram matrix summed over blocks of rows or columns needs no
   operator-sized temporary and is mirrored once (`mirror_upper`).  Where the
-  symbol is missing the update is `np.matmul` plus an addition; the
-  environment block records which (`operator_kernel`).
+  symbol is missing the update is `np.matmul` on row tiles of the upper
+  triangle; the environment block records which (`operator_kernel`).
 """
 from __future__ import annotations
 
@@ -104,9 +104,10 @@ HEAP_PRIME_BYTES = 1 << 20
 
 #: bytes of every streamed buffer: a design's row chunks and column blocks,
 #: prediction rows, cosine tables with their scratch rows, the neural
-#: operator's row blocks and the tiles of `mirror_upper`.  Half the 2 MiB L2
-#: cache of the cores it was measured on, so a block and what it is
-#: multiplied with stay in that cache while two workers share the memory bus.
+#: operator's row blocks, the tiles of `mirror_upper` and those of the
+#: `symmetric_update` fallback.  Half the 2 MiB L2 cache of the cores it was
+#: measured on, so a block and what it is multiplied with stay in that cache
+#: while two workers share the memory bus.
 #: No buffer exceeds it (unless one input's rows or one draw's columns do), so
 #: none reaches the mmap threshold `init_process` sets.
 BLOCK_BYTES = 1 << 20
@@ -199,9 +200,10 @@ def symmetric_update(c: np.ndarray, a: np.ndarray, transpose: bool = False) -> N
 
     `c` must be a C-contiguous float64 square array and `a` a C-contiguous
     float64 array of matching width.  dsyrk (beta = 1) writes only the upper
-    triangle, in place; the np.matmul fallback adds the whole product, through
-    a temporary of c's size.  Either way `mirror_upper` makes c symmetric once
-    every block is in.
+    triangle, in place.  The np.matmul fallback adds the product into row
+    tiles c[lo:hi, lo:] that cover the upper triangle, each through a
+    temporary of at most BLOCK_BYTES (at least one row).  Either way
+    `mirror_upper` makes c symmetric once every block is in.
     """
     d = a.shape[1] if transpose else a.shape[0]
     if c.dtype != np.float64 or c.shape != (d, d) or not c.flags.c_contiguous:
@@ -210,7 +212,10 @@ def symmetric_update(c: np.ndarray, a: np.ndarray, transpose: bool = False) -> N
         raise ValueError("symmetric_update needs a C-contiguous float64 matrix")
     dsyrk = _dsyrk()
     if dsyrk is None:
-        c += a.T @ a if transpose else a @ a.T
+        t = per_block(8 * d)
+        for lo in range(0, d, t):
+            hi = min(lo + t, d)
+            c[lo:hi, lo:] += a[:, lo:hi].T @ a[:, lo:] if transpose else a[lo:hi] @ a[lo:].T
         return
     k = a.shape[0] if transpose else a.shape[1]
     dsyrk(_ROW_MAJOR, _UPPER, _TRANS if transpose else _NO_TRANS, d, k, 1.0,

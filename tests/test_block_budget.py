@@ -32,6 +32,37 @@ def test_mirror_upper_matches_triu(d, monkeypatch):
         np.testing.assert_array_equal(c, expected)
 
 
+@pytest.mark.parametrize("transpose", [False, True], ids=["a_at", "at_a"])
+def test_matmul_fallback_adds_row_tiles_of_the_upper_triangle(transpose, monkeypatch):
+    """Without dsyrk, symmetric_update adds a @ a.T (a.T @ a) on and above
+    the diagonal, to rounding of the product itself, in tiles of 1 row, of 7
+    and of the budget's 218 at d = 600, and leaves every entry left of its
+    tiles as it was.  After `mirror_upper` c is exactly symmetric.  At the
+    budget the update holds no temporary of the 2.9 MB product: at most
+    BLOCK_BYTES plus one copy of a."""
+    monkeypatch.setattr(runtime, "_dsyrk", lambda: None)
+    assert runtime.operator_kernel() == "matmul"
+    d, k = 600, 40
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(k, d) if transpose else (d, k))
+    start = rng.normal(size=(d, d))
+    expected = start + (a.T @ a if transpose else a @ a.T)
+    i, j = np.indices((d, d))
+    for rows in (1, 7, runtime.per_block(8 * d)):
+        monkeypatch.setattr(runtime, "BLOCK_BYTES", 8 * d * rows)
+        c = start.copy()
+        runtime.symmetric_update(c, a, transpose)
+        upper = j >= i
+        np.testing.assert_allclose(c[upper], expected[upper], rtol=1e-13, atol=1e-12)
+        untouched = j < i // rows * rows
+        np.testing.assert_array_equal(c[untouched], start[untouched])
+        runtime.mirror_upper(c)
+        np.testing.assert_array_equal(c, c.T)
+    c = start.copy()
+    extra = transient_peak(lambda: runtime.symmetric_update(c, a, transpose))
+    assert extra <= runtime.BLOCK_BYTES + a.nbytes, extra
+
+
 def transient_peak(run):
     """Peak traced bytes of run() beyond what is still held when it returns
     (its result)."""

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import math
 import operator
@@ -266,9 +267,13 @@ class TestVerify:
         assert "event E7 failed: overflow" in capsys.readouterr().err
 
     def test_event_config_error_exits_3(self, tmp_path, capsys):
-        code, _ = run("verify", tmp_path, dict(self.CFG, trials=10))
+        """Too few trials break the `trials` rule before the output directory
+        is made, as every range rule does."""
+        code, out = run("verify", tmp_path, dict(self.CFG, trials=10))
         assert code == 3
-        assert "event E6 failed: need at least 50 trials" in capsys.readouterr().err
+        assert (f"config error: trials must be >= {conclab.MIN_TRIALS}, got 10"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_delta_beyond_the_pinelis_range_exits_3(self, tmp_path, capsys):
         """The bound of E3-E9 holds only for delta < 1/2."""
@@ -845,6 +850,37 @@ def test_order_statistics_equal_numpy(n):
     assert math.isnan(runtime.quantile(values, 0.5)) and math.isnan(runtime.median(values))
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_cases():
+    """(workload, case) of every case of perfbench/workloads.py."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return workloads, [(name, case) for name, cases in workloads.WORKLOADS.items()
+                       for case in cases]
+
+
+def run_tiny(case, casedir, env=None, tracer=None):
+    """Run a benchmark case at its tiny size in a subprocess, under `tracer`
+    (perfbench/trace_child.py with its spans file) when given."""
+    workloads, _ = benchmark_cases()
+    casedir.mkdir()
+    pythonpath = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    args = [case.command, "--config", str(workloads.write_config(case, "tiny", casedir)),
+            "--seed", "0", "--out", str(casedir / "out"), "--jobs", "1"]
+    prefix = ([str(ROOT / "perfbench" / "trace_child.py"), str(tracer), "--"] if tracer
+              else ["-m", "specrf.cli"])
+    proc = subprocess.run([sys.executable, *prefix, *args], capture_output=True, text=True,
+                          env=dict(env or os.environ, PYTHONPATH=pythonpath), timeout=120)
+    assert proc.returncode == 0, (case.label, proc.stderr)
+    return casedir / "out"
+
+
 def test_benchmark_trace_hooks_install(tmp_path):
     """perfbench/trace_child.py wraps the layers' functions by name
     (`spectral.eigensystem`, `DesignMatrix.cov`, the feature-map factories
@@ -853,28 +889,77 @@ def test_benchmark_trace_hooks_install(tmp_path):
     called.  So the tracer runs every benchmark workload at its tiny size,
     each in a subprocess (nothing stays patched here), and each argument
     count it reads is positive."""
-    root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root / "perfbench"))
-    try:
-        from workloads import WORKLOADS, write_config
-    finally:
-        sys.path.remove(str(root / "perfbench"))
-    pythonpath = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     counts = {}
-    for workload, cases in WORKLOADS.items():
-        for index, case in enumerate(cases):
-            casedir = tmp_path / f"{workload}{index}"
-            casedir.mkdir()
-            spans = casedir / "spans.json"
-            args = [case.command, "--config", str(write_config(case, "tiny", casedir)),
-                    "--seed", "0", "--out", str(casedir / "out"), "--jobs", "1"]
-            proc = subprocess.run(
-                [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans),
-                 "--", *args], capture_output=True, text=True,
-                env=dict(os.environ, PYTHONPATH=pythonpath), timeout=120)
-            assert proc.returncode == 0, (workload, proc.stderr)
-            for name, value in json.loads(spans.read_text())["counts"].items():
-                counts[name] = counts.get(name, 0) + value
+    for index, (workload, case) in enumerate(benchmark_cases()[1]):
+        spans = tmp_path / f"spans{index}.json"
+        run_tiny(case, tmp_path / f"{workload}{index}", tracer=spans)
+        for name, value in json.loads(spans.read_text())["counts"].items():
+            counts[name] = counts.get(name, 0) + value
     for name in ("conclab.trials", "estimator.gd_steps", "neuralop.train_steps"):
         assert counts.get(name, 0) > 0, name
+
+
+#: How far a float may move when the BLAS core changes, from a rounding-error
+#: model fixed before any run.  Another core sums each inner product and
+#: reduction in another order (other blocking, fused multiply-adds), and two
+#: orders of an N-term sum differ by at most about 2 N u sum |x_i|, u = 2^-53
+#: (Higham, "Accuracy and Stability of Numerical Algorithms", section 4.2).
+#: No reduction of a tiny config is longer than N = 4096 terms (its largest
+#: dimension is 400 inputs or 512 columns), and a solve, eigendecomposition,
+#: descent or fitted slope amplifies a relative move by at most a condition
+#: of 1e3: the tiny Tikhonov solves' (1 + lambda) / lambda is below 25, and
+#: descents take at most 4 steps of size at most 1.
+CORE_REL_TOL = 2 * 4096 * 1e3 * 2.0 ** -53
+#: `discrepancy` is the RMS difference of two predictions that nearly agree,
+#: so its relative move has no bound; each prediction, at most 10 in size on
+#: the running means of ntk-compare's inputs, moves by at most CORE_REL_TOL
+#: relative, and so the RMS of their difference by at most this much.
+CORE_DISCREPANCY_ABS = 2 * 10 * CORE_REL_TOL
+
+
+def core_differences(name, first, second):
+    """The cells of two runs' CSV `name` that differ by more than the model
+    allows: integer cells (in the first run) and text exactly, columns named
+    *discrepancy absolutely, other floats relatively."""
+    with (first / name).open(newline="") as fa, (second / name).open(newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    assert rows_a[0] == rows_b[0] and len(rows_a) == len(rows_b), name
+    header, bad = rows_a[0], []
+    for j, column in enumerate(header):
+        cells = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:])]
+        integer = all(a.lstrip("-").isdigit() for a, _ in cells)
+        for a, b in cells:
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                x = y = None
+            if x is None or integer:
+                ok = a == b
+            elif "discrepancy" in column:
+                ok = abs(x - y) <= CORE_DISCREPANCY_ABS
+            else:
+                ok = math.isclose(x, y, rel_tol=CORE_REL_TOL, abs_tol=0.0)
+            if not ok:
+                bad.append((name, column, a, b))
+    return bad
+
+
+@pytest.mark.parametrize("workload,case", benchmark_cases()[1],
+                         ids=lambda value: value if isinstance(value, str) else value.label)
+def test_outputs_agree_across_blas_cores(workload, case, tmp_path):
+    """Each benchmark case at its tiny size, run with OPENBLAS_CORETYPE unset
+    and set to Prescott (numpy's OpenBLAS then loads other kernels): the
+    same CSVs, equal integer and text cells and floats within the rounding
+    model above.  Where both runs report one `blas_core` (another BLAS, or a
+    CPU whose default is that core), there is nothing to compare."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    outs = [run_tiny(case, tmp_path / "default", env),
+            run_tiny(case, tmp_path / "prescott", dict(env, OPENBLAS_CORETYPE="Prescott"))]
+    cores = [json.loads((out / "manifest.json").read_text())["environment"]["blas_core"]
+             for out in outs]
+    if cores[0] == cores[1]:
+        pytest.skip(f"both runs report blas_core {cores[0]!r}: no second core to compare")
+    names = sorted(path.name for path in outs[0].glob("*.csv"))
+    assert names == sorted(path.name for path in outs[1].glob("*.csv"))
+    bad = [diff for name in names for diff in core_differences(name, *outs)]
+    assert not bad, (workload, case.label, cores, bad[:5])

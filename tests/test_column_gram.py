@@ -118,7 +118,7 @@ def test_dsyrk_matches_matmul_fallback(route, monkeypatch):
     narrower one (2 row chunks); both exactly symmetric."""
     design = heatmap_design(M=64, n=1000)[0] if route == "primal" else heatmap_design()[0]
     if route == "primal":
-        assert math.ceil(design.n / design.chunk) == 2
+        assert math.ceil(design.n / runtime.per_block(8 * design.d_v * design.shape[1])) == 2
     else:
         assert column_blocks(design) == 12
     form = design.cov if route == "primal" else design.gram
@@ -172,5 +172,5 @@ def test_operators_agree_at_two_budgets(name, monkeypatch):
     np.testing.assert_array_equal(
         np.concatenate([block.copy() for _, block in design._column_blocks()], axis=1), Z)
     monkeypatch.setattr(runtime, "BLOCK_BYTES", 3 * 8 * design.d_v * dim)
-    assert design.chunk == 3
+    assert runtime.per_block(8 * design.d_v * design.shape[1]) == 3
     assert rel(design.cov(), cov) < 1e-14

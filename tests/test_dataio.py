@@ -143,7 +143,7 @@ class TestSaveResults:
 
     def test_header_preserved_verbatim(self, tmp_path):
         path = tmp_path / "t.csv"
-        save_results([[1.0, 2.0]], path, header=["Mean Error", "std_dev"])
+        save_results([{"Mean Error": 1.0, "std_dev": 2.0}], path)
         assert path.read_text().splitlines()[0] == "Mean Error,std_dev"
 
     @settings(max_examples=30, deadline=None)
@@ -154,15 +154,22 @@ class TestSaveResults:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "x.csv"
-            save_results([[x]], path, header=["x"])
+            save_results([{"x": x}], path)
             _, body = load_results(path)
             assert body[0, 0] == x
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
-        save_results([[1.0], [2.0]], path, header=["v"])
+        save_results([{"v": 1.0}, {"v": 2.0}], path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize("rows", [[], [{"a": 1.0}, {"b": 2.0}],
+                                      [{"a": 1.0}, {"a": 2.0, "b": 3.0}],
+                                      [{"a": 1.0, "b": 2.0}, {"a": 3.0}]])
+    def test_rows_must_share_the_first_rows_keys(self, tmp_path, rows):
+        with pytest.raises(DataError):
+            save_results(rows, tmp_path / "t.csv")
 
 
 class TestFixture:

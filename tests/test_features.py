@@ -205,7 +205,7 @@ class TestDesign:
         width = design.Z.shape[1]
         acc = np.zeros((width, width))
         for u in U:
-            row = design._feature_rows(np.array([u]))
+            row = features.feature_rows(fs, np.array([u]), design.kappa_scale, design.v_weight)
             acc += row.T @ row
         np.testing.assert_allclose(design.cov(), acc / 5, atol=1e-12)
 

@@ -27,7 +27,7 @@ def rel(a, b):
 def chunk_inputs(monkeypatch, design, k):
     """Size runtime.BLOCK_BYTES so that the design's row chunks hold k inputs."""
     monkeypatch.setattr(runtime, "BLOCK_BYTES", k * 8 * design.d_v * design.shape[1])
-    assert design.chunk == k
+    assert runtime.per_block(8 * design.d_v * design.shape[1]) == k
 
 
 def synthetic_case(n=1100, M=60, d_max=32):
@@ -172,7 +172,7 @@ def test_fit_closed_rejects_what_the_eigh_route_rejects(filt, monkeypatch):
     assert passes == {"rows": 1, "columns": 0}
     # one nonzero entry in the last row of the last chunk is enough
     last = probe_design(np.append(np.zeros(6), 1.0), 1, 1.0)
-    assert last.chunk == 4
+    assert runtime.per_block(8 * last.d_v * last.shape[1]) == 4
     passes = count_passes(monkeypatch, last)
     assert fit_closed(last, np.ones(7), filt, 0.1).theta[0] > 0.0   # Sigma_hat = 1/7
     assert passes == {"rows": 1, "columns": 0}

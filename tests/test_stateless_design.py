@@ -19,14 +19,21 @@ from test_dual_gd import ntk_case, operator_width
 
 
 def count_passes(mp, design):
-    """Counts the design's passes over its row chunks and over its column
-    blocks."""
+    """Counts the passes over the design's row chunks (`features._row_chunks`
+    at its inputs) and over its column blocks."""
     passes = {"rows": 0, "columns": 0}
-    for name, key in (("_row_chunks", "rows"), ("_column_blocks", "columns")):
-        def counted(real=getattr(design, name), key=key):
-            passes[key] += 1
-            return real()
-        mp.setattr(design, name, counted)
+
+    def rows(fs, U, *args, real=features._row_chunks):
+        if U is design.inputs:
+            passes["rows"] += 1
+        return real(fs, U, *args)
+
+    def columns(real=design._column_blocks):
+        passes["columns"] += 1
+        return real()
+
+    mp.setattr(features, "_row_chunks", rows)
+    mp.setattr(design, "_column_blocks", columns)
     return passes
 
 
@@ -117,7 +124,8 @@ def test_each_route_rejects_the_zero_design(route, monkeypatch):
     # row chunks of at most 3 inputs, column blocks of at most 3 draws
     monkeypatch.setattr(runtime, "BLOCK_BYTES", 24 * min(n, width))
     zero = probe_design(np.ones(n), width, 0.0)
-    assert zero.chunk <= 3 and runtime.per_block(8 * n) <= 3
+    assert runtime.per_block(8 * zero.d_v * zero.shape[1]) <= 3
+    assert runtime.per_block(8 * n) <= 3
     check_route(route, zero, how)
     passes = count_passes(monkeypatch, zero)
     with pytest.raises(EstimatorError, match="identically zero"):
