@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-gen            emit a synthetic dataset CSV (or a SUSY-like CI fixture)
+gen            emit a synthetic dataset CSV
 fit            fit one random-feature model and report its risks
 sweep-heatmap  mean test error over an (M, T) grid, Figure-1 style
 rates          schedule-driven excess-risk decay over a grid of sample sizes
@@ -59,7 +59,8 @@ class CellError(RuntimeError):
 # (also exit 2, `internal error: ...` and its traceback).
 CHECK_ERRORS = (CellError, conclab.ConcentrationConfigError, dataio.DataError,
                 estimator.EstimatorError, features.FeatureError, neuralop.NeuralOpError,
-                spectral.FilterDomainError, spectral.ScheduleError)
+                spectral.FilterDomainError, spectral.ScheduleError,
+                synthetic.SyntheticError)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,6 @@ PRESETS: dict[str, tuple[str, dict]] = {
 DEFAULTS: dict[str, dict] = {
     "gen": {
         "seed": 0,
-        "kind": "synthetic",          # or "susy-fixture"
         "n": 1000,
         "r": 0.5,
         "b": 1.0,
@@ -101,11 +101,6 @@ DEFAULTS: dict[str, dict] = {
         "seed": 0,
         "problem": {"r": 0.5, "b": 1.0, "d_max": 256, "R": 1.0,
                     "noise_half_width": 0.5},
-        "csv": None,                  # optional input CSV instead of synthetic
-        "label_column": 0,
-        "feature_columns": None,
-        "row_limit": None,
-        "standardize": True,
         "n_train": 500,
         "n_test": 500,
         "M": 200,
@@ -113,7 +108,6 @@ DEFAULTS: dict[str, dict] = {
         "lambda": None,               # tikhonov/cutoff; defaults to 1/sqrt(n)
         "alpha": 0.5,
         "T": 100,
-        "rff_lengthscale": 1.0,       # CSV inputs are fitted with RFF features
     },
     "sweep-heatmap": {
         "seed": 0,
@@ -247,11 +241,11 @@ def _same_type(value, example) -> bool:
 # with its default's first; where the default is None, the rule alone checks
 # the type.
 CHECKS: dict[str, tuple] = {
-    **dict.fromkeys(("seed", "problem_seed", "label_column", "noise_half_width"),
+    **dict.fromkeys(("seed", "problem_seed", "noise_half_width"),
                     (lambda v: v >= 0, "must be nonnegative")),
-    **dict.fromkeys(("n", "n_train", "n_test", "M", "T", "r", "R", "rff_lengthscale",
-                     "C_multiplier", "M_multiplier", "grid_points", "max_landweber_steps",
-                     "event_n", "event_M", "event_lambda"),
+    **dict.fromkeys(("n", "n_train", "n_test", "M", "T", "r", "R", "C_multiplier",
+                     "M_multiplier", "grid_points", "max_landweber_steps", "event_n",
+                     "event_M", "event_lambda"),
                     (lambda v: v > 0, "must be positive")),
     **dict.fromkeys(("repetitions", "grid_size"), (lambda v: v >= 1, "must be >= 1")),
     # the decay exponent b, and step sizes that keep every GD run inside the
@@ -265,8 +259,6 @@ CHECKS: dict[str, tuple] = {
     "trials": (lambda v: v >= conclab.MIN_TRIALS, f"must be >= {conclab.MIN_TRIALS}"),
     "delta": (lambda v: 0 < v < 1, "must be in (0, 1)"),
     "q_grid": (lambda v: all(q >= 0 for q in v), "entries must be nonnegative"),
-    "kind": (lambda v: v in ("synthetic", "susy-fixture"),
-             "must be 'synthetic' or 'susy-fixture'"),
     "activation": (lambda v: v in ("tanh", "identity"), "must be 'tanh' or 'identity'"),
     "events": (lambda v: len(v) > 0 and set(v) <= set(conclab.ALL_EVENTS),
                f"must be a nonempty list of {list(conclab.ALL_EVENTS)}"),
@@ -274,12 +266,6 @@ CHECKS: dict[str, tuple] = {
                     f"must name distinct presets of {list(PRESETS)}"),
     "filename": (lambda v: v not in ("", ".", "..") and "\0" not in v and Path(v).name == v,
                  "must be a file name, not a path"),
-    "csv": (lambda v: v is None or isinstance(v, str), "must be a file path or null"),
-    "feature_columns": (lambda v: v is None or isinstance(v, list) and len(v) > 0
-                        and all(_same_type(c, 0) and c >= 0 for c in v),
-                        "must be a nonempty list of column indices >= 0, or null"),
-    "row_limit": (lambda v: v is None or _same_type(v, 0) and v >= 1,
-                  "must be a positive integer or null"),
     # the filters are defined for lambda in (0, 1], the design's spectral range
     "lambda": (lambda v: v is None or _same_type(v, 0.0) and 0 < v <= 1,
                "must be in (0, 1] or null"),
@@ -385,14 +371,10 @@ def _run_cell(fn, cell: dict):
 
 def cmd_gen(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     path = out / cfg["filename"]
-    if cfg["kind"] == "susy-fixture":
-        dataio.make_susy_fixture(path, n=int(cfg["n"]), seed=cfg["seed"])
-    else:
-        problem, noise = _build_problem(cfg, cfg["seed"])
-        U, V = synthetic.sample_dataset(problem, int(cfg["n"]), noise,
-                                        seed=cfg["seed"] + 1)
-        rows = [{"u": float(u), "v": float(v)} for u, v in zip(U, V)]
-        dataio.save_results(rows, path)
+    problem, noise = _build_problem(cfg, cfg["seed"])
+    U, V = synthetic.sample_dataset(problem, int(cfg["n"]), noise, seed=cfg["seed"] + 1)
+    rows = [{"u": float(u), "v": float(v)} for u, v in zip(U, V)]
+    dataio.save_results(rows, path)
     return EXIT_OK, [path], {}
 
 
@@ -402,36 +384,11 @@ def cmd_gen(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
 def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list, dict]:
     seed = cfg["seed"]
     data_seed, test_seed, feat_seed = _seeds(seed, 3)
-    oracle = None
-    if cfg["csv"] is not None:
-        try:
-            ds = dataio.load_csv(cfg["csv"], label_column=cfg["label_column"],
-                                 feature_columns=cfg["feature_columns"],
-                                 row_limit=cfg["row_limit"])
-            train, test = dataio.split(ds, int(cfg["n_train"]), int(cfg["n_test"]),
-                                       seed=data_seed)
-            if cfg["standardize"]:
-                train, params = dataio.standardize(train)
-                test = dataio.apply_standardize(test, params)
-        except dataio.ParseError as exc:    # the file is not a numeric table
-            raise IOError(f"cannot read {cfg['csv']}: {exc}") from exc
-        except dataio.DataError as exc:     # the file refutes a config value
-            raise ConfigError(str(exc)) from exc
-        fmap = features.rff_map(train.inputs.shape[1], cfg["rff_lengthscale"])
-        U_tr, V_tr = train.inputs, train.outputs
-        U_te, V_te = test.inputs, test.outputs
-        inputs_hash = dataio.file_sha256(cfg["csv"])
-    else:
-        problem, noise = _build_problem(cfg["problem"], seed)
-        U_tr, V_tr = synthetic.sample_dataset(problem, int(cfg["n_train"]), noise,
-                                              seed=data_seed)
-        U_te, V_te = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise,
-                                              seed=test_seed)
-        fmap = problem.feature_map
-        oracle = problem.target
-        inputs_hash = None
+    problem, noise = _build_problem(cfg["problem"], seed)
+    U_tr, V_tr = synthetic.sample_dataset(problem, int(cfg["n_train"]), noise, seed=data_seed)
+    U_te, V_te = synthetic.sample_dataset(problem, int(cfg["n_test"]), noise, seed=test_seed)
 
-    fs = features.sample_features(fmap, int(cfg["M"]), seed=feat_seed)
+    fs = features.sample_features(problem.feature_map, int(cfg["M"]), seed=feat_seed)
     design = features.build_design(fs, U_tr)
     name = cfg["filter"]
     if name == "landweber":
@@ -440,21 +397,21 @@ def cmd_fit(cfg: dict, out: Path, flags: argparse.Namespace) -> tuple[int, list,
         lam = cfg["lambda"] if cfg["lambda"] is not None else 1.0 / math.sqrt(len(U_tr))
         filt = spectral.tikhonov() if name == "tikhonov" else spectral.cutoff()
         model = estimator.fit_closed(design, V_tr, filt, lam)
-    report = estimator.evaluate(model, U_te, V_te, oracle=oracle)
-    train_report = estimator.evaluate(model, U_tr, V_tr, oracle=oracle)
+    report = estimator.evaluate(model, U_te, V_te, oracle=problem.target)
+    train_report = estimator.evaluate(model, U_tr, V_tr, oracle=problem.target)
     rows = [{
         "filter": name,
         "lambda": model.lam,
         "M": model.M,
         "train_risk": train_report.empirical_risk,
         "test_risk": report.empirical_risk,
-        "excess_l2": report.excess_l2 if report.excess_l2 is not None else math.nan,
+        "excess_l2": report.excess_l2,
         "n_train": len(U_tr),
         "n_test": report.n_test,
     }]
     path = out / "fit.csv"
     dataio.save_results(rows, path)
-    return EXIT_OK, [path], {"inputs_sha256": inputs_hash} if inputs_hash else {}
+    return EXIT_OK, [path], {}
 
 
 # ---------------------------------------------------------------------------

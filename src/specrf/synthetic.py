@@ -316,8 +316,9 @@ def fit_rate(ns, errors) -> float:
     errors = np.asarray(errors, dtype=float)
     if ns.size < 3:
         raise SyntheticError("need at least 3 points to fit a rate")
-    if np.any(ns <= 0) or np.any(errors <= 0):
-        raise SyntheticError("rate fitting requires positive sizes and errors")
+    if np.any(ns <= 0) or not np.all(np.isfinite(errors) & (errors > 0)):
+        raise SyntheticError("rate fitting requires positive sizes and finite, "
+                             f"positive errors, got {errors.tolist()}")
     slope, _ = np.polyfit(np.log(ns), np.log(errors), 1)
     return float(slope)
 

@@ -298,6 +298,9 @@ class TestFitRate:
     def test_rejects_nonpositive(self):
         with pytest.raises(SyntheticError):
             fit_rate([10, 20, 30], [1.0, -1.0, 0.5])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(SyntheticError):
+                fit_rate([10, 20, 30], [1.0, bad, 0.5])
         with pytest.raises(SyntheticError):
             fit_rate([10, 20], [1.0, 0.5])
 
